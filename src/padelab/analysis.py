@@ -241,6 +241,7 @@ class CounterexampleReport:
     sigma_ratio: float
     sigma_ratio_pass: bool
     sigma_ratio_oracle: float | None
+    sigma_ratio_bracket: tuple | None
     oracle_agrees: bool | None
     tail_sum: float
     tail_limit: float
@@ -275,6 +276,8 @@ class CounterexampleReport:
             "sigma_ratio": _num(self.sigma_ratio),
             "sigma_ratio_pass": self.sigma_ratio_pass,
             "sigma_ratio_oracle": _num(self.sigma_ratio_oracle),
+            "sigma_ratio_bracket": (None if self.sigma_ratio_bracket is None
+                                    else [_num(x) for x in self.sigma_ratio_bracket]),
             "oracle_agrees": self.oracle_agrees,
             "tail_sum": _num(self.tail_sum),
             "tail_limit": _num(self.tail_limit),
@@ -343,10 +346,11 @@ def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
     and 16^k -/+ S sandwiches the extreme singular values.
 
     `exact=True` routes the approximant through rational elimination so
-    the q and p comparisons are equalities.  `with_oracle` adds an
-    independently derived singular value ratio from the characteristic
-    polynomial of the Gram matrix; the default enables it when the
-    series is exact and the system is small enough for that route.
+    the q and p comparisons are equalities.  `with_oracle` adds a
+    certified bracket of the singular value ratio from the exact Gram
+    matrix; the oracle agrees when the float ratio lies in that bracket,
+    widened by 1e-8 relative.  The default enables it when the series
+    is exact and the system is small enough for that route.
     """
     if k < 2:
         raise InvalidParameterError("counterexample blocks start at k = 2")
@@ -390,24 +394,33 @@ def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
         p_scale = max(1.0, max(abs(to_complex(x)) for x in approx.a))
         p_ok = p_match <= p_tol * p_scale
 
-    # float singular spectrum of B_n, plus the exact oracle when available
-    spectrum = svd(build_pair(s, n, exact=False).B)
-    sigma1 = float(spectrum.sigmas[0])
-    sigman = float(spectrum.sigmas[-1])
-    ratio = float(spectrum.ratio)
+    # float singular spectrum of B_n (the float route already has it),
+    # plus the exact oracle when available
+    if exact:
+        spectrum = svd(build_pair(s, n, exact=False).B)
+        sigmas, ratio = spectrum.sigmas, spectrum.ratio
+    else:
+        sigmas, ratio = approx.diagnostics.sigmas, approx.diagnostics.ratio
+    sigma1 = float(sigmas[0])
+    sigman = float(sigmas[-1])
+    ratio = float(ratio)
     ratio_pass = ratio < 5.0
 
     if with_oracle is None:
         with_oracle = s.exact and n <= ORACLE_MAX_ROWS
     oracle_ratio = None
+    oracle_bracket = None
     oracle_agrees = None
     if with_oracle:
         if not s.exact:
             raise InvalidParameterError("sigma-ratio oracle requires an exact series")
-        oracle = exact_sigma_ratio_bounds(build_pair(s, n, exact=True).B)
+        oracle = exact_sigma_ratio_bounds(build_pair(s, n, exact=True).B,
+                                          guess=(sigma1, sigman))
         oracle_ratio = float(oracle.ratio)
+        oracle_bracket = oracle.ratio_bracket
+        lo, hi = oracle_bracket
         oracle_agrees = (math.isfinite(oracle_ratio)
-                         and abs(ratio - oracle_ratio) <= 1e-8 * oracle_ratio)
+                         and lo * (1 - 1e-8) <= ratio <= hi * (1 + 1e-8))
 
     sums = check_sum_bounds(s, k)
     bounds_ok = sums.tail_ok and sums.head_ok and sums.s_ok
@@ -428,7 +441,8 @@ def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
         p_at_zk=p_at_zk, p_expected=p_expected, p_match=p_match, p_ok=p_ok,
         sigma1=sigma1, sigman=sigman, sigma_ratio=ratio,
         sigma_ratio_pass=ratio_pass,
-        sigma_ratio_oracle=oracle_ratio, oracle_agrees=oracle_agrees,
+        sigma_ratio_oracle=oracle_ratio, sigma_ratio_bracket=oracle_bracket,
+        oracle_agrees=oracle_agrees,
         tail_sum=sums.tail_sum, tail_limit=sums.tail_limit,
         head_sum=sums.head_sum, head_limit=sums.head_limit,
         s_value=sums.s_value, s_limit=sums.s_limit, bounds_ok=bounds_ok,

@@ -145,7 +145,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, _jsonfmt.dumps(payload) + "\n")
+    _write_text(path, _jsonfmt.dumps(payload))
 
 
 # ---------------------------------------------------------------------------

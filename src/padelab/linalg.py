@@ -6,9 +6,12 @@ Three independent routes live here on purpose:
   high relative accuracy and a designated nullspace direction;
 * :func:`exact_nullspace` -- fraction-free (Bareiss) elimination over
   exact rational-complex scalars;
-* :func:`exact_sigma_ratio_bounds` -- the exact characteristic
-  polynomial of M M^H plus high-precision roots, giving a
-  singular-value ratio that does not depend on the float SVD at all.
+* :func:`exact_sigma_ratio_bounds` -- certified brackets of the
+  extreme singular values: Sylvester's law of inertia applied to an
+  exact LDL^H factorization of M M^H - mu I counts the eigenvalues
+  below mu.  Float guesses only place the shifts mu; every bracket
+  endpoint is proved by an exact count, so a wrong guess cannot yield
+  a wrong bracket.
 
 Keeping the float and exact routes independent is what lets the test
 suite cross-check one against the other.
@@ -17,7 +20,8 @@ suite cross-check one against the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,12 +31,13 @@ from .errors import (
     ConvergenceError,
     InvalidInputError,
     InvalidParameterError,
+    NumericalError,
     RankDeficiencyError,
     UnsupportedSizeError,
 )
 from .rational import QC, qc
 
-ORACLE_MAX_ROWS = 16     # characteristic-polynomial oracle cap
+ORACLE_MAX_ROWS = 16     # exact sigma oracle cap
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +448,49 @@ def _to_qc_vector(vec: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact sigma-ratio oracle (characteristic polynomial of the Gram matrix)
+# exact sigma-ratio oracle (Sylvester inertia of the Gram matrix)
+
+_PROBE_REL = 1e-9        # first certificate probes at guess * (1 -/+ _PROBE_REL)
+_BRACKET_REL = 3e-9      # bisection stops at this relative bracket width
+_NUDGES = (0, 2 ** -40, -(2 ** -40), 2 ** -34, -(2 ** -34), 2 ** -28, -(2 ** -28))
 
 
 @dataclass(frozen=True)
 class SigmaRatioOracle:
-    """Exact Gram characteristic polynomial and derived extreme sigmas.
+    """Certified extreme singular values of M and their ratio.
 
-    `char_poly` holds the monic coefficients of det(lambda I - M M^H),
-    highest power first, as exact Fractions.  The extreme eigenvalues
-    are extracted from the polynomial at high precision, far beyond
-    double accuracy.
+    `lambda_max_bracket` and `lambda_min_bracket` are exact closed
+    intervals (Fractions) holding the extreme eigenvalues of the Gram
+    matrix M M^H; `ratio_bracket` holds sigma_1/sigma_n, rounded
+    outward to floats.  `sigma_max`, `sigma_min` and `ratio` are point
+    values, checked to lie in those brackets.  A singular Gram matrix
+    is proved exactly: `lambda_min_bracket` is (0, 0), `sigma_min` is 0
+    and the ratio is infinite.
+
+    `char_poly`, the monic coefficients of det(lambda I - M M^H) with
+    the highest power first, is computed on first access only.
     """
 
-    char_poly: tuple
     sigma_max: float
     sigma_min: float
     ratio: float
+    ratio_bracket: tuple
+    lambda_max_bracket: tuple
+    lambda_min_bracket: tuple
+    matrix: RationalMatrix = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        lo, hi = self.ratio_bracket
+        inside = lo <= self.ratio <= hi
+        for sigma, (lam_lo, lam_hi) in ((self.sigma_max, self.lambda_max_bracket),
+                                        (self.sigma_min, self.lambda_min_bracket)):
+            inside = inside and lam_lo <= Fraction(sigma) ** 2 <= lam_hi
+        if not inside:
+            raise NumericalError("sigma oracle point value outside its certified bracket")
+
+    @cached_property
+    def char_poly(self) -> tuple:
+        return gram_char_poly(self.matrix)
 
 
 def gram_char_poly(mat: RationalMatrix) -> tuple:
@@ -529,13 +560,17 @@ def _qmatmul(a, b):
     return out
 
 
-def exact_sigma_ratio_bounds(mat: RationalMatrix,
-                             max_rows: int = ORACLE_MAX_ROWS) -> SigmaRatioOracle:
-    """Exact-oracle sigma_1/sigma_n via the Gram characteristic polynomial.
+def exact_sigma_ratio_bounds(mat: RationalMatrix, max_rows: int = ORACLE_MAX_ROWS,
+                             *, guess: tuple | None = None) -> SigmaRatioOracle:
+    """Certified sigma_1/sigma_n from the inertia of the exact Gram matrix.
 
-    Capped at `max_rows` rows: the exact polynomial cost grows like
-    rows^4 with ever-larger rationals.  sigma_n = 0 reports an infinite
-    ratio rather than an error.
+    By Sylvester's law of inertia, the negative pivots of an exact
+    LDL^H factorization of G - mu I count the eigenvalues of G = M M^H
+    below mu.  The float guesses (sigma_max, sigma_min) -- from `svd`
+    unless given -- only place the probes: two counts per eigenvalue
+    prove an enclosure, and a wrong guess can only cost extra probes,
+    never a wrong bracket.  Capped at `max_rows` rows.  sigma_n = 0
+    reports an infinite ratio rather than an error.
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
@@ -544,34 +579,142 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix,
             f"exact sigma oracle capped at {max_rows} rows, got {mat.rows}")
     if mat.cols < mat.rows:
         raise InvalidInputError("expected rows <= cols")
-    coeffs = gram_char_poly(mat)
-    n = len(coeffs) - 1
+    if guess is None:
+        sigmas = svd(mat).sigmas
+        guess = (float(sigmas[0]), float(sigmas[-1]))
+    gram, scale2 = _integer_gram(mat)
+    real = mat.is_real
+    n = mat.rows
 
-    zero_mult = 0
-    trimmed = list(coeffs)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-        zero_mult += 1
-    reduced_degree = len(trimmed) - 1
+    def count_below(x: Fraction) -> int | None:
+        # G - x I scaled by x.denominator * scale2 > 0, which keeps its inertia
+        shift = x.numerator * scale2
+        h = [[x.denominator * e for e in row] for row in gram]
+        for i in range(n):
+            h[i][i] = h[i][i] - shift
+        return _negative_pivots(h, real)
 
-    import mpmath as mp
-
-    max_bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                   for c in coeffs)
-    dps = int(max_bits * 0.31) + 60
-    lam_max = 0.0
-    lam_min = 0.0
-    if reduced_degree >= 1:
-        with mp.workdps(dps):
-            poly = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in trimmed]
-            roots = mp.polyroots(poly, maxsteps=200, extraprec=4 * mp.mp.prec)
-            reals = sorted(mp.re(r) for r in roots)
-            lam_max = float(max(reals[-1], mp.mpf(0)))
-            lam_min = float(max(reals[0], mp.mpf(0)))
-    if zero_mult > 0:
-        lam_min = 0.0
-    sigma_max = math.sqrt(lam_max)
-    sigma_min = math.sqrt(lam_min)
+    trace = Fraction(sum(int(_real_part(gram[i][i])) for i in range(n)), scale2)
+    lam_max = _enclose(count_below, n - 1, guess[0] ** 2, trace)
+    lam_min = _enclose(count_below, 0, guess[1] ** 2, lam_max[1])
+    sigma_max = math.sqrt(float(sum(lam_max) / 2))
+    sigma_min = math.sqrt(float(sum(lam_min) / 2))
     ratio = math.inf if sigma_min == 0.0 else sigma_max / sigma_min
-    return SigmaRatioOracle(char_poly=coeffs, sigma_max=sigma_max,
-                            sigma_min=sigma_min, ratio=ratio)
+    ratio_bracket = (_sqrt_quotient(lam_max[0], lam_min[1], up=False),
+                     _sqrt_quotient(lam_max[1], lam_min[0], up=True))
+    return SigmaRatioOracle(sigma_max=sigma_max, sigma_min=sigma_min, ratio=ratio,
+                            ratio_bracket=ratio_bracket, lambda_max_bracket=lam_max,
+                            lambda_min_bracket=lam_min, matrix=mat)
+
+
+def _real_part(x):
+    return x.re if isinstance(x, QC) else x
+
+
+def _integer_gram(mat: RationalMatrix) -> tuple:
+    """(S, s^2) with S = (s M)(s M)^H integral, s the common denominator.
+
+    S holds ints when M is real and integral QC values otherwise.
+    """
+    dens = [d for row in mat.entries for e in row
+            for d in (e.re.denominator, e.im.denominator)]
+    scale = math.lcm(*dens)
+    if mat.is_real:
+        rows = [[(e.re * scale).numerator for e in row] for row in mat.entries]
+        gram = [[sum(a * b for a, b in zip(r, c)) for c in rows] for r in rows]
+    else:
+        scaled = RationalMatrix(tuple(tuple(e * scale for e in row)
+                                      for row in mat.entries))
+        gram = [list(row) for row in scaled.gram().entries]
+    return gram, scale * scale
+
+
+def _negative_pivots(h: list, real: bool) -> int | None:
+    """Negative pivots of the LDL^H factorization of the Hermitian matrix h.
+
+    Fraction-free (Bareiss) elimination without pivoting on the upper
+    triangle of an integral h (ints, or integral QC values with a real
+    diagonal).  Its k-th pivot is the leading principal minor D_k, so
+    the LDL^H pivot d_k = D_k / D_(k-1) is real, and it is negative
+    exactly where the sign of D_k flips.  Returns None on a zero pivot.
+    """
+    n = len(h)
+    prev = 1
+    negative = 0
+    for k in range(n):
+        rk = h[k]
+        p = _real_part(rk[k])
+        if p == 0:
+            return None
+        if (p < 0) != (prev < 0):
+            negative += 1
+        for i in range(k + 1, n):
+            ri = h[i]
+            aik = rk[i].conjugate()
+            for j in range(i, n):
+                v = p * ri[j] - aik * rk[j]
+                ri[j] = v // prev if real else v / prev
+        prev = p
+    return negative
+
+
+def _enclose(count_below, j: int, guess: float, top: Fraction) -> tuple:
+    """Exact closed bracket (lo, hi) of the (j+1)-th smallest eigenvalue.
+
+    `count_below(x)` is the exact number of eigenvalues below x (None on
+    a zero pivot); the eigenvalue lies in [0, top] to begin with.
+    Probes at guess * (1 -/+ delta) certify a tight bracket directly
+    when the guess is good; delta widens 1000-fold while a side is
+    missing, and bisection then narrows the bracket.  Every endpoint
+    comes from a count, so the guess steers the work, never the result.
+    """
+    lo, hi = Fraction(0), top
+
+    def narrow() -> bool:
+        return hi - lo <= _BRACKET_REL * hi
+
+    def probe(x: Fraction) -> None:
+        nonlocal lo, hi
+        for nudge in _NUDGES:          # step off a zero pivot
+            y = x * (1 + Fraction(nudge))
+            below = count_below(y)
+            if below is not None:
+                break
+        else:
+            raise ConvergenceError(f"zero pivots at every shift near {float(x):.17g}")
+        if below <= j:
+            lo = max(lo, y)
+        else:
+            hi = min(hi, y)
+
+    delta = _PROBE_REL
+    while delta < 1.0 and not narrow():
+        for x in (guess * (1.0 - delta), guess * (1.0 + delta)):
+            x = Fraction(x)
+            if lo < x < hi:
+                probe(x)
+        delta *= 1e3
+    if j == 0 and lo == 0 and count_below(Fraction(0)) is None:
+        # a zero leading minor of a PSD matrix proves it singular
+        return Fraction(0), Fraction(0)
+    while not narrow():
+        mid = Fraction(float((lo + hi) / 2))
+        if not lo < mid < hi:
+            break
+        probe(mid)
+    return lo, hi
+
+
+def _sqrt_quotient(num: Fraction, den: Fraction, up: bool) -> float:
+    """sqrt(num / den) rounded outward to a float; inf when den = 0."""
+    if den == 0:
+        return math.inf
+    q = num / den
+    r = math.sqrt(float(q))
+    if up:
+        while Fraction(r) ** 2 < q:
+            r = math.nextafter(r, math.inf)
+    else:
+        while Fraction(r) ** 2 > q:
+            r = math.nextafter(r, 0.0)
+    return r

@@ -18,8 +18,11 @@ from padelab.errors import (
     OutOfRangeError,
     UnsupportedSizeError,
 )
+from padelab.linalg import svd
 from padelab.pade import PadeApproximant, classical_pade
+from padelab.rational import qc
 from padelab.series import PoleSequence, PowerSeries, build_counterexample_series
+from padelab.toeplitz import build_pair
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,33 @@ def test_verify_csv_row_matches_header():
     assert float(cells[7]) == 0.0
     assert float(cells[8]) == 1.0 and float(cells[9]) == 0.0
     assert cells[10] == "1"
+
+
+def test_verify_float_route_reuses_the_pade_spectrum():
+    poles = PoleSequence.harmonic(3)
+    rep = verify_counterexample(3, poles, exact=False)
+    spectrum = svd(build_pair(build_counterexample_series(3, poles), 6, exact=False).B)
+    assert rep.sigma1 == float(spectrum.sigmas[0])
+    assert rep.sigman == float(spectrum.sigmas[-1])
+    assert rep.sigma_ratio == float(spectrum.ratio)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_oracle_bracket_on_complex_poles(k):
+    poles = PoleSequence.explicit([qc(Fraction(1, 8), Fraction(1, 8)),
+                                   qc(Fraction(-1, 9), Fraction(1, 9))])
+    rep = verify_counterexample(k, poles, exact=True)
+    lo, hi = rep.sigma_ratio_bracket
+    assert lo <= rep.sigma_ratio_oracle <= hi
+    assert lo * (1 - 1e-8) <= rep.sigma_ratio <= hi * (1 + 1e-8)
+    assert rep.oracle_agrees and rep.passed
+    assert rep.to_dict()["sigma_ratio_bracket"] == [lo, hi]
+
+
+def test_verify_bracket_absent_without_oracle():
+    rep = verify_counterexample(2, PoleSequence.harmonic(2), with_oracle=False)
+    assert rep.sigma_ratio_bracket is None and rep.oracle_agrees is None
+    assert rep.to_dict()["sigma_ratio_bracket"] is None
 
 
 def test_verify_guards():

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: files written, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padelab
 from padelab import cli
 from padelab.cli import ENV_MAX_N, main
 from padelab.errors import NumericalError
@@ -214,6 +219,31 @@ def test_reruns_are_byte_identical():
     assert run("approximate", "--series", path, "--n", "2", "--analyze",
                "--out", "b.json") == 0
     assert open("b.json", "rb").read() == first
+
+
+def test_json_outputs_end_in_one_newline():
+    path = _make_series()
+    assert run("approximate", "--series", path, "--n", "2", "--out", "a.json") == 0
+    assert run("approximate", "--series", path, "--n-range", "1..2",
+               "--out", "r.json") == 0
+    assert run("verify", "--k-range", "2..2", "--out", "v.json") == 0
+    assert run("scan", "--k-max", "2", "--out", "t.json") == 0
+    for name in (path, "a.json", "r.json", "v.json", "t.json"):
+        data = open(name, "rb").read()
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n"), name
+        json.loads(data)
+
+
+def test_verify_leaves_mpmath_unimported(tmp_path):
+    src = Path(padelab.__file__).resolve().parent.parent
+    code = ("import sys, padelab\n"
+            "from padelab.cli import main\n"
+            "assert main(['verify', '--k-range', '2..3', '--out', 'v.json']) == 0\n"
+            "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_help_and_bad_arguments_exit_codes(capsys):

@@ -1,7 +1,8 @@
-"""Jacobi SVD, exact elimination, and the characteristic-polynomial oracle."""
+"""Jacobi SVD, exact elimination, and the certified sigma oracle."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -362,3 +363,119 @@ def test_counterexample_ratio_under_five_through_k4(harmonic_poles):
         n = 2 ** k - 2
         oracle = exact_sigma_ratio_bounds(build_pair(s, n, exact=True).B)
         assert float(oracle.ratio) < 5.0
+
+
+# ---------------------------------------------------------------------------
+# certified sigma brackets (Sylvester inertia)
+
+
+def _complex_poles():
+    return PoleSequence.explicit([qc(Fraction(1, 8), Fraction(1, 8)),
+                                  qc(Fraction(-1, 9), Fraction(1, 9))])
+
+
+def _contains(bracket, value):
+    lo, hi = bracket
+    return lo <= value <= hi
+
+
+def test_sigma_oracle_k2_bracket_holds_exact_eigenvalues(k2_series):
+    oracle = exact_sigma_ratio_bounds(build_pair(k2_series, 2, exact=True).B)
+    assert _contains(oracle.lambda_max_bracket, 91392)
+    assert _contains(oracle.lambda_min_bracket, 48384)
+    lo, hi = oracle.ratio_bracket
+    assert Fraction(lo) ** 2 <= Fraction(91392, 48384) <= Fraction(hi) ** 2
+    assert 0 < hi - lo <= 1e-8 * lo
+    assert lo <= oracle.ratio <= hi
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sigma_oracle_certifies_gaussian_rational_block(k):
+    B = build_pair(build_counterexample_series(k, _complex_poles()),
+                   2 ** k - 2, exact=True).B
+    assert not B.is_real
+    oracle = exact_sigma_ratio_bounds(B)
+    ref = np.linalg.svd(B.to_numpy(), compute_uv=False)
+    assert _contains(oracle.ratio_bracket, ref[0] / ref[-1])
+    for bracket, sigma in ((oracle.lambda_max_bracket, ref[0]),
+                           (oracle.lambda_min_bracket, ref[-1])):
+        lo, hi = bracket
+        assert 0 < hi - lo <= 1e-8 * hi
+        assert float(lo) <= sigma ** 2 * (1 + 1e-12)
+        assert sigma ** 2 * (1 - 1e-12) <= float(hi)
+
+
+def test_sigma_oracle_recovers_from_a_wrong_guess(k2_series, monkeypatch):
+    import padelab.linalg as linalg
+
+    B = build_pair(k2_series, 2, exact=True).B
+    true_svd = linalg.svd
+
+    def off_svd(mat, **kw):
+        spec = true_svd(mat, **kw)
+        return SimpleNamespace(sigmas=spec.sigmas * np.array([1 + 1e-3, 1 - 1e-3]))
+
+    counts = []
+    true_pivots = linalg._negative_pivots
+    monkeypatch.setattr(linalg, "svd", off_svd)
+    monkeypatch.setattr(linalg, "_negative_pivots",
+                        lambda h, real: counts.append(1) or true_pivots(h, real))
+    oracle = exact_sigma_ratio_bounds(B)
+    assert len(counts) > 4            # widening and bisection, not two probes each
+    assert _contains(oracle.lambda_max_bracket, 91392)
+    assert _contains(oracle.lambda_min_bracket, 48384)
+    for lo, hi in (oracle.lambda_max_bracket, oracle.lambda_min_bracket):
+        assert hi - lo <= 3e-9 * hi
+    lo, hi = oracle.ratio_bracket
+    assert Fraction(lo) ** 2 <= Fraction(91392, 48384) <= Fraction(hi) ** 2
+
+
+def test_sigma_oracle_steps_off_a_zero_pivot(monkeypatch):
+    import padelab.linalg as linalg
+
+    # G = [[1, 1], [1, 3]]: the leading minor 1 - mu vanishes at mu = 1,
+    # and this sigma_min guess puts the lower probe exactly there
+    m = RationalMatrix.from_rows([[1, 0, 0], [1, 1, 1]])
+    g = 1.0000000005
+    assert (g * g) * (1.0 - 1e-9) == 1.0
+    results = []
+    true_pivots = linalg._negative_pivots
+
+    def spy(h, real):
+        results.append(true_pivots(h, real))
+        return results[-1]
+
+    monkeypatch.setattr(linalg, "_negative_pivots", spy)
+    oracle = exact_sigma_ratio_bounds(m, guess=(math.sqrt(2 + math.sqrt(2)), g))
+    assert None in results
+    lo, hi = oracle.lambda_min_bracket     # lambda_min = 2 - sqrt(2)
+    assert (2 - lo) ** 2 >= 2 >= (2 - hi) ** 2
+    assert oracle.sigma_min == pytest.approx(math.sqrt(2 - math.sqrt(2)), rel=1e-8)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3], [2, 4, 6]],
+    [[Fraction(1, 3), 1, 0, 2], [0, 1, 1, 1], [Fraction(1, 3), 2, 1, 3]],
+    [[qc(1), qc(0, 1), qc(2)], [qc(0, 1), qc(-1), qc(0, 2)]],
+])
+def test_sigma_oracle_exactly_singular_gives_infinite_ratio(rows):
+    oracle = exact_sigma_ratio_bounds(RationalMatrix.from_rows(rows))
+    assert oracle.lambda_min_bracket == (0, 0)
+    assert oracle.sigma_min == 0.0
+    assert math.isinf(oracle.ratio)
+    assert oracle.ratio_bracket == (math.inf, math.inf)
+    assert oracle.sigma_max > 0.0
+
+
+def test_sigma_oracle_char_poly_is_lazy(k2_series, monkeypatch):
+    import padelab.linalg as linalg
+
+    calls = []
+    true_poly = linalg.gram_char_poly
+    monkeypatch.setattr(linalg, "gram_char_poly",
+                        lambda mat: calls.append(1) or true_poly(mat))
+    oracle = exact_sigma_ratio_bounds(build_pair(k2_series, 2, exact=True).B)
+    assert calls == []
+    assert oracle.char_poly == (Fraction(1), Fraction(-139776), Fraction(4421910528))
+    assert oracle.char_poly is oracle.char_poly
+    assert calls == [1]
