@@ -1,4 +1,4 @@
-"""Deterministic JSON emission.
+"""Deterministic JSON emission, and the package's only number encoders.
 
 Dicts are written in insertion order and floats with 17 significant
 digits, so identical data always produces byte-identical files.
@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 
+from .rational import qc, to_complex
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -16,6 +18,34 @@ def format_float(x: float) -> str:
     s = format(float(x), ".17g")
     # keep a numeric token that round-trips as float
     return s
+
+
+def num(x):
+    """JSON/CSV-safe number: None stays None, infinities become strings."""
+    if x is None:
+        return None
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def num_pair(z) -> list:
+    """[re, im] of a complex value, each part through :func:`num`."""
+    return [num(z.real), num(z.imag)]
+
+
+def pair(x, exact: bool) -> list:
+    """[re, im] of a coefficient: rational strings when `exact`, else floats.
+
+    Float parts stay plain floats, so a non-finite coefficient is refused
+    when written rather than saved in a form the series loader rejects.
+    """
+    if exact:
+        q = qc(x)
+        return [str(q.re), str(q.im)]
+    z = to_complex(x)
+    return [float(z.real), float(z.imag)]
 
 
 def dumps(obj, indent: int = 2) -> str:

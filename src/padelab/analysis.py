@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._jsonfmt import format_float
+from ._jsonfmt import format_float, num, num_pair
 from .errors import InvalidParameterError
 from .linalg import ORACLE_MAX_ROWS, exact_sigma_ratio_bounds, svd
 from .pade import PadeApproximant, classical_pade
@@ -53,18 +53,8 @@ __all__ = [
 ]
 
 
-def _num(x):
-    """JSON/CSV-safe number: infinities become strings."""
-    if x is None:
-        return None
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _csv_num(x) -> str:
-    v = _num(x)
+    v = num(x)
     return v if isinstance(v, str) else format_float(v)
 
 
@@ -116,32 +106,32 @@ class PoleReport:
         return {
             "poles": [
                 {
-                    "location": [_num(p.location.real), _num(p.location.imag)],
-                    "residue_magnitude": _num(p.residue_magnitude),
-                    "denom_residual": _num(p.denom_residual),
+                    "location": num_pair(p.location),
+                    "residue_magnitude": num(p.residue_magnitude),
+                    "denom_residual": num(p.denom_residual),
                 }
                 for p in self.poles
             ],
-            "zeros": [[_num(z.real), _num(z.imag)] for z in self.zeros],
+            "zeros": [num_pair(z) for z in self.zeros],
             "doublets": [
                 {
-                    "pole": [_num(d.pole.real), _num(d.pole.imag)],
-                    "zero": [_num(d.zero.real), _num(d.zero.imag)],
-                    "separation": _num(d.separation),
+                    "pole": num_pair(d.pole),
+                    "zero": num_pair(d.zero),
+                    "separation": num(d.separation),
                 }
                 for d in self.doublets
             ],
             "spurious": [
                 {
-                    "location": [_num(p.location.real), _num(p.location.imag)],
-                    "numerator_magnitude": _num(p.numerator_magnitude),
+                    "location": num_pair(p.location),
+                    "numerator_magnitude": num(p.numerator_magnitude),
                 }
                 for p in self.spurious
             ],
-            "discarded": [[_num(z.real), _num(z.imag)] for z in self.discarded],
-            "radius_hint": _num(self.radius_hint),
-            "delta_doublet": _num(self.delta_doublet),
-            "tol_spurious": _num(self.tol_spurious),
+            "discarded": [num_pair(z) for z in self.discarded],
+            "radius_hint": num(self.radius_hint),
+            "delta_doublet": num(self.delta_doublet),
+            "tol_spurious": num(self.tol_spurious),
         }
 
 
@@ -265,31 +255,31 @@ class CounterexampleReport:
             "exact": self.exact,
             "coeff_bound_ok": self.coeff_bound_ok,
             "c1_equality": self.c1_equality,
-            "q_match": _num(self.q_match),
+            "q_match": num(self.q_match),
             "q_ok": self.q_ok,
-            "p_at_zk": [_num(self.p_at_zk.real), _num(self.p_at_zk.imag)],
-            "p_expected": [_num(self.p_expected.real), _num(self.p_expected.imag)],
-            "p_match": _num(self.p_match),
+            "p_at_zk": num_pair(self.p_at_zk),
+            "p_expected": num_pair(self.p_expected),
+            "p_match": num(self.p_match),
             "p_ok": self.p_ok,
-            "sigma1": _num(self.sigma1),
-            "sigman": _num(self.sigman),
-            "sigma_ratio": _num(self.sigma_ratio),
+            "sigma1": num(self.sigma1),
+            "sigman": num(self.sigman),
+            "sigma_ratio": num(self.sigma_ratio),
             "sigma_ratio_pass": self.sigma_ratio_pass,
-            "sigma_ratio_oracle": _num(self.sigma_ratio_oracle),
+            "sigma_ratio_oracle": num(self.sigma_ratio_oracle),
             "sigma_ratio_bracket": (None if self.sigma_ratio_bracket is None
-                                    else [_num(x) for x in self.sigma_ratio_bracket]),
+                                    else [num(x) for x in self.sigma_ratio_bracket]),
             "oracle_agrees": self.oracle_agrees,
-            "tail_sum": _num(self.tail_sum),
-            "tail_limit": _num(self.tail_limit),
-            "head_sum": _num(self.head_sum),
-            "head_limit": _num(self.head_limit),
-            "s_value": _num(self.s_value),
-            "s_limit": _num(self.s_limit),
+            "tail_sum": num(self.tail_sum),
+            "tail_limit": num(self.tail_limit),
+            "head_sum": num(self.head_sum),
+            "head_limit": num(self.head_limit),
+            "s_value": num(self.s_value),
+            "s_limit": num(self.s_limit),
             "bounds_ok": self.bounds_ok,
-            "sandwich_lo": _num(self.sandwich_lo),
-            "sandwich_hi": _num(self.sandwich_hi),
+            "sandwich_lo": num(self.sandwich_lo),
+            "sandwich_hi": num(self.sandwich_hi),
             "sandwich_ok": self.sandwich_ok,
-            "max_no_reduction_tol": _num(self.max_no_reduction_tol),
+            "max_no_reduction_tol": num(self.max_no_reduction_tol),
             "passed": self.passed,
         }
 
@@ -485,19 +475,19 @@ class ScanTable:
             "scheme": self.scheme,
             "k_max": self.k_max,
             "exact": self.exact,
-            "points": [[_num(p.real), _num(p.imag)] for p in self.points],
+            "points": [num_pair(p) for p in self.points],
             "rows": [
                 {
                     "k": row.k,
                     "n": row.n,
-                    "z_k": [_num(row.z_k.real), _num(row.z_k.imag)],
-                    "abs_q_at_zk": _num(row.abs_q_at_zk),
-                    "error_at_zk": _num(row.error_at_zk),
+                    "z_k": num_pair(row.z_k),
+                    "abs_q_at_zk": num(row.abs_q_at_zk),
+                    "error_at_zk": num(row.error_at_zk),
                     "extras": [
                         {
-                            "point": [_num(e.point.real), _num(e.point.imag)],
-                            "abs_q": _num(e.abs_q),
-                            "error": _num(e.error),
+                            "point": num_pair(e.point),
+                            "abs_q": num(e.abs_q),
+                            "error": num(e.error),
                         }
                         for e in row.extras
                     ],

@@ -2,8 +2,9 @@
 
 Three independent routes live here on purpose:
 
-* :func:`svd` -- a deterministic one-sided Jacobi SVD in doubles, with
-  high relative accuracy and a designated nullspace direction;
+* :func:`svd` -- the LAPACK SVD in doubles (``np.linalg.svd``), with
+  negligible singular values set to exactly 0 and a designated
+  nullspace direction;
 * :func:`exact_nullspace` -- fraction-free (Bareiss) elimination over
   exact rational-complex scalars;
 * :func:`exact_sigma_ratio_bounds` -- certified brackets of the
@@ -30,7 +31,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     InvalidInputError,
-    InvalidParameterError,
     NumericalError,
     RankDeficiencyError,
     UnsupportedSizeError,
@@ -127,7 +127,7 @@ def _dot(row, col):
 
 
 # ---------------------------------------------------------------------------
-# float SVD (one-sided Jacobi)
+# float SVD (LAPACK)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class SingularSpectrum:
     null_residual: float
     left: np.ndarray
     right: np.ndarray
-    sweeps: int
+    sweeps: int     # always 0 on LAPACK; perfbench/spans.py still reads it
 
     def __post_init__(self):
         for name in ("sigmas", "left", "right", "null_vector"):
@@ -166,90 +166,29 @@ def _as_complex_matrix(mat) -> np.ndarray:
     return M
 
 
-def svd(mat, *, tol_coupling: float = 1e-14, max_sweeps: int = 60,
-        tol_null: float = 1e-12) -> SingularSpectrum:
-    """One-sided Jacobi SVD of a wide matrix (rows <= cols).
+def svd(mat) -> SingularSpectrum:
+    """LAPACK SVD of a wide matrix (rows <= cols), via ``np.linalg.svd``.
 
-    Works on the conjugate transpose A = M^H, orthogonalizing its
-    columns with exact 2x2 unitary rotations in a fixed cyclic order,
-    which makes the output deterministic for identical input.  A sweep
-    with every relative Gram coupling below `tol_coupling` ends the
-    iteration; more than `max_sweeps` sweeps raises
-    :class:`ConvergenceError` carrying the achieved coupling.
+    Singular values at or below max(rows, cols) * eps * sigma_1 (the
+    tolerance of ``np.linalg.matrix_rank``) are set to exactly 0, so a
+    numerically singular matrix reports an infinite ratio.  A LAPACK
+    failure to converge (``np.linalg.LinAlgError``) is re-raised as
+    :class:`ConvergenceError`.  Pair phases and the designated null
+    vector follow fixed conventions, so on one numpy build identical
+    input gives identical output.
     """
-    if max_sweeps < 1:
-        raise InvalidParameterError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if not 0.0 < tol_coupling < 1.0:
-        raise InvalidParameterError(
-            f"tol_coupling must lie in (0, 1), got {tol_coupling}")
-    if not 0.0 < tol_null < 1.0:
-        raise InvalidParameterError(
-            f"tol_null must lie in (0, 1), got {tol_null}")
     M = _as_complex_matrix(mat)
     n, m = M.shape
     if n == 0 or m == 0:
         raise InvalidInputError("matrix must be nonempty")
     if m < n:
         raise InvalidInputError(f"expected rows <= cols, got {n}x{m}")
-
-    A = M.conj().T.copy()                 # m x n, columns span the row space of M
-    V = np.eye(n, dtype=complex)          # accumulates right rotations
-    norms0 = np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
-    big = float(norms0.max(initial=0.0))
-    # pairs involving a numerically vanished column are left alone
-    dead2 = (1e-16 * big) ** 2
-
-    sweeps = 0
-    worst = math.inf
-    converged = big == 0.0
-    while not converged and sweeps < max_sweeps:
-        worst = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                ap = A[:, p]
-                aq = A[:, q]
-                alpha = np.vdot(ap, ap).real
-                beta = np.vdot(aq, aq).real
-                if alpha <= dead2 or beta <= dead2:
-                    continue
-                gam = np.vdot(ap, aq)
-                g = abs(gam)
-                rel = g / math.sqrt(alpha * beta)
-                if rel > worst:
-                    worst = rel
-                if rel <= tol_coupling:
-                    continue
-                w = gam / g
-                tau = (beta - alpha) / (2.0 * g)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                aq_al = np.conj(w) * aq
-                new_p = c * ap - s * aq_al
-                new_q = s * ap + c * aq_al
-                A[:, p] = new_p
-                A[:, q] = new_q
-                vp = V[:, p]
-                vq_al = np.conj(w) * V[:, q]
-                new_vp = c * vp - s * vq_al
-                new_vq = s * vp + c * vq_al
-                V[:, p] = new_vp
-                V[:, q] = new_vq
-        sweeps += 1
-        converged = worst <= tol_coupling
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi SVD: couplings at {worst:.3e} after {sweeps} sweeps "
-            f"(target {tol_coupling:.1e})", residual=worst)
-
-    norms = np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    sigmas = norms[order].copy()
-    left = V[:, order].copy()
-    right = np.zeros((m, n), dtype=complex)
-    for i, col in enumerate(order):
-        if norms[col] > 0:
-            right[:, i] = A[:, col] / norms[col]
+    try:
+        left, sigmas, right_h = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
+    sigmas[sigmas <= max(n, m) * np.finfo(float).eps * sigmas[0]] = 0.0
+    right = right_h.conj().T
     _fix_pair_phases(left, right)
 
     sigma1 = float(sigmas[0])
@@ -264,7 +203,7 @@ def svd(mat, *, tol_coupling: float = 1e-14, max_sweeps: int = 60,
             null_residual = float(np.linalg.norm(M @ null_vector) / sigma1)
     return SingularSpectrum(sigmas=sigmas, ratio=ratio, null_vector=null_vector,
                             null_residual=null_residual, left=left, right=right,
-                            sweeps=sweeps)
+                            sweeps=0)
 
 
 def _fix_pair_phases(left: np.ndarray, right: np.ndarray) -> None:

@@ -12,12 +12,12 @@ route by construction.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
+from . import _jsonfmt
 from .errors import InvalidParameterError, RankDeficiencyError
 from .linalg import exact_nullspace, svd
 from .rational import QC, horner, is_exact_scalar, qc, to_complex
@@ -102,25 +102,18 @@ class PadeApproximant:
         return self.numerator_at(z) / self.denominator_at(z)
 
     def to_json_dict(self) -> dict:
-        def pair(x):
-            if self.exact:
-                q = qc(x)
-                return [str(q.re), str(q.im)]
-            zc = to_complex(x)
-            return [float(zc.real), float(zc.imag)]
-
         diag = self.diagnostics
         return {
-            "a": [pair(x) for x in self.a],
-            "b": [pair(x) for x in self.b],
+            "a": [_jsonfmt.pair(x, self.exact) for x in self.a],
+            "b": [_jsonfmt.pair(x, self.exact) for x in self.b],
             "mode": self.mode,
             "requested_n": self.requested_n,
             "effective_degrees": [self.effective_degrees[0], self.effective_degrees[1]],
             "exact": self.exact,
             "diagnostics": {
                 "sigmas": None if diag.sigmas is None else [float(s) for s in diag.sigmas],
-                "ratio": _json_float(diag.ratio),
-                "threshold_used": _json_float(diag.threshold_used),
+                "ratio": _jsonfmt.num(diag.ratio),
+                "threshold_used": _jsonfmt.num(diag.threshold_used),
                 "reductions": [
                     {"nu_from": r.nu_from, "deficiency": r.deficiency, "nu_to": r.nu_to}
                     for r in diag.reductions
@@ -130,15 +123,6 @@ class PadeApproximant:
                 "nullspace_dim": diag.nullspace_dim,
             },
         }
-
-
-def _json_float(x):
-    if x is None:
-        return None
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 def _trim_degree(vec: Sequence, exact: bool, tol: float) -> int:
@@ -190,33 +174,43 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
     if n == 0:
         return _degree_zero(s, 0, "classical", exact, Diagnostics())
 
-    pair = build_pair(s, n, exact=exact)
-    if exact:
-        nullspace_dim = 1
-        try:
-            b = exact_nullspace(pair.B)
-        except RankDeficiencyError as deficiency:
-            b = deficiency.basis[0]
-            nullspace_dim = len(deficiency.basis)
-        degenerate = not b[0]
-        a = pair.A.matvec(b)
-        diag = Diagnostics(b0_degenerate=degenerate, nullspace_dim=nullspace_dim)
-    else:
-        spectrum = svd(pair.B)
-        v = spectrum.null_vector
-        if abs(v[0]) > 1e-8 * float(np.linalg.norm(v)):
-            b = tuple(complex(x) for x in v / v[0])
-            degenerate = False
-        else:
-            b = tuple(complex(x) for x in v)
-            degenerate = True
-        a = tuple(complex(x) for x in pair.A @ np.asarray(b))
-        diag = Diagnostics(sigmas=tuple(float(x) for x in spectrum.sigmas),
-                           ratio=spectrum.ratio, b0_degenerate=degenerate)
-    effective = (_trim_degree(a, exact, trim_tol), _trim_degree(b, exact, trim_tol))
+    if not exact:
+        return _float_pade(s, n, trim_tol)
+    pair = build_pair(s, n, exact=True)
+    nullspace_dim = 1
+    try:
+        b = exact_nullspace(pair.B)
+    except RankDeficiencyError as deficiency:
+        b = deficiency.basis[0]
+        nullspace_dim = len(deficiency.basis)
+    a = pair.A.matvec(b)
+    diag = Diagnostics(b0_degenerate=not b[0], nullspace_dim=nullspace_dim)
+    effective = (_trim_degree(a, True, 0.0), _trim_degree(b, True, 0.0))
     return PadeApproximant(a=tuple(a), b=tuple(b), requested_n=n,
                            effective_degrees=effective, mode="classical",
-                           exact=exact, diagnostics=diag)
+                           exact=True, diagnostics=diag)
+
+
+def _float_pade(s: PowerSeries, nu: int, trim_tol: float) -> PadeApproximant:
+    """Classical float solve at order nu >= 1, shared by both routes.
+
+    b is the designated SVD null vector of B_nu scaled to b_0 = 1, or
+    left unscaled and flagged degenerate when |b_0| <= 1e-8 |b|; then
+    a = A_nu b.
+    """
+    pair = build_pair(s, nu, exact=False)
+    spectrum = svd(pair.B)
+    v = spectrum.null_vector
+    degenerate = bool(abs(v[0]) <= 1e-8 * float(np.linalg.norm(v)))
+    if not degenerate:
+        v = v / v[0]
+    b = tuple(complex(x) for x in v)
+    a = tuple(complex(x) for x in pair.A @ v)
+    diag = Diagnostics(sigmas=tuple(float(x) for x in spectrum.sigmas),
+                       ratio=spectrum.ratio, b0_degenerate=degenerate)
+    effective = (_trim_degree(a, False, trim_tol), _trim_degree(b, False, trim_tol))
+    return PadeApproximant(a=a, b=b, requested_n=nu, effective_degrees=effective,
+                           mode="classical", exact=False, diagnostics=diag)
 
 
 def robust_pade(s: PowerSeries, n: int, tol_rel: float = 1e-12) -> PadeApproximant:
@@ -235,38 +229,19 @@ def robust_pade(s: PowerSeries, n: int, tol_rel: float = 1e-12) -> PadeApproxima
 
     nu = n
     reductions: list[ReductionStep] = []
-    pair = None
-    spectrum = None
     while nu > 0:
-        pair = build_pair(s, nu, exact=False)
-        spectrum = svd(pair.B)
-        sigmas = spectrum.sigmas
-        deficiency = int(np.count_nonzero(sigmas <= tol_rel * sigmas[0]))
+        r = _float_pade(s, nu, tol_rel)
+        sigmas = r.diagnostics.sigmas
+        deficiency = sum(1 for x in sigmas if x <= tol_rel * sigmas[0])
         if deficiency == 0:
-            break
+            diag = replace(r.diagnostics, threshold_used=tol_rel,
+                           reductions=tuple(reductions))
+            return replace(r, requested_n=n, mode="robust", diagnostics=diag)
         reductions.append(ReductionStep(nu, deficiency, nu - deficiency))
         nu -= deficiency
-        spectrum = None
-
-    if nu == 0:
-        diag = Diagnostics(threshold_used=tol_rel, reductions=tuple(reductions),
-                           fully_reduced=n > 0)
-        return _degree_zero(s, n, "robust", False, diag)
-
-    v = spectrum.null_vector
-    if abs(v[0]) > 1e-8 * float(np.linalg.norm(v)):
-        b = tuple(complex(x) for x in v / v[0])
-        degenerate = False
-    else:
-        b = tuple(complex(x) for x in v)
-        degenerate = True
-    a = tuple(complex(x) for x in pair.A @ np.asarray(b))
-    diag = Diagnostics(sigmas=tuple(float(x) for x in spectrum.sigmas),
-                       ratio=spectrum.ratio, threshold_used=tol_rel,
-                       reductions=tuple(reductions), b0_degenerate=degenerate)
-    effective = (_trim_degree(a, False, tol_rel), _trim_degree(b, False, tol_rel))
-    return PadeApproximant(a=a, b=b, requested_n=n, effective_degrees=effective,
-                           mode="robust", exact=False, diagnostics=diag)
+    diag = Diagnostics(threshold_used=tol_rel, reductions=tuple(reductions),
+                       fully_reduced=n > 0)
+    return _degree_zero(s, n, "robust", False, diag)
 
 
 def order_residual(s: PowerSeries, r: PadeApproximant) -> tuple:

@@ -463,14 +463,6 @@ def eval_series(s: PowerSeries, z, rel_tol: float = 1e-12,
 # file round trip
 
 
-def _scalar_to_json(c, exact: bool):
-    if exact:
-        q = qc(c)
-        return [str(q.re), str(q.im)]
-    z = to_complex(c)
-    return [float(z.real), float(z.imag)]
-
-
 def _scalar_from_json(entry, where: str, exact: bool):
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise SeriesFormatError(f"{where}: expected an [re, im] pair, got {entry!r}")
@@ -500,19 +492,19 @@ def save_series(s: PowerSeries, path) -> None:
     if not s.is_finite:
         raise UnsupportedInputError("only materialized series can be saved")
     doc: dict = {
-        "c": [_scalar_to_json(c, s.exact) for c in s.coeffs],
+        "c": [_jsonfmt.pair(c, s.exact) for c in s.coeffs],
         "exact": s.exact,
         "radius_hint": float(s.radius_hint),
     }
     meta: dict = {"family": s.meta.family, "k_max": s.meta.k_max}
     if s.meta.poles is not None:
-        meta["poles"] = [_scalar_to_json(z, s.meta.poles.exact) for z in s.meta.poles.points]
+        meta["poles"] = [_jsonfmt.pair(z, s.meta.poles.exact) for z in s.meta.poles.points]
         meta["pole_scheme"] = s.meta.poles.generator_tag
         meta["pole_start_index"] = s.meta.poles.start_index
     else:
         meta["poles"] = None
     if s.meta.alphas is not None:
-        meta["alphas"] = [_scalar_to_json(a, s.exact) for a in s.meta.alphas]
+        meta["alphas"] = [_jsonfmt.pair(a, s.exact) for a in s.meta.alphas]
     doc["meta"] = meta
     Path(path).write_text(_jsonfmt.dumps(doc), encoding="utf-8")
 

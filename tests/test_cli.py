@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import padelab
 from padelab import cli
 from padelab.cli import ENV_MAX_N, main
-from padelab.errors import NumericalError
+from padelab.errors import ConvergenceError, NumericalError
+from padelab.linalg import svd
 from padelab.rational import qc
 from padelab.series import load_series
 
@@ -212,13 +214,16 @@ def test_scan_float_mode():
 
 
 def test_reruns_are_byte_identical():
-    path = _make_series()
-    assert run("approximate", "--series", path, "--n", "2", "--analyze",
-               "--out", "a.json") == 0
-    first = open("a.json", "rb").read()
-    assert run("approximate", "--series", path, "--n", "2", "--analyze",
-               "--out", "b.json") == 0
-    assert open("b.json", "rb").read() == first
+    # the second case runs the LAPACK route at n = 62
+    cases = ((_make_series(), ("--n", "2")),
+             (_make_series("s6.json", k_max=6), ("--mode", "robust", "--n", "62")))
+    for path, order in cases:
+        assert run("approximate", "--series", path, *order, "--analyze",
+                   "--out", "a.json") == 0
+        first = open("a.json", "rb").read()
+        assert run("approximate", "--series", path, *order, "--analyze",
+                   "--out", "b.json") == 0
+        assert open("b.json", "rb").read() == first
 
 
 def test_json_outputs_end_in_one_newline():
@@ -260,3 +265,15 @@ def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "scan", boom)
     assert run("scan", "--k-max", "2", "--out", "t.json") == 3
     assert "numerical failure: iteration stalled" in capsys.readouterr().err
+
+
+def test_lapack_svd_failure_maps_to_exit_3(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    path = _make_series()
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(ConvergenceError):
+        svd(np.eye(2))
+    assert run("approximate", "--series", path, "--n", "2", "--out", "a.json") == 3
+    assert "did not converge" in capsys.readouterr().err

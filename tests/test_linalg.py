@@ -1,4 +1,4 @@
-"""Jacobi SVD, exact elimination, and the certified sigma oracle."""
+"""LAPACK SVD conventions, exact elimination, and the certified sigma oracle."""
 
 import math
 from fractions import Fraction
@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padelab.errors import (
-    ConvergenceError,
     InvalidInputError,
-    InvalidParameterError,
     RankDeficiencyError,
     UnsupportedSizeError,
 )
@@ -85,7 +83,7 @@ def test_to_numpy_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# jacobi svd
+# float svd (LAPACK behind SingularSpectrum)
 
 
 def test_svd_known_spectrum():
@@ -166,17 +164,6 @@ def test_svd_input_guards():
         svd(np.zeros((3, 2)))
     with pytest.raises(InvalidInputError):
         svd(np.array([[np.nan, 1.0]]))
-    with pytest.raises(InvalidParameterError):
-        svd(np.zeros((1, 2)), max_sweeps=0)
-    with pytest.raises(InvalidParameterError):
-        svd(np.zeros((1, 2)), tol_coupling=0.0)
-
-
-def test_svd_sweep_cap_raises_with_residual():
-    M = _random_complex(_rng(), 20, 21)
-    with pytest.raises(ConvergenceError) as exc:
-        svd(M, max_sweeps=1)
-    assert exc.value.residual is not None and exc.value.residual > 1e-14
 
 
 def test_svd_accepts_rational_matrix_input(k2_series):

@@ -141,16 +141,22 @@ def test_classical_float_degenerate_unit_norm():
 # robust route
 
 
-def test_robust_no_reduction_matches_classical_bitwise(k2_float):
-    robust = robust_pade(k2_float, 2, tol_rel=1e-12)
-    classical = classical_pade(k2_float, 2, trim_tol=1e-12)
-    assert robust.diagnostics.reductions == ()
-    assert robust.a == classical.a
-    assert robust.b == classical.b
-    assert robust.effective_degrees == classical.effective_degrees
-    assert robust.diagnostics.sigmas == classical.diagnostics.sigmas
-    assert robust.mode == "robust"
-    assert robust.diagnostics.threshold_used == 1e-12
+def test_robust_no_reduction_matches_classical_bitwise():
+    # looped rather than parametrized so the test keeps its one id
+    exact = build_counterexample_series(5, PoleSequence.harmonic(5))
+    s = PowerSeries.from_coefficients([complex(x) for x in exact.as_complex_array()])
+    for n in (2, 6, 14, 30):
+        for tol_rel in (1e-8, 1e-12):
+            robust = robust_pade(s, n, tol_rel=tol_rel)
+            classical = classical_pade(s, n, trim_tol=tol_rel)
+            assert robust.diagnostics.reductions == (), (n, tol_rel)
+            assert robust.a == classical.a, (n, tol_rel)
+            assert robust.b == classical.b, (n, tol_rel)
+            assert robust.effective_degrees == classical.effective_degrees
+            assert robust.diagnostics.sigmas == classical.diagnostics.sigmas
+            assert robust.diagnostics.ratio == classical.diagnostics.ratio
+            assert robust.requested_n == n and robust.mode == "robust"
+            assert robust.diagnostics.threshold_used == tol_rel
 
 
 def test_robust_padded_rational_reduces_in_one_step():
