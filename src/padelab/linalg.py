@@ -5,8 +5,12 @@ Three independent routes live here on purpose:
 * :func:`svd` -- the LAPACK SVD in doubles (``np.linalg.svd``), with
   negligible singular values set to exactly 0 and a designated
   nullspace direction;
-* :func:`exact_nullspace` -- fraction-free (Bareiss) elimination over
-  exact rational-complex scalars;
+* :func:`exact_nullspace` -- the exact nullspace vector: a real
+  n x (n+1) system is eliminated modulo the prime 2^61 - 1, its null
+  vector is lifted by rational reconstruction and proved by exact
+  substitution (B b = 0); Gaussian-rational entries, other shapes,
+  rank deficiency and any unproved lift fall back to fraction-free
+  (Bareiss) elimination;
 * :func:`exact_sigma_ratio_bounds` -- certified brackets of the
   extreme singular values: Sylvester's law of inertia applied to an
   exact LDL^H factorization of M M^H - mu I counts the eigenvalues
@@ -274,11 +278,11 @@ def singular_value_perturbation_check(mat, delta, slack: float = 1e-10) -> Pertu
 
 
 # ---------------------------------------------------------------------------
-# exact elimination (Bareiss)
+# exact nullspace (modular solve proved by substitution, Bareiss fallback)
 
 
 def _strip_to_field(mat: RationalMatrix):
-    """Rows as lists over Fraction (real case) or QC, denominators cleared.
+    """Rows with denominators cleared: ints (real case) or integral QC values.
 
     Row scaling by a positive integer changes neither rank nor nullspace,
     and integer-valued entries keep the fraction-free minors small.
@@ -288,20 +292,24 @@ def _strip_to_field(mat: RationalMatrix):
     for row in mat.entries:
         if real:
             vals = [e.re for e in row]
-            dens = [v.denominator for v in vals]
+            scale = math.lcm(*(v.denominator for v in vals))
+            rows.append([v.numerator * (scale // v.denominator) for v in vals])
         else:
-            vals = list(row)
             dens = []
-            for v in vals:
+            for v in row:
                 dens.append(v.re.denominator)
                 dens.append(v.im.denominator)
-        scale = math.lcm(*dens) if dens else 1
-        rows.append([v * scale for v in vals])
+            scale = math.lcm(*dens)
+            rows.append([v * scale for v in row])
     return rows, real
 
 
-def _echelon_bareiss(rows: list) -> tuple[list, list[int]]:
-    """In-place fraction-free row echelon; returns (rows, pivot columns)."""
+def _echelon_bareiss(rows: list, real: bool) -> tuple[list, list[int]]:
+    """In-place fraction-free row echelon; returns (rows, pivot columns).
+
+    Every division is exact: integer division on int rows, QC division
+    on Gaussian-rational ones.
+    """
     nrows = len(rows)
     ncols = len(rows[0])
     piv_cols: list[int] = []
@@ -324,13 +332,15 @@ def _echelon_bareiss(rows: list) -> tuple[list, list[int]]:
                 ri = rows[i]
                 rr = rows[r]
                 for j in range(c + 1, ncols):
-                    ri[j] = (p * ri[j] - head * rr[j]) / prev
+                    v = p * ri[j] - head * rr[j]
+                    ri[j] = v // prev if real else v / prev
                 ri[c] = 0 * p
             else:
                 ri = rows[i]
                 rr = rows[r]
                 for j in range(c + 1, ncols):
-                    ri[j] = (p * ri[j]) / prev
+                    v = p * ri[j]
+                    ri[j] = v // prev if real else v / prev
         piv_cols.append(c)
         prev = p
         r += 1
@@ -364,22 +374,118 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     If the rank falls below the row count, raises
     :class:`RankDeficiencyError` carrying the exact rank and a full
     basis of basic solutions, minimal degree first.
+
+    A real n x (n+1) matrix is first solved modulo a prime and the
+    result is proved by exact substitution (:func:`_modular_nullspace`);
+    complex matrices, other shapes and any modular solve that cannot be
+    proved, go to fraction-free elimination (:func:`_bareiss_nullspace`).
+    Both routes return the same vector.
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
     rows, real = _strip_to_field(mat)
+    if real and mat.cols == mat.rows + 1:
+        vec = _modular_nullspace(rows)
+        if vec is not None:
+            return vec
+    return _bareiss_nullspace(rows, real)
+
+
+def _bareiss_nullspace(rows: list, real: bool) -> tuple:
+    """:func:`exact_nullspace` by Bareiss elimination of stripped rows."""
+    ncols = len(rows[0])
+    nrows = len(rows)
     one = Fraction(1) if real else qc(1)
-    ech, piv_cols = _echelon_bareiss(rows)
+    ech, piv_cols = _echelon_bareiss(rows, real)
     rank = len(piv_cols)
     pivset = set(piv_cols)
-    free_cols = [c for c in range(mat.cols) if c not in pivset]
+    free_cols = [c for c in range(ncols) if c not in pivset]
     if not free_cols:
         raise InvalidInputError("matrix has a trivial nullspace")
-    basis = tuple(_to_qc_vector(_basic_solution(ech, piv_cols, mat.cols, f, one))
+    basis = tuple(_to_qc_vector(_basic_solution(ech, piv_cols, ncols, f, one))
                   for f in free_cols)
-    if rank < mat.rows:
+    if rank < nrows:
         raise RankDeficiencyError(rank, basis)
     return basis[0]
+
+
+_MODULUS = (1 << 61) - 1                # Mersenne prime of the modular nullspace
+_RECON_BOUND = math.isqrt(_MODULUS // 2)
+
+
+def _modular_nullspace(rows: list) -> tuple | None:
+    """Proved nullspace vector of integral n x (n+1) rows, or None.
+
+    Gaussian elimination mod p gives the null vector mod p, scaled so
+    its first nonzero entry is 1; Wang's rational reconstruction
+    lifts each entry to a fraction with numerator and denominator at
+    most sqrt(p/2).  Rank n mod p implies rank n over Q, so the
+    nullspace over Q is a line, and a lifted vector that passes the
+    exact check B b = 0 is the normalized vector of that line.  Returns
+    None when the rank drops mod p, an entry does not reconstruct, or
+    the check fails; the caller then falls back to Bareiss.
+    """
+    ncols = len(rows[0])
+    work = [[v % _MODULUS for v in row] for row in rows]
+    piv_cols: list[int] = []
+    free_col = None
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            if free_col is not None:        # two free columns: rank < n mod p
+                return None
+            free_col = c
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = pow(work[r][c], -1, _MODULUS)
+        # entries left of c are zero in rows r and below: only tails move
+        head = [v * inv % _MODULUS for v in work[r][c:]]
+        work[r][c:] = head
+        for row in work[r + 1:]:
+            f = row[c]
+            if f:
+                row[c:] = [(v - f * h) % _MODULUS for v, h in zip(row[c:], head)]
+        piv_cols.append(c)
+        r += 1
+    x = [0] * ncols
+    x[free_col] = 1
+    for i in reversed(range(len(piv_cols))):     # unit pivots: no division
+        pc = piv_cols[i]
+        row = work[i]
+        x[pc] = -sum(row[j] * x[j] for j in range(pc + 1, ncols) if x[j]) % _MODULUS
+    inv = pow(next(v for v in x if v), -1, _MODULUS)
+    fracs = []
+    for v in x:
+        frac = _rational_reconstruction(v * inv % _MODULUS)
+        if frac is None:
+            return None
+        fracs.append(frac)
+    den = math.lcm(*(d for _, d in fracs))
+    scaled = [num * (den // d) for num, d in fracs]
+    for row in rows:
+        if sum(a * b for a, b in zip(row, scaled) if b):
+            return None
+    return tuple(qc(Fraction(num, d)) for num, d in fracs)
+
+
+def _rational_reconstruction(u: int) -> tuple[int, int] | None:
+    """(num, den) with num = den * u mod p, |num|, |den| <= sqrt(p/2), or None.
+
+    Wang's rule: run the extended Euclidean algorithm on (p, u) and stop
+    at the first remainder within the bound; the fraction exists and is
+    unique exactly when its cofactor is within the bound and coprime to
+    the remainder.
+    """
+    r0, r1 = _MODULUS, u
+    s0, s1 = 0, 1
+    while r1 > _RECON_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _RECON_BOUND or math.gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _to_qc_vector(vec: tuple) -> tuple:

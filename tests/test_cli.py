@@ -251,6 +251,16 @@ def test_verify_leaves_mpmath_unimported(tmp_path):
     assert out.splitlines()[-1] == "False"
 
 
+def test_module_run_writes_output(tmp_path):
+    src = Path(padelab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "padelab.cli", "scan", "--k-max", "2",
+                           "--out", "t.json"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "t.json").read_text())
+
+
 def test_help_and_bad_arguments_exit_codes(capsys):
     assert run("--help") == 0
     assert run("frobnicate") == 2

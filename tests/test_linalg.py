@@ -17,6 +17,10 @@ from padelab.errors import (
 from padelab.linalg import (
     ORACLE_MAX_ROWS,
     RationalMatrix,
+    _bareiss_nullspace,
+    _modular_nullspace,
+    _rational_reconstruction,
+    _strip_to_field,
     exact_nullspace,
     exact_sigma_ratio_bounds,
     gram_char_poly,
@@ -267,6 +271,82 @@ def test_exact_rank_matches_reference(rows):
     except RankDeficiencyError as err:
         rank = err.rank
     assert rank == ref_rank
+
+
+def _bareiss_only(m):
+    return _bareiss_nullspace(*_strip_to_field(m))
+
+
+P61 = 2 ** 61 - 1        # modulus of the modular nullspace route
+
+
+def test_modular_route_matches_bareiss_on_random_full_rank():
+    rng = _rng()
+    proved = 0
+    for trial in range(80):
+        n = int(rng.integers(1, 9))
+        nums = rng.integers(-5, 6, size=(n, n + 1))
+        dens = rng.integers(1, 4, size=(n, n + 1))
+        m = RationalMatrix.from_rows(
+            [[Fraction(int(a), int(d)) for a, d in zip(nr, dr)]
+             for nr, dr in zip(nums, dens)])
+        try:
+            expected = _bareiss_only(m)
+        except RankDeficiencyError:
+            continue
+        assert exact_nullspace(m) == expected
+        modular = _modular_nullspace(_strip_to_field(m)[0])
+        if modular is not None:             # None: an output beyond one prime
+            assert modular == expected
+            proved += 1
+    assert proved >= 60
+
+
+def test_modular_rank_drop_falls_back_to_exact_vector():
+    # the rows agree mod p, so the rank drops mod p but not over Q
+    m = RationalMatrix.from_rows([[1, 2, 3], [1 + P61, 2, 3]])
+    assert _modular_nullspace(_strip_to_field(m)[0]) is None
+    assert exact_nullspace(m) == (qc(0), qc(1), qc(Fraction(-2, 3)))
+
+
+def test_modular_failed_substitution_falls_back():
+    # the entry p vanishes mod p, so the modular vector (1, 0) fails B b = 0
+    m = RationalMatrix.from_rows([[P61, 1]])
+    assert _modular_nullspace(_strip_to_field(m)[0]) is None
+    assert exact_nullspace(m) == (qc(1), qc(-P61))
+
+
+def test_modular_reconstruction_failure_still_exact():
+    # both entries lie beyond the sqrt(p/2) bound: the first does not
+    # reconstruct at all, the second reconstructs to a wrong small
+    # fraction that the substitution check rejects
+    t, b = 10 ** 12, 2 ** 40
+    assert _rational_reconstruction((t + 5) * pow(t + 1, -1, P61) % P61) is None
+    assert _rational_reconstruction((b + 3) * pow(b + 1, -1, P61) % P61) is not None
+    for num, den in ((t + 5, t + 1), (b + 3, b + 1)):
+        m = RationalMatrix.from_rows([[num, -den, 0], [0, 0, 1]])
+        assert _modular_nullspace(_strip_to_field(m)[0]) is None
+        assert exact_nullspace(m) == (qc(1), qc(Fraction(num, den)), qc(0))
+
+
+def test_rank_deficiency_error_unchanged_by_modular_attempt():
+    m = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    with pytest.raises(RankDeficiencyError) as exc:
+        exact_nullspace(m)
+    with pytest.raises(RankDeficiencyError) as ref:
+        _bareiss_only(m)
+    assert exc.value.rank == ref.value.rank == 1
+    assert exc.value.basis == ref.value.basis == (
+        (qc(1), qc(Fraction(-1, 2)), qc(0)),
+        (qc(1), qc(0), qc(Fraction(-1, 3))),
+    )
+
+
+def test_exact_nullspace_counterexample_k6():
+    poles = PoleSequence.harmonic(6)
+    s = build_counterexample_series(6, poles)
+    v = exact_nullspace(build_pair(s, 62, exact=True).B)
+    assert v == (qc(1), qc(-1 / poles.z(6))) + (qc(0),) * 61
 
 
 def test_minimal_degree_solution_first():
