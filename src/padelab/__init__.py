@@ -73,9 +73,18 @@ from .analysis import (
     find_poles,
     verify_counterexample,
 )
-from .cli import main
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `main` is imported on first use, so `python -m padelab.cli` does not
+    # find padelab.cli already imported when it runs the module as __main__
+    if name == "main":
+        from .cli import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "QC",

@@ -497,7 +497,7 @@ class ScanTable:
         }
 
 
-def _probe(s: PowerSeries, approx, z, exact: bool, tol_hit: float) -> tuple:
+def _probe(f, approx, z, exact: bool, tol_hit: float) -> tuple:
     """(|q(z)|, |f(z) - r(z)| or inf at a denominator zero)."""
     if exact:
         q_val = approx.denominator_at(z)
@@ -505,16 +505,14 @@ def _probe(s: PowerSeries, approx, z, exact: bool, tol_hit: float) -> tuple:
         if not q_val:
             return abs_q, math.inf
         r_val = approx.numerator_at(z) / q_val
-        f_val = eval_series(s, z).value
-        return abs_q, abs(to_complex(f_val - r_val))
+        return abs_q, abs(to_complex(f(z) - r_val))
     zc = to_complex(z)
     q_val = approx.denominator_at(zc)
     abs_q = abs(q_val)
     if abs_q <= tol_hit:
         return abs_q, math.inf
     r_val = approx.numerator_at(zc) / q_val
-    f_val = eval_series(s, zc).value
-    return abs_q, abs(f_val - r_val)
+    return abs_q, abs(f(zc) - r_val)
 
 
 def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
@@ -556,6 +554,13 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     else:
         probe_points = tuple(to_complex(p) for p in points)
     min_abs = min(abs(z) for z in poles.as_complex())
+    f_values = {}
+
+    def f(z):
+        # f at each distinct point once: block poles and probe points recur
+        if z not in f_values:
+            f_values[z] = eval_series(s, z).value
+        return f_values[z]
 
     rows = []
     for k in range(2, k_max + 1):
@@ -564,12 +569,12 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
         z = poles.z(k)
         zc = to_complex(z)
         tol_hit = 1e-10 * (1.0 + abs(zc) / min_abs)
-        abs_q, err = _probe(s, approx, z if exact else zc, exact, tol_hit)
+        abs_q, err = _probe(f, approx, z if exact else zc, exact, tol_hit)
         extras = []
         for p in probe_points:
             pc = to_complex(p)
             tol_p = 1e-10 * (1.0 + abs(pc) / min_abs)
-            pa, pe = _probe(s, approx, p, exact, tol_p)
+            pa, pe = _probe(f, approx, p, exact, tol_p)
             extras.append(PointError(point=pc, abs_q=pa, error=pe))
         rows.append(ScanRow(k=k, n=n, z_k=zc, abs_q_at_zk=abs_q,
                             error_at_zk=err, extras=tuple(extras)))

@@ -10,7 +10,10 @@ Three independent routes live here on purpose:
   vector is lifted by rational reconstruction and proved by exact
   substitution (B b = 0); Gaussian-rational entries, other shapes,
   rank deficiency and any unproved lift fall back to fraction-free
-  (Bareiss) elimination;
+  (Bareiss) elimination.  Every exact kernel runs on integers: real
+  rows are Python ints, Gaussian-rational rows are (re, im) int pairs,
+  and back substitution is fraction-free too, so Fractions appear only
+  in the returned entries;
 * :func:`exact_sigma_ratio_bounds` -- certified brackets of the
   extreme singular values: Sylvester's law of inertia applied to an
   exact LDL^H factorization of M M^H - mu I counts the eigenvalues
@@ -25,6 +28,7 @@ suite cross-check one against the other.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -39,7 +43,7 @@ from .errors import (
     RankDeficiencyError,
     UnsupportedSizeError,
 )
-from .rational import QC, qc
+from .rational import from_gaussian, gaussian_integers, qc
 
 ORACLE_MAX_ROWS = 16     # exact sigma oracle cap
 
@@ -92,16 +96,24 @@ class RationalMatrix:
             for j in range(self.cols)))
 
     def matvec(self, vec: Sequence) -> tuple:
+        """M v on Gaussian integers: one common denominator for v and one
+        for the columns of M that meet a nonzero entry of v."""
         v = [qc(x) for x in vec]
         if len(v) != self.cols:
             raise InvalidInputError("matvec dimension mismatch")
+        xs, dv = gaussian_integers(v)
+        live = [j for j, (xr, xi) in enumerate(xs) if xr or xi]
+        if not live:
+            return (qc(0),) * self.rows
+        flat, dm = gaussian_integers(row[j] for row in self.entries for j in live)
         out = []
-        for row in self.entries:
-            acc = qc(0)
-            for e, x in zip(row, v):
-                if x:
-                    acc = acc + e * x
-            out.append(acc)
+        for base in range(0, len(flat), len(live)):
+            re = im = 0
+            for (er, ei), j in zip(flat[base:base + len(live)], live):
+                xr, xi = xs[j]
+                re += er * xr - ei * xi
+                im += er * xi + ei * xr
+            out.append(from_gaussian(re, im, dm * dv))
         return tuple(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -282,65 +294,49 @@ def singular_value_perturbation_check(mat, delta, slack: float = 1e-10) -> Pertu
 
 
 def _strip_to_field(mat: RationalMatrix):
-    """Rows with denominators cleared: ints (real case) or integral QC values.
+    """Rows with denominators cleared: ints (real case) or Gaussian integers.
 
-    Row scaling by a positive integer changes neither rank nor nullspace,
-    and integer-valued entries keep the fraction-free minors small.
+    A Gaussian-rational row becomes (re, im) int pairs, scaled by the lcm
+    of its real and imaginary denominators.  Row scaling by a positive
+    integer changes neither rank nor nullspace, and integer entries keep
+    the fraction-free minors small.
     """
+    rows = [gaussian_integers(row)[0] for row in mat.entries]
     real = mat.is_real
-    rows = []
-    for row in mat.entries:
-        if real:
-            vals = [e.re for e in row]
-            scale = math.lcm(*(v.denominator for v in vals))
-            rows.append([v.numerator * (scale // v.denominator) for v in vals])
-        else:
-            dens = []
-            for v in row:
-                dens.append(v.re.denominator)
-                dens.append(v.im.denominator)
-            scale = math.lcm(*dens)
-            rows.append([v * scale for v in row])
+    if real:
+        rows = [[re for re, _ in row] for row in rows]
     return rows, real
 
 
 def _echelon_bareiss(rows: list, real: bool) -> tuple[list, list[int]]:
     """In-place fraction-free row echelon; returns (rows, pivot columns).
 
-    Every division is exact: integer division on int rows, QC division
-    on Gaussian-rational ones.
+    Rows hold ints (real) or Gaussian integers as (re, im) int pairs.
+    Each entry is a minor of the input, so every division by the
+    previous pivot q is exact: integer division on ints, and
+    v conj(q) // |q|^2 per component on pairs.
     """
     nrows = len(rows)
     ncols = len(rows[0])
+    nonzero = bool if real else any
     piv_cols: list[int] = []
     r = 0
-    prev = 1
+    prev = 1 if real else (1, 0)
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if nonzero(rows[i][c])), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         p = rows[r][c]
-        for i in range(r + 1, nrows):
-            head = rows[i][c]
-            if head:
-                ri = rows[i]
-                rr = rows[r]
-                for j in range(c + 1, ncols):
-                    v = p * ri[j] - head * rr[j]
-                    ri[j] = v // prev if real else v / prev
-                ri[c] = 0 * p
+        tail = rows[r][c + 1:]
+        for ri in rows[r + 1:]:
+            if real:
+                h = ri[c]
+                ri[c + 1:] = [(p * v - h * t) // prev for v, t in zip(ri[c + 1:], tail)]
+                ri[c] = 0
             else:
-                ri = rows[i]
-                rr = rows[r]
-                for j in range(c + 1, ncols):
-                    v = p * ri[j]
-                    ri[j] = v // prev if real else v / prev
+                ri[c + 1:] = _gaussian_step(p, ri[c], ri[c + 1:], tail, prev)
+                ri[c] = (0, 0)
         piv_cols.append(c)
         prev = p
         r += 1
@@ -349,21 +345,53 @@ def _echelon_bareiss(rows: list, real: bool) -> tuple[list, list[int]]:
     return rows[:r], piv_cols
 
 
-def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int, one):
-    x = [0 * one] * ncols
-    x[free_col] = one
-    for i in reversed(range(len(piv_cols))):
+def _gaussian_step(p: tuple, h: tuple, row: list, tail: list, q: tuple) -> list:
+    """[(p v - h t) / q for v, t in zip(row, tail)] in Z[i], q dividing each."""
+    pr, pi = p
+    hr, hi = h
+    qr, qi = q
+    norm = qr * qr + qi * qi
+    out = []
+    for (vr, vi), (tr, ti) in zip(row, tail):
+        wr = pr * vr - pi * vi - hr * tr + hi * ti
+        wi = pr * vi + pi * vr - hr * ti - hi * tr
+        out.append(((wr * qr + wi * qi) // norm, (wi * qr - wr * qi) // norm))
+    return out
+
+
+def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int,
+                    real: bool) -> tuple:
+    """Basic solution of `free_col` as QC values, first nonzero entry 1.
+
+    Fraction-free: only the t rows whose pivot column precedes free_col
+    constrain the solution, and with y_f set to D, the last of their
+    pivots (a t x t minor of the input), Cramer's rule makes every
+    y_pc an integral minor, so each back-substitution division is
+    exact.  The one normalization divides by the first nonzero y_j.
+    """
+    t = bisect_left(piv_cols, free_col)
+    y = [0 if real else (0, 0)] * ncols
+    y[free_col] = ech[t - 1][piv_cols[t - 1]] if t else (1 if real else (1, 0))
+    for i in reversed(range(t)):
         pc = piv_cols[i]
         row = ech[i]
-        acc = 0 * one
-        for j in range(pc + 1, ncols):
-            xv = x[j]
-            if xv and row[j]:
-                acc = acc + row[j] * xv
-        x[pc] = -acc / row[pc]
-    first = next(i for i, v in enumerate(x) if v)
-    inv = x[first]
-    return tuple(v / inv for v in x)
+        if real:
+            y[pc] = -sum(row[j] * y[j] for j in range(pc + 1, free_col + 1)) // row[pc]
+            continue
+        sr = si = 0
+        for j in range(pc + 1, free_col + 1):
+            (ar, ai), (br, bi) = row[j], y[j]
+            sr += ar * br - ai * bi
+            si += ar * bi + ai * br
+        qr, qi = row[pc]
+        norm = qr * qr + qi * qi
+        y[pc] = (-(sr * qr + si * qi) // norm, -(si * qr - sr * qi) // norm)
+    if real:
+        first = next(v for v in y if v)
+        return tuple(from_gaussian(v, 0, first) for v in y)
+    fr, fi = next(v for v in y if any(v))
+    norm = fr * fr + fi * fi
+    return tuple(from_gaussian(vr * fr + vi * fi, vi * fr - vr * fi, norm) for vr, vi in y)
 
 
 def exact_nullspace(mat: RationalMatrix) -> tuple:
@@ -395,15 +423,13 @@ def _bareiss_nullspace(rows: list, real: bool) -> tuple:
     """:func:`exact_nullspace` by Bareiss elimination of stripped rows."""
     ncols = len(rows[0])
     nrows = len(rows)
-    one = Fraction(1) if real else qc(1)
     ech, piv_cols = _echelon_bareiss(rows, real)
     rank = len(piv_cols)
     pivset = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in pivset]
     if not free_cols:
         raise InvalidInputError("matrix has a trivial nullspace")
-    basis = tuple(_to_qc_vector(_basic_solution(ech, piv_cols, ncols, f, one))
-                  for f in free_cols)
+    basis = tuple(_basic_solution(ech, piv_cols, ncols, f, real) for f in free_cols)
     if rank < nrows:
         raise RankDeficiencyError(rank, basis)
     return basis[0]
@@ -486,10 +512,6 @@ def _rational_reconstruction(u: int) -> tuple[int, int] | None:
     if abs(s1) > _RECON_BOUND or math.gcd(r1, s1) != 1:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _to_qc_vector(vec: tuple) -> tuple:
-    return tuple(qc(v) for v in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +656,19 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, max_rows: int = ORACLE_MAX_ROW
     def count_below(x: Fraction) -> int | None:
         # G - x I scaled by x.denominator * scale2 > 0, which keeps its inertia
         shift = x.numerator * scale2
-        h = [[x.denominator * e for e in row] for row in gram]
-        for i in range(n):
-            h[i][i] = h[i][i] - shift
+        den = x.denominator
+        if real:
+            h = [[den * e for e in row] for row in gram]
+            for i in range(n):
+                h[i][i] -= shift
+        else:
+            h = [[(den * er, den * ei) for er, ei in row] for row in gram]
+            for i in range(n):
+                h[i][i] = (h[i][i][0] - shift, 0)
         return _negative_pivots(h, real)
 
-    trace = Fraction(sum(int(_real_part(gram[i][i])) for i in range(n)), scale2)
+    diagonal = (gram[i][i] if real else gram[i][i][0] for i in range(n))
+    trace = Fraction(sum(diagonal), scale2)
     lam_max = _enclose(count_below, n - 1, guess[0] ** 2, trace)
     lam_min = _enclose(count_below, 0, guess[1] ** 2, lam_max[1])
     sigma_max = math.sqrt(float(sum(lam_max) / 2))
@@ -652,25 +681,21 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, max_rows: int = ORACLE_MAX_ROW
                             lambda_min_bracket=lam_min, matrix=mat)
 
 
-def _real_part(x):
-    return x.re if isinstance(x, QC) else x
-
-
 def _integer_gram(mat: RationalMatrix) -> tuple:
     """(S, s^2) with S = (s M)(s M)^H integral, s the common denominator.
 
-    S holds ints when M is real and integral QC values otherwise.
+    S holds ints when M is real and Gaussian integers as (re, im) int
+    pairs otherwise.
     """
-    dens = [d for row in mat.entries for e in row
-            for d in (e.re.denominator, e.im.denominator)]
-    scale = math.lcm(*dens)
+    flat, scale = gaussian_integers(e for row in mat.entries for e in row)
+    rows = [flat[i:i + mat.cols] for i in range(0, len(flat), mat.cols)]
     if mat.is_real:
-        rows = [[(e.re * scale).numerator for e in row] for row in mat.entries]
+        rows = [[re for re, _ in row] for row in rows]
         gram = [[sum(a * b for a, b in zip(r, c)) for c in rows] for r in rows]
     else:
-        scaled = RationalMatrix(tuple(tuple(e * scale for e in row)
-                                      for row in mat.entries))
-        gram = [list(row) for row in scaled.gram().entries]
+        gram = [[(sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(r, c)),
+                  sum(ai * br - ar * bi for (ar, ai), (br, bi) in zip(r, c)))
+                 for c in rows] for r in rows]
     return gram, scale * scale
 
 
@@ -678,27 +703,34 @@ def _negative_pivots(h: list, real: bool) -> int | None:
     """Negative pivots of the LDL^H factorization of the Hermitian matrix h.
 
     Fraction-free (Bareiss) elimination without pivoting on the upper
-    triangle of an integral h (ints, or integral QC values with a real
-    diagonal).  Its k-th pivot is the leading principal minor D_k, so
-    the LDL^H pivot d_k = D_k / D_(k-1) is real, and it is negative
-    exactly where the sign of D_k flips.  Returns None on a zero pivot.
+    triangle of an integral h (ints, or Gaussian integers as (re, im)
+    int pairs with a real diagonal).  Its k-th pivot is the leading
+    principal minor D_k, so the LDL^H pivot d_k = D_k / D_(k-1) is real,
+    and it is negative exactly where the sign of D_k flips.  Every
+    division is by the real previous pivot and exact.  Returns None on
+    a zero pivot.
     """
     n = len(h)
     prev = 1
     negative = 0
     for k in range(n):
         rk = h[k]
-        p = _real_part(rk[k])
+        p = rk[k] if real else rk[k][0]
         if p == 0:
             return None
         if (p < 0) != (prev < 0):
             negative += 1
         for i in range(k + 1, n):
             ri = h[i]
-            aik = rk[i].conjugate()
-            for j in range(i, n):
-                v = p * ri[j] - aik * rk[j]
-                ri[j] = v // prev if real else v / prev
+            if real:
+                a = rk[i]
+                ri[i:] = [(p * v - a * t) // prev for v, t in zip(ri[i:], rk[i:])]
+                continue
+            # p h_ij - conj(h_ki) h_kj on pairs
+            ar, ai = rk[i]
+            ri[i:] = [((p * vr - ar * tr - ai * ti) // prev,
+                       (p * vi - ar * ti + ai * tr) // prev)
+                      for (vr, vi), (tr, ti) in zip(ri[i:], rk[i:])]
         prev = p
     return negative
 

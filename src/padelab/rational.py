@@ -192,19 +192,52 @@ def to_complex(x) -> complex:
     return complex(x)
 
 
+def gaussian_integers(values: Iterable) -> tuple[list, int]:
+    """(pairs, d): the QC `values` times d as (re, im) int pairs.
+
+    d is the lcm of every real and imaginary denominator, the smallest
+    positive integer that makes all the values Gaussian integers.
+    """
+    values = list(values)
+    d = math.lcm(*{p.denominator for v in values for p in (v.re, v.im)})
+    return [(v.re.numerator * (d // v.re.denominator),
+             v.im.numerator * (d // v.im.denominator)) for v in values], d
+
+
+def from_gaussian(re: int, im: int, d: int) -> QC:
+    """The QC value (re + i im) / d, for a nonzero int d."""
+    return QC._mk(Fraction(re, d), Fraction(im, d))
+
+
 def horner(coeffs: Iterable, z):
     """Evaluate sum(coeffs[j] * z**j) by Horner's rule.
 
     Works over any common scalar domain (QC with QC/rational z, or
     complex with complex z); the caller keeps the domain homogeneous.
+    QC coefficients at a QC point are evaluated on integers, with one
+    normalization at the end: with C_j = D c_j and Z = d z Gaussian
+    integers, the value is sum(C_j Z^j d^(N-j)) / (D d^N).
     """
     coeffs = list(coeffs)
     if not coeffs:
         return 0 * z
+    if isinstance(z, QC) and all(isinstance(c, QC) for c in coeffs):
+        return _integer_horner(coeffs, z)
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
+
+
+def _integer_horner(coeffs: list, z: QC) -> QC:
+    pairs, den = gaussian_integers(coeffs)
+    [(zr, zi)], dz = gaussian_integers((z,))
+    ar, ai = pairs[-1]
+    dpow = 1
+    for cr, ci in reversed(pairs[:-1]):
+        dpow *= dz
+        ar, ai = ar * zr - ai * zi + cr * dpow, ar * zi + ai * zr + ci * dpow
+    return from_gaussian(ar, ai, den * dpow)
 
 
 def poly_derivative(coeffs: Iterable) -> list:

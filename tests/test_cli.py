@@ -259,6 +259,12 @@ def test_module_run_writes_output(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "t.json").read_text())
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_package_main_resolves_lazily_to_cli_main():
+    assert padelab.main is cli.main
+    assert "main" in padelab.__all__
 
 
 def test_help_and_bad_arguments_exit_codes(capsys):

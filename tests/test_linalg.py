@@ -28,7 +28,7 @@ from padelab.linalg import (
     svd,
 )
 from padelab.rational import QC, qc
-from padelab.series import build_counterexample_series, PoleSequence
+from padelab.series import build_counterexample_series, PoleSequence, PowerSeries
 from padelab.toeplitz import build_pair, build_structured
 
 B2_ROWS = [[64, 16, 256], [256, 64, 16]]
@@ -347,6 +347,115 @@ def test_exact_nullspace_counterexample_k6():
     s = build_counterexample_series(6, poles)
     v = exact_nullspace(build_pair(s, 62, exact=True).B)
     assert v == (qc(1), qc(-1 / poles.z(6))) + (qc(0),) * 61
+
+
+def _gauss_jordan_nullspace(rows):
+    """(rank, basis) by textbook Gauss-Jordan on QC, first entries normalized."""
+    work = [[qc(x) for x in row] for row in rows]
+    ncols = len(work[0])
+    piv_cols = []
+    for c in range(ncols):
+        r = len(piv_cols)
+        hit = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if hit is None:
+            continue
+        work[r], work[hit] = work[hit], work[r]
+        inv = qc(1) / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        piv_cols.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in piv_cols):
+        x = [qc(0)] * ncols
+        x[f] = qc(1)
+        for i, pc in enumerate(piv_cols):
+            x[pc] = -work[i][f]
+        first = next(v for v in x if v)
+        basis.append(tuple(v / first for v in x))
+    return len(piv_cols), tuple(basis)
+
+
+def test_exact_nullspace_matches_gauss_jordan_reference():
+    rng = _rng()
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        m = n + int(rng.choice([0, 1, 1, 2, 3]))
+        complex_entries = trial % 2 == 1
+
+        def entry():
+            re = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+            im = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+            return QC(re, im if complex_entries else 0)
+
+        rows = [[entry() for _ in range(m)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:               # a dependent last row
+            scale = entry()
+            rows[-1] = [scale * x for x in rows[0]]
+        rank, basis = _gauss_jordan_nullspace(rows)
+        mat = RationalMatrix.from_rows(rows)
+        if not basis:
+            with pytest.raises(InvalidInputError):
+                exact_nullspace(mat)
+            seen.add("square full rank")
+        elif rank < n:
+            with pytest.raises(RankDeficiencyError) as exc:
+                exact_nullspace(mat)
+            assert (exc.value.rank, exc.value.basis) == (rank, basis)
+            seen.add(("rank deficient", mat.is_real))
+        else:
+            assert exact_nullspace(mat) == basis[0]
+            seen.add(("full rank", mat.is_real, m - n))
+    assert {("rank deficient", True), ("rank deficient", False),
+            ("full rank", True, 1), ("full rank", False, 1),
+            ("full rank", True, 3), ("full rank", False, 3)} <= seen
+
+
+def test_rank_one_complex_geometric_basis_is_exact():
+    # c_j = w^-j makes every row of B a multiple of the first, so the
+    # basic solution of free column f is e_0 - w^-f e_f
+    w = QC(Fraction(3, 5), Fraction(-4, 5))
+    n = 9
+    s = PowerSeries.from_coefficients([(1 / w) ** j for j in range(2 * n + 1)],
+                                      radius_hint=0.9)
+    with pytest.raises(RankDeficiencyError) as exc:
+        exact_nullspace(build_pair(s, n, exact=True).B)
+    assert exc.value.rank == 1
+    basis = exc.value.basis
+    assert basis[0] == (qc(1), -1 / w) + (qc(0),) * (n - 1)
+    for f, v in enumerate(basis, start=1):
+        expected = [qc(0)] * (n + 1)
+        expected[0] = qc(1)
+        expected[f] = -(1 / w) ** f
+        assert v == tuple(expected)
+
+
+def test_exact_nullspace_complex_counterexample_n14():
+    poles = PoleSequence.explicit([qc(Fraction(1, 8), Fraction(-1, 8)),
+                                   qc(Fraction(-1, 9), Fraction(1, 9)),
+                                   qc(Fraction(1, 10), Fraction(1, 10))])
+    s = build_counterexample_series(4, poles)
+    B = build_pair(s, 14, exact=True).B
+    assert not B.is_real
+    assert exact_nullspace(B) == (qc(1), -1 / poles.z(4)) + (qc(0),) * 13
+
+
+def test_sigma_oracle_brackets_random_gaussian_rational():
+    rng = _rng()
+    for _ in range(12):
+        n = int(rng.integers(1, 5))
+        rows = [[QC(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))),
+                    Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))))
+                 for _ in range(n + 1)] for _ in range(n)]
+        mat = RationalMatrix.from_rows(rows)
+        oracle = exact_sigma_ratio_bounds(mat)
+        ref = np.linalg.svd(mat.to_numpy(), compute_uv=False)
+        for (lo, hi), sigma in ((oracle.lambda_max_bracket, ref[0]),
+                                (oracle.lambda_min_bracket, ref[-1])):
+            assert float(lo) * (1 - 1e-12) <= sigma ** 2 <= float(hi) * (1 + 1e-12)
 
 
 def test_minimal_degree_solution_first():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padelab.errors import InvalidParameterError, OutOfRangeError
+from padelab.linalg import exact_nullspace
 from padelab.pade import (
     Diagnostics,
     PadeApproximant,
@@ -16,8 +17,15 @@ from padelab.pade import (
     order_residual,
     robust_pade,
 )
-from padelab.rational import qc
-from padelab.series import PoleSequence, PowerSeries, build_counterexample_series
+from padelab.rational import QC, horner, qc
+from padelab.series import (
+    GammelParams,
+    PoleSequence,
+    PowerSeries,
+    build_counterexample_series,
+    build_gammel_series,
+)
+from padelab.toeplitz import build_pair
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +100,53 @@ def test_classical_order_zero(k2_exact):
     assert r.a == (qc(1),) and r.b == (qc(1),)
     assert r.effective_degrees == (0, 0)
     assert r.requested_n == 0
+
+
+def _qc_sum(terms):
+    acc = qc(0)
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def test_integer_matvec_matches_qc_sum_on_gammel_series():
+    alphas = tuple(Fraction(1, 4 ** (k * k)) for k in range(1, 5))
+    poles = PoleSequence.explicit([qc(Fraction((-1) ** k, k + 1)) for k in range(1, 5)],
+                                  start_index=1)
+    s = build_gammel_series(GammelParams(alphas=alphas, poles=poles), 30)
+    pair = build_pair(s, 14, exact=True)
+    b = exact_nullspace(pair.B)
+    expected = tuple(_qc_sum(e * x for e, x in zip(row, b)) for row in pair.A.entries)
+    assert pair.A.matvec(b) == expected
+    assert classical_pade(s, 14, exact=True).a == expected
+    # Gaussian-rational vector, with zero entries skipped
+    v = [QC(Fraction(1, 3), Fraction(-2, 7)) if j % 3 else qc(0) for j in range(15)]
+    assert pair.A.matvec(v) == tuple(_qc_sum(e * x for e, x in zip(row, v))
+                                     for row in pair.A.entries)
+
+
+def test_integer_horner_matches_qc_horner():
+    rng = np.random.default_rng(20261018)
+
+    def rational():
+        return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 30)))
+
+    for trial in range(200):
+        complex_coeffs = trial % 2 == 0
+        coeffs = [QC(rational(), rational() if complex_coeffs else 0)
+                  for _ in range(int(rng.integers(1, 25)))]
+        z = QC(rational(), rational() if trial % 4 < 2 else 0)
+        expected = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            expected = expected * z + c
+        assert horner(coeffs, z) == expected
+    r = classical_pade(build_counterexample_series(3, PoleSequence.harmonic(3)), 6,
+                       exact=True)
+    z = QC(Fraction(1, 7), Fraction(2, 9))
+    ref = QC(0)
+    for c in reversed(r.a_effective):
+        ref = ref * z + c
+    assert r.numerator_at(z) == ref
 
 
 def test_classical_exact_degenerate_leading_denominator():
