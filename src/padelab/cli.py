@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import _jsonfmt
@@ -40,35 +39,7 @@ from .series import (
 ENV_MAX_N = "PADE_LAB_MAX_N"
 DEFAULT_MAX_N = 512
 
-__all__ = ["RunConfig", "main", "entry"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully parsed invocation, independent of argparse."""
-
-    command: str
-    out: Path
-    max_n: int = DEFAULT_MAX_N
-    series_path: Path | None = None
-    family: str = "counterexample"
-    k_max: int | None = None
-    k_range: tuple | None = None
-    n_range: tuple | None = None
-    mode: str = "classical"
-    tol_rel: float = 1e-12
-    exact: bool = False
-    exact_up_to: int = 0
-    pole_spec: str | None = None
-    alphas: tuple = ()
-    points: tuple = ()
-    scheme: str = "harmonic_repeated"
-    fmt: str = "json"
-    analyze: bool = False
-    radius: float | None = None
-    delta_doublet: float = 1e-3
-    tol_spurious: float = 1e-6
-    single_n: bool = True
+__all__ = ["main", "entry"]
 
 
 # ---------------------------------------------------------------------------
@@ -149,95 +120,112 @@ def _write_json(path: Path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads the order cap and parses every argument before
+# it starts any work
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    if cfg.family == "counterexample":
-        if cfg.k_max is None or cfg.k_max < 2:
+def cmd_generate(args: argparse.Namespace) -> int:
+    max_n = _max_n_from_env()
+    alphas = _parse_number_list(args.alphas) if args.alphas else ()
+    if args.family == "counterexample":
+        if args.k_max is None or args.k_max < 2:
             raise UsageError("generate needs --k-max >= 2")
-        _check_cap(block_order(cfg.k_max), cfg.max_n)
-        poles = _parse_poles(cfg.pole_spec or "harmonic", cfg.k_max)
-        s = build_counterexample_series(cfg.k_max, poles)
-    elif cfg.family == "gammel":
-        if not cfg.alphas:
+        _check_cap(block_order(args.k_max), max_n)
+        poles = _parse_poles(args.poles or "harmonic", args.k_max)
+        s = build_counterexample_series(args.k_max, poles)
+    else:
+        if not alphas:
             raise UsageError("the gammel family requires --alphas "
                              "(comma-separated block amplitudes)")
-        if not cfg.pole_spec:
+        if not args.poles:
             raise UsageError("the gammel family requires --poles "
                              "(an explicit comma-separated list)")
-        name = cfg.pole_spec.strip().lower().replace("-", "_")
+        name = args.poles.strip().lower().replace("-", "_")
         if name in ("harmonic", "harmonic_repeated"):
             raise UsageError("the gammel family takes an explicit pole list, "
                              "not a scheme name")
-        poles = PoleSequence.explicit(_parse_number_list(cfg.pole_spec), start_index=1)
-        params = GammelParams(alphas=cfg.alphas, poles=poles)
-        j_max = 2 ** (len(cfg.alphas) + 1) - 2    # last index of the final complete block
-        _check_cap(j_max // 2, cfg.max_n)         # largest order buildable from this file
+        poles = PoleSequence.explicit(_parse_number_list(args.poles), start_index=1)
+        params = GammelParams(alphas=alphas, poles=poles)
+        j_max = 2 ** (len(alphas) + 1) - 2    # last index of the final complete block
+        _check_cap(j_max // 2, max_n)         # largest order buildable from this file
         s = build_gammel_series(params, j_max)
-    else:
-        raise UsageError(f"unknown family {cfg.family!r}")
-    save_series(s, cfg.out)
-    print(f"wrote {cfg.out} ({len(s.coeffs)} coefficients, family {cfg.family})")
+    save_series(s, args.out)
+    print(f"wrote {args.out} ({len(s.coeffs)} coefficients, family {args.family})")
     return 0
 
 
-def _approximant_payload(cfg: RunConfig, s, n: int) -> dict:
-    _check_cap(n, cfg.max_n)
-    if cfg.mode == "classical":
-        r = classical_pade(s, n, exact=cfg.exact)
+def _approximant_payload(args: argparse.Namespace, max_n: int, s, n: int) -> dict:
+    _check_cap(n, max_n)
+    if args.mode == "classical":
+        r = classical_pade(s, n, exact=args.exact)
     else:
-        r = robust_pade(s, n, tol_rel=cfg.tol_rel)
+        r = robust_pade(s, n, tol_rel=args.tol)
     doc = r.to_json_dict()
-    if cfg.analyze:
-        radius = cfg.radius if cfg.radius is not None else s.radius_hint
+    if args.analyze:
+        radius = args.radius if args.radius is not None else s.radius_hint
         report = find_poles(r, radius_hint=radius,
-                            delta_doublet=cfg.delta_doublet,
-                            tol_spurious=cfg.tol_spurious)
+                            delta_doublet=args.delta_doublet,
+                            tol_spurious=args.tol_spurious)
         doc["pole_report"] = report.to_dict()
     return doc
 
 
-def cmd_approximate(cfg: RunConfig) -> int:
-    if cfg.exact and cfg.mode == "robust":
+def cmd_approximate(args: argparse.Namespace) -> int:
+    max_n = _max_n_from_env()
+    if args.n is not None:
+        if args.n < 0:
+            raise UsageError("--n must be nonnegative")
+        lo = hi = args.n
+        label = f"n = {lo}"
+    else:
+        lo, hi = _parse_range(args.n_range, "--n-range")
+        if lo < 0:
+            raise UsageError("--n-range must be nonnegative")
+        label = f"n = {lo}..{hi}"
+    if args.exact and args.mode == "robust":
         raise UsageError("--exact applies to classical mode only "
                          "(the robust route is floating point by definition)")
-    s = load_series(cfg.series_path)
-    lo, hi = cfg.n_range
-    docs = [_approximant_payload(cfg, s, n) for n in range(lo, hi + 1)]
-    payload = docs[0] if cfg.single_n else docs
-    _write_json(cfg.out, payload)
-    label = f"n = {lo}" if cfg.single_n else f"n = {lo}..{hi}"
-    print(f"wrote {cfg.out} ({cfg.mode} mode, {label})")
+    s = load_series(args.series)
+    docs = [_approximant_payload(args, max_n, s, n) for n in range(lo, hi + 1)]
+    _write_json(args.out, docs[0] if args.n is not None else docs)
+    print(f"wrote {args.out} ({args.mode} mode, {label})")
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    lo, hi = cfg.k_range
-    _check_cap(block_order(hi), cfg.max_n)
-    poles = _parse_poles(cfg.pole_spec or "harmonic", hi)
-    reports = [verify_counterexample(k, poles, exact=k <= cfg.exact_up_to)
+def cmd_verify(args: argparse.Namespace) -> int:
+    max_n = _max_n_from_env()
+    lo, hi = _parse_range(args.k_range, "--k-range")
+    out = args.out if args.out is not None else Path(f"verify.{args.fmt}")
+    _check_cap(block_order(hi), max_n)
+    poles = _parse_poles(args.poles or "harmonic", hi)
+    reports = [verify_counterexample(k, poles, exact=k <= args.exact_up_to)
                for k in range(lo, hi + 1)]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = [CounterexampleReport.CSV_HEADER]
         lines.extend(r.csv_row() for r in reports)
-        _write_text(cfg.out, "\n".join(lines) + "\n")
+        _write_text(out, "\n".join(lines) + "\n")
     else:
-        _write_json(cfg.out, [r.to_dict() for r in reports])
+        _write_json(out, [r.to_dict() for r in reports])
     verdict = "all passed" if all(r.passed for r in reports) else "FAILED checks present"
-    print(f"wrote {cfg.out} ({len(reports)} blocks, {verdict})")
+    unseen = [str(r.k) for r in reports if r.p_ok is None]
+    if unseen:
+        verdict += (f"; p(z_k) not certified for k = {', '.join(unseen)} "
+                    f"(below float rounding), rerun with --exact-up-to {unseen[-1]}")
+    print(f"wrote {out} ({len(reports)} blocks, {verdict})")
     return 0
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.k_max is None or cfg.k_max < 2:
+def cmd_scan(args: argparse.Namespace) -> int:
+    max_n = _max_n_from_env()
+    points = _parse_number_list(args.points) if args.points else ()
+    if args.k_max < 2:
         raise UsageError("scan needs --k-max >= 2")
-    _check_cap(block_order(cfg.k_max), cfg.max_n)
-    table = divergence_scan(cfg.k_max, scheme=cfg.scheme, exact=cfg.exact,
-                            points=cfg.points)
-    _write_json(cfg.out, table.to_dict())
+    _check_cap(block_order(args.k_max), max_n)
+    table = divergence_scan(args.k_max, scheme=args.scheme.replace("-", "_"),
+                            exact=not args.float_mode, points=points)
+    _write_json(args.out, table.to_dict())
     hits = sum(1 for row in table.rows if row.error_at_zk == float("inf"))
-    print(f"wrote {cfg.out} ({len(table.rows)} rows, {hits} exact pole hits)")
+    print(f"wrote {args.out} ({len(table.rows)} rows, {hits} exact pole hits)")
     return 0
 
 
@@ -302,45 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    max_n = _max_n_from_env()
-    if args.command == "generate":
-        alphas = _parse_number_list(args.alphas) if args.alphas else ()
-        return RunConfig(command="generate", out=args.out, max_n=max_n,
-                         family=args.family, k_max=args.k_max,
-                         pole_spec=args.poles, alphas=alphas)
-    if args.command == "approximate":
-        if args.n is not None:
-            if args.n < 0:
-                raise UsageError("--n must be nonnegative")
-            n_range = (args.n, args.n)
-            single = True
-        else:
-            n_range = _parse_range(args.n_range, "--n-range")
-            if n_range[0] < 0:
-                raise UsageError("--n-range must be nonnegative")
-            single = False
-        return RunConfig(command="approximate", out=args.out, max_n=max_n,
-                         series_path=args.series, n_range=n_range,
-                         single_n=single, mode=args.mode, tol_rel=args.tol,
-                         exact=args.exact, analyze=args.analyze,
-                         radius=args.radius, delta_doublet=args.delta_doublet,
-                         tol_spurious=args.tol_spurious)
-    if args.command == "verify":
-        k_range = _parse_range(args.k_range, "--k-range")
-        out = args.out if args.out is not None else Path(f"verify.{args.fmt}")
-        return RunConfig(command="verify", out=out, max_n=max_n,
-                         k_range=k_range, pole_spec=args.poles,
-                         exact_up_to=args.exact_up_to, fmt=args.fmt)
-    if args.command == "scan":
-        points = _parse_number_list(args.points) if args.points else ()
-        return RunConfig(command="scan", out=args.out, max_n=max_n,
-                         k_max=args.k_max,
-                         scheme=args.scheme.replace("-", "_"),
-                         points=points, exact=not args.float_mode)
-    raise UsageError(f"unknown command {args.command!r}")
-
-
 _DISPATCH = {
     "generate": cmd_generate,
     "approximate": cmd_approximate,
@@ -356,8 +305,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,14 +50,7 @@ class UnsupportedSizeError(UsageError, ValueError):
 
 
 class ConvergenceError(NumericalError, RuntimeError):
-    """An iteration hit its cap before meeting its tolerance.
-
-    `residual` records the best tolerance actually achieved.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """An iteration hit its cap before meeting its tolerance."""
 
 
 class RankDeficiencyError(PadeLabError, ValueError):

@@ -90,11 +90,6 @@ class RationalMatrix:
     def is_real(self) -> bool:
         return all(e.im == 0 for row in self.entries for e in row)
 
-    def hermitian(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(
-            tuple(self.entries[i][j].conjugate() for i in range(self.rows))
-            for j in range(self.cols)))
-
     def matvec(self, vec: Sequence) -> tuple:
         """M v on Gaussian integers: one common denominator for v and one
         for the columns of M that meet a nonzero entry of v."""
@@ -115,13 +110,6 @@ class RationalMatrix:
                 im += er * xi + ei * xr
             out.append(from_gaussian(re, im, dm * dv))
         return tuple(out)
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise InvalidInputError("matmul dimension mismatch")
-        ot = list(zip(*other.entries))
-        return RationalMatrix(tuple(
-            tuple(_dot(row, col) for col in ot) for row in self.entries))
 
     def gram(self) -> "RationalMatrix":
         """M M^H, Hermitian positive semidefinite."""
@@ -627,8 +615,8 @@ def _qmatmul(a, b):
     return out
 
 
-def exact_sigma_ratio_bounds(mat: RationalMatrix, max_rows: int = ORACLE_MAX_ROWS,
-                             *, guess: tuple | None = None) -> SigmaRatioOracle:
+def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
+                             guess: tuple | None = None) -> SigmaRatioOracle:
     """Certified sigma_1/sigma_n from the inertia of the exact Gram matrix.
 
     By Sylvester's law of inertia, the negative pivots of an exact
@@ -636,14 +624,14 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, max_rows: int = ORACLE_MAX_ROW
     below mu.  The float guesses (sigma_max, sigma_min) -- from `svd`
     unless given -- only place the probes: two counts per eigenvalue
     prove an enclosure, and a wrong guess can only cost extra probes,
-    never a wrong bracket.  Capped at `max_rows` rows.  sigma_n = 0
+    never a wrong bracket.  Capped at ORACLE_MAX_ROWS rows.  sigma_n = 0
     reports an infinite ratio rather than an error.
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
-    if mat.rows > max_rows:
+    if mat.rows > ORACLE_MAX_ROWS:
         raise UnsupportedSizeError(
-            f"exact sigma oracle capped at {max_rows} rows, got {mat.rows}")
+            f"exact sigma oracle capped at {ORACLE_MAX_ROWS} rows, got {mat.rows}")
     if mat.cols < mat.rows:
         raise InvalidInputError("expected rows <= cols")
     if guess is None:

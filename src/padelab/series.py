@@ -24,18 +24,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _jsonfmt
 from .errors import (
-    ConvergenceError,
     DomainError,
     InvalidParameterError,
     OutOfRangeError,
     SeriesFormatError,
-    UnsupportedInputError,
 )
 from .rational import QC, as_fraction, horner, is_exact_scalar, qc, to_complex
 
@@ -177,30 +175,22 @@ class EvalResult(NamedTuple):
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Coefficient stream c_0, c_1, ... with metadata.
+    """Materialized coefficients c_0, ..., c_(N-1) with metadata."""
 
-    Either `coeffs` (a materialized tuple, `known_len = len(coeffs)`) or
-    `coeff_fn` (an unbounded stream, `known_len is None`) is set.
-    """
-
-    coeffs: tuple | None
+    coeffs: tuple
     exact: bool
     radius_hint: float = 1.0
     meta: SeriesMeta = field(default_factory=SeriesMeta)
-    coeff_fn: Callable[[int], complex] | None = None
 
     def __post_init__(self):
-        if (self.coeffs is None) == (self.coeff_fn is None):
-            raise InvalidParameterError("exactly one of coeffs / coeff_fn must be given")
+        if self.coeffs is None:
+            raise InvalidParameterError("a series needs its coefficients")
         if not (self.radius_hint > 0):
             raise InvalidParameterError("radius_hint must be positive")
-        if self.coeffs is not None:
-            coerced = tuple(_coerce_scalar(c) for c in self.coeffs)
-            if self.exact and not all(isinstance(c, QC) for c in coerced):
-                raise InvalidParameterError("exact series requires rational coefficients")
-            object.__setattr__(self, "coeffs", coerced)
-        elif self.exact:
-            raise InvalidParameterError("stream-backed series cannot claim exactness")
+        coerced = tuple(_coerce_scalar(c) for c in self.coeffs)
+        if self.exact and not all(isinstance(c, QC) for c in coerced):
+            raise InvalidParameterError("exact series requires rational coefficients")
+        object.__setattr__(self, "coeffs", coerced)
 
     @classmethod
     def from_coefficients(cls, values: Sequence, radius_hint: float = 1.0,
@@ -209,39 +199,22 @@ class PowerSeries:
         exact = all(isinstance(c, QC) for c in coerced)
         return cls(coerced, exact, radius_hint, meta or SeriesMeta())
 
-    @classmethod
-    def from_fn(cls, fn: Callable[[int], complex], radius_hint: float = 1.0,
-                meta: SeriesMeta | None = None) -> "PowerSeries":
-        return cls(None, False, radius_hint, meta or SeriesMeta(), coeff_fn=fn)
-
-    @property
-    def known_len(self) -> int | None:
-        return None if self.coeffs is None else len(self.coeffs)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.coeffs is not None
-
     def coeff(self, j: int):
         if j < 0:
             raise OutOfRangeError("coefficient index must be nonnegative")
-        if self.coeffs is not None:
-            if j >= len(self.coeffs):
-                have = (f"c_0..c_{len(self.coeffs) - 1}" if self.coeffs
-                        else "no coefficients")
-                raise OutOfRangeError(f"series provides {have}, asked for c_{j}")
-            return self.coeffs[j]
-        return self.coeff_fn(j)
+        if j >= len(self.coeffs):
+            have = (f"c_0..c_{len(self.coeffs) - 1}" if self.coeffs
+                    else "no coefficients")
+            raise OutOfRangeError(f"series provides {have}, asked for c_{j}")
+        return self.coeffs[j]
 
     def require_terms(self, count: int) -> None:
-        if self.coeffs is not None and len(self.coeffs) < count:
+        if len(self.coeffs) < count:
             raise OutOfRangeError(
                 f"need {count} coefficients, series provides {len(self.coeffs)}")
 
     def as_complex_array(self, count: int | None = None) -> np.ndarray:
         if count is None:
-            if self.coeffs is None:
-                raise UnsupportedInputError("unbounded series needs an explicit count")
             count = len(self.coeffs)
         self.require_terms(count)
         return np.array([to_complex(self.coeff(j)) for j in range(count)], dtype=complex)
@@ -408,55 +381,15 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
 # evaluation
 
 
-def growth_tail_bound(n_last: int, x: float) -> float:
-    """Upper bound for sum_{j > n_last} (j+3)^4 * x^j with 0 <= x < 1."""
-    if not (0 <= x < 1):
-        raise DomainError("growth tail bound needs 0 <= x < 1")
-    if x == 0:
-        return 0.0
-    target = (1.0 + x) / 2.0
-    j = n_last + 1
-    term = (j + 3) ** 4 * x ** j
-    total = 0.0
-    while True:
-        ratio = x * ((j + 4) / (j + 3)) ** 4
-        if ratio <= target:
-            return total + term / (1.0 - ratio)
-        total += term
-        j += 1
-        term *= x * ((j + 3) / (j + 2)) ** 4
-
-
-def eval_series(s: PowerSeries, z, rel_tol: float = 1e-12,
-                max_terms: int = 200_000) -> EvalResult:
-    """Evaluate the series at z.
-
-    Finite series are evaluated as polynomials (exactly, when both the
-    series and z are rational).  Stream-backed series are summed until
-    the growth-bound tail estimate drops below rel_tol times the
-    partial sum.
-    """
+def eval_series(s: PowerSeries, z) -> EvalResult:
+    """Evaluate the truncated series at z as a polynomial (exactly, when
+    both the series and z are rational)."""
     zc = to_complex(z)
     if not abs(zc) < s.radius_hint:
         raise DomainError(f"|z| = {abs(zc)} outside radius_hint = {s.radius_hint}")
-    if s.is_finite:
-        if s.exact and is_exact_scalar(z):
-            return EvalResult(horner(s.coeffs, qc(z)), len(s.coeffs))
-        return EvalResult(complex(horner(s.as_complex_array(), zc)), len(s.coeffs))
-    if not (0 < rel_tol < 1):
-        raise InvalidParameterError("rel_tol must lie in (0, 1)")
-    ax = abs(zc)
-    partial = 0.0 + 0.0j
-    zpow = 1.0 + 0.0j
-    for j in range(max_terms):
-        partial += to_complex(s.coeff(j)) * zpow
-        zpow *= zc
-        if j >= 4 and j % 8 == 0 and partial != 0:
-            if growth_tail_bound(j, ax) <= rel_tol * abs(partial):
-                return EvalResult(partial, j + 1)
-    raise ConvergenceError(
-        f"series tail not below rel_tol={rel_tol} within {max_terms} terms",
-        residual=growth_tail_bound(max_terms - 1, ax))
+    if s.exact and is_exact_scalar(z):
+        return EvalResult(horner(s.coeffs, qc(z)), len(s.coeffs))
+    return EvalResult(complex(horner(s.as_complex_array(), zc)), len(s.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +422,6 @@ def _scalar_from_json(entry, where: str, exact: bool):
 
 
 def save_series(s: PowerSeries, path) -> None:
-    if not s.is_finite:
-        raise UnsupportedInputError("only materialized series can be saved")
     doc: dict = {
         "c": [_jsonfmt.pair(c, s.exact) for c in s.coeffs],
         "exact": s.exact,

@@ -107,7 +107,7 @@ def test_criterion_3_bound_chain_and_sandwich():
     failures = []
     poles = PoleSequence.harmonic(5)
     for k in (2, 3, 4, 5):
-        rep = verify_counterexample(k, poles, exact=False, sandwich_slack=1e-10)
+        rep = verify_counterexample(k, poles, exact=False)
         spike = 16 ** k
         if not rep.tail_sum < spike / 2:
             failures.append(f"k={k}: tail {rep.tail_sum} not below 16^k/2")

@@ -157,6 +157,15 @@ def test_verify_block3_float_route():
     assert rep.passed
 
 
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_verify_float_route_does_not_certify_p_below_rounding(k):
+    # 16^k z_k^(2 n_k) is 1.1e-17, 2.1e-45 and 1.7e-105 here, under the
+    # 5.5e-13 .. 1.8e-12 rounding bound of the float numerator at z_k
+    rep = verify_counterexample(k, PoleSequence.harmonic(k), exact=False)
+    assert rep.p_ok is None and rep.to_dict()["p_ok"] is None
+    assert rep.q_ok and rep.passed
+
+
 def test_verify_consistency_of_pass_flag():
     rep = verify_counterexample(2, PoleSequence.harmonic(4), exact=True)
     d = rep.to_dict()

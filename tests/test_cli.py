@@ -188,6 +188,15 @@ def test_verify_csv_format():
     assert float(first[4]) < 5
 
 
+def test_verify_summary_names_uncertified_numerators(capsys):
+    assert run("verify", "--k-range", "3..5") == 0
+    out = capsys.readouterr().out
+    assert "k = 4, 5" in out and "--exact-up-to 5" in out
+    assert [b["p_ok"] for b in json.loads(Path("verify.json").read_text())] == [True, None, None]
+    assert run("verify", "--k-range", "3..5", "--exact-up-to", "5") == 0
+    assert capsys.readouterr().out == "wrote verify.json (3 blocks, all passed)\n"
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -272,6 +281,27 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     assert run("frobnicate") == 2
     assert run("approximate", "--series", "s.json") == 2    # missing --n
     capsys.readouterr()
+
+
+# every argument is parsed before any work starts: no series file exists
+# here, and the counterexample family still parses the --alphas it ignores
+@pytest.mark.parametrize("argv, message", [
+    (("approximate", "--series", "s.json", "--n", "-1"), "--n must be nonnegative"),
+    (("approximate", "--series", "s.json", "--n-range", "3..1"), "empty --n-range '3..1'"),
+    (("approximate", "--series", "s.json", "--n-range", "x"), "bad --n-range 'x'"),
+    (("approximate", "--series", "s.json", "--n-range=-1..2"),
+     "--n-range must be nonnegative"),
+    (("verify", "--k-range", "2-x"), "bad --k-range '2-x'"),
+    (("scan", "--k-max", "1"), "scan needs --k-max >= 2"),
+    (("scan", "--k-max", "2", "--points", "1/0"), "cannot parse number '1/0'"),
+    (("scan", "--k-max", "1", "--points", "1/0"), "cannot parse number '1/0'"),
+    (("generate", "--k-max", "2", "--alphas", "1/0"), "cannot parse number '1/0'"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not list(Path().iterdir())      # nothing written
 
 
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
