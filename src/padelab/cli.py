@@ -298,10 +298,30 @@ _DISPATCH = {
 }
 
 
+_RANGE_OPTIONS = ("--n-range", "--k-range")
+
+
+def _attach_range_values(argv: list) -> list:
+    """`--n-range -1..2` as `--n-range=-1..2`.
+
+    argparse reads a separate value that starts with '-' as an option,
+    so a negative range would otherwise fail as a missing argument
+    instead of reaching the range check.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _RANGE_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_range_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

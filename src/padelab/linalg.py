@@ -5,15 +5,19 @@ Three independent routes live here on purpose:
 * :func:`svd` -- the LAPACK SVD in doubles (``np.linalg.svd``), with
   negligible singular values set to exactly 0 and a designated
   nullspace direction;
-* :func:`exact_nullspace` -- the exact nullspace vector: a real
-  n x (n+1) system is eliminated modulo the prime 2^61 - 1, its null
-  vector is lifted by rational reconstruction and proved by exact
-  substitution (B b = 0); Gaussian-rational entries, other shapes,
-  rank deficiency and any unproved lift fall back to fraction-free
-  (Bareiss) elimination.  Every exact kernel runs on integers: real
-  rows are Python ints, Gaussian-rational rows are (re, im) int pairs,
-  and back substitution is fraction-free too, so Fractions appear only
-  in the returned entries;
+* :func:`exact_nullspace` -- the exact nullspace vector, in up to
+  three stages.  A real n x (n+1) system is first eliminated modulo the
+  prime 2^61 - 1 and its null vector lifted by rational reconstruction;
+  if that does not prove out and n >= 16, the vector of maximal minors
+  is found modulo many word-size primes at once (int64 arrays) and
+  recombined by the CRT (:mod:`padelab.multimodular`).  Either vector
+  is returned only when exact substitution proves it (B b = 0).
+  Gaussian-rational entries, other shapes, rank deficiency and any
+  unproved vector fall back to fraction-free (Bareiss) elimination.
+  Every exact kernel runs on integers: real rows are Python ints,
+  Gaussian-rational rows are (re, im) int pairs, and back substitution
+  is fraction-free too, so Fractions appear only in the returned
+  entries;
 * :func:`exact_sigma_ratio_bounds` -- certified brackets of the
   extreme singular values: Sylvester's law of inertia applied to an
   exact LDL^H factorization of M M^H - mu I counts the eigenvalues
@@ -43,9 +47,10 @@ from .errors import (
     RankDeficiencyError,
     UnsupportedSizeError,
 )
-from .rational import from_gaussian, gaussian_integers, qc
+from .rational import QC_ZERO, from_gaussian, gaussian_integers, qc, scaled_to_first
 
 ORACLE_MAX_ROWS = 16     # exact sigma oracle cap
+_MULTIMODULAR_MIN_ROWS = 16  # below this, integer Bareiss is as fast (crossover n = 12..20)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +380,11 @@ def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int,
         norm = qr * qr + qi * qi
         y[pc] = (-(sr * qr + si * qi) // norm, -(si * qr - sr * qi) // norm)
     if real:
-        first = next(v for v in y if v)
-        return tuple(from_gaussian(v, 0, first) for v in y)
+        return scaled_to_first(y)
     fr, fi = next(v for v in y if any(v))
     norm = fr * fr + fi * fi
-    return tuple(from_gaussian(vr * fr + vi * fi, vi * fr - vr * fi, norm) for vr, vi in y)
+    return tuple(from_gaussian(vr * fr + vi * fi, vi * fr - vr * fi, norm)
+                 if vr or vi else QC_ZERO for vr, vi in y)
 
 
 def exact_nullspace(mat: RationalMatrix) -> tuple:
@@ -391,17 +396,25 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     :class:`RankDeficiencyError` carrying the exact rank and a full
     basis of basic solutions, minimal degree first.
 
-    A real n x (n+1) matrix is first solved modulo a prime and the
-    result is proved by exact substitution (:func:`_modular_nullspace`);
-    complex matrices, other shapes and any modular solve that cannot be
-    proved, go to fraction-free elimination (:func:`_bareiss_nullspace`).
-    Both routes return the same vector.
+    A real n x (n+1) matrix goes through up to three stages, and each
+    vector a stage returns is proved by exact substitution (B b = 0):
+    one solve modulo 2^61 - 1 lifted by rational reconstruction
+    (:func:`_modular_nullspace`), then, for outputs too large for one
+    prime and n >= 16, a solve modulo many word-size primes at once
+    recombined by the CRT (:func:`multimodular.nullspace`), and finally
+    fraction-free elimination (:func:`_bareiss_nullspace`).  Complex
+    matrices, other shapes and rank-deficient systems go to Bareiss
+    directly or after the modular stages decline.  Every stage returns
+    the same vector.
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
     rows, real = _strip_to_field(mat)
     if real and mat.cols == mat.rows + 1:
         vec = _modular_nullspace(rows)
+        if vec is None and mat.rows >= _MULTIMODULAR_MIN_ROWS:
+            from . import multimodular      # imported on first use: most runs never need it
+            vec = multimodular.nullspace(rows)
         if vec is not None:
             return vec
     return _bareiss_nullspace(rows, real)

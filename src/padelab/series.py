@@ -170,7 +170,6 @@ class SeriesMeta:
 
 class EvalResult(NamedTuple):
     value: object        # complex, or QC on the exact path
-    terms: int           # number of coefficients consumed
 
 
 @dataclass(frozen=True)
@@ -388,8 +387,8 @@ def eval_series(s: PowerSeries, z) -> EvalResult:
     if not abs(zc) < s.radius_hint:
         raise DomainError(f"|z| = {abs(zc)} outside radius_hint = {s.radius_hint}")
     if s.exact and is_exact_scalar(z):
-        return EvalResult(horner(s.coeffs, qc(z)), len(s.coeffs))
-    return EvalResult(complex(horner(s.as_complex_array(), zc)), len(s.coeffs))
+        return EvalResult(horner(s.coeffs, qc(z)))
+    return EvalResult(complex(horner(s.as_complex_array(), zc)))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,10 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("scan", "--k-max", "2", "--points", "1/0"), "cannot parse number '1/0'"),
     (("scan", "--k-max", "1", "--points", "1/0"), "cannot parse number '1/0'"),
     (("generate", "--k-max", "2", "--alphas", "1/0"), "cannot parse number '1/0'"),
+    # a dash-led range value given as its own argument
+    (("approximate", "--series", "s.json", "--n-range", "-1..2"),
+     "--n-range must be nonnegative"),
+    (("verify", "--k-range", "-1..2"), "counterexample blocks start at k = 2"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2
