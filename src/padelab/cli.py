@@ -302,19 +302,25 @@ _RANGE_OPTIONS = ("--n-range", "--k-range")
 
 
 def _attach_range_values(argv: list) -> list:
-    """`--n-range -1..2` as `--n-range=-1..2`.
+    """`--n-range -1..2` (or an abbreviation, `--n-r -1..2`) as `--n-range=-1..2`.
 
     argparse reads a separate value that starts with '-' as an option,
     so a negative range would otherwise fail as a missing argument
-    instead of reaching the range check.
+    instead of reaching the range check.  Joining is safe for any
+    option the prefix names: argparse reads `--opt=v` as `--opt v`.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _RANGE_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and _names_range_option(out[-1]) and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
+
+
+def _names_range_option(tok: str) -> bool:
+    """A range option or an abbreviation argparse may resolve to one."""
+    return len(tok) > 2 and "=" not in tok and any(o.startswith(tok) for o in _RANGE_OPTIONS)
 
 
 def main(argv=None) -> int:

@@ -8,10 +8,10 @@ Three independent routes live here on purpose:
 * :func:`exact_nullspace` -- the exact nullspace vector, in up to
   three stages.  A real n x (n+1) system is first eliminated modulo the
   prime 2^61 - 1 and its null vector lifted by rational reconstruction;
-  if that does not prove out and n >= 16, the vector of maximal minors
-  is found modulo many word-size primes at once (int64 arrays) and
-  recombined by the CRT (:mod:`padelab.multimodular`).  Either vector
-  is returned only when exact substitution proves it (B b = 0).
+  if that does not prove out, the vector of maximal minors is found
+  modulo many word-size primes at once (int64 arrays) and recombined by
+  the CRT (:mod:`padelab.multimodular`).  Either vector is returned
+  only when exact substitution proves it (B b = 0).
   Gaussian-rational entries, other shapes, rank deficiency and any
   unproved vector fall back to fraction-free (Bareiss) elimination.
   Every exact kernel runs on integers: real rows are Python ints,
@@ -50,7 +50,6 @@ from .errors import (
 from .rational import QC_ZERO, from_gaussian, gaussian_integers, qc, scaled_to_first
 
 ORACLE_MAX_ROWS = 16     # exact sigma oracle cap
-_MULTIMODULAR_MIN_ROWS = 16  # below this, integer Bareiss is as fast (crossover n = 12..20)
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +399,18 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     vector a stage returns is proved by exact substitution (B b = 0):
     one solve modulo 2^61 - 1 lifted by rational reconstruction
     (:func:`_modular_nullspace`), then, for outputs too large for one
-    prime and n >= 16, a solve modulo many word-size primes at once
-    recombined by the CRT (:func:`multimodular.nullspace`), and finally
-    fraction-free elimination (:func:`_bareiss_nullspace`).  Complex
-    matrices, other shapes and rank-deficient systems go to Bareiss
-    directly or after the modular stages decline.  Every stage returns
-    the same vector.
+    prime, a solve modulo many word-size primes at once recombined by
+    the CRT (:func:`multimodular.nullspace`), and finally fraction-free
+    elimination (:func:`_bareiss_nullspace`).  Complex matrices, other
+    shapes and rank-deficient systems go to Bareiss directly or after
+    the modular stages decline.  Every stage returns the same vector.
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
     rows, real = _strip_to_field(mat)
     if real and mat.cols == mat.rows + 1:
         vec = _modular_nullspace(rows)
-        if vec is None and mat.rows >= _MULTIMODULAR_MIN_ROWS:
+        if vec is None:
             from . import multimodular      # imported on first use: most runs never need it
             vec = multimodular.nullspace(rows)
         if vec is not None:

@@ -300,6 +300,10 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("approximate", "--series", "s.json", "--n-range", "-1..2"),
      "--n-range must be nonnegative"),
     (("verify", "--k-range", "-1..2"), "counterexample blocks start at k = 2"),
+    # ... after an abbreviated option name, which argparse accepts
+    (("approximate", "--series", "s.json", "--n-r", "-1..2"),
+     "--n-range must be nonnegative"),
+    (("verify", "--k-ra", "-1..2"), "counterexample blocks start at k = 2"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2

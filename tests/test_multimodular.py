@@ -235,19 +235,6 @@ def test_multimodular_rejects_a_vector_the_check_refutes(monkeypatch):
     assert exact_nullspace(RationalMatrix.from_rows(rows)) == expected
 
 
-def test_small_systems_skip_the_multimodular_stage(monkeypatch):
-    # below 16 rows integer Bareiss is as fast, so the stage is not tried
-    rows = _big_rows(random.Random(6), 15)
-    expected = _bareiss_rows(rows)
-    assert _modular_nullspace(rows) is None
-
-    def no_multimodular(rows):
-        raise AssertionError("multi-modular stage reached")
-
-    monkeypatch.setattr(multimodular, "nullspace", no_multimodular)
-    assert exact_nullspace(RationalMatrix.from_rows(rows)) == expected
-
-
 def test_multimodular_declines_a_bound_beyond_the_prime_list(monkeypatch):
     rows = _big_rows(random.Random(4), 3)
     expected = _bareiss_rows(rows)
