@@ -24,7 +24,6 @@ from .errors import (
 )
 from .rational import QC, as_fraction, qc
 from .series import (
-    EvalResult,
     GammelParams,
     PoleSequence,
     PowerSeries,
@@ -93,7 +92,6 @@ __all__ = [
     "PoleSequence",
     "PowerSeries",
     "SeriesMeta",
-    "EvalResult",
     "GammelParams",
     "block_order",
     "spike_index",

@@ -1,15 +1,17 @@
-"""Deterministic JSON emission, and the package's only number encoders.
+"""Deterministic JSON emission, and the package's only result encoders.
 
-Dicts are written in insertion order and floats with 17 significant
-digits, so identical data always produces byte-identical files.
+:func:`record` turns any result into its JSON value; :func:`dumps`
+writes dicts in insertion order and floats with 17 significant digits,
+so identical data always produces byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
-from .rational import qc, to_complex
+from .rational import QC, qc, to_complex
 
 
 def format_float(x: float) -> str:
@@ -30,9 +32,27 @@ def num(x):
     return x
 
 
-def num_pair(z) -> list:
-    """[re, im] of a complex value, each part through :func:`num`."""
-    return [num(z.real), num(z.imag)]
+def record(obj):
+    """The JSON value of a result, built from its dataclass fields.
+
+    A dataclass becomes an object of its fields in declaration order, a
+    tuple or list a list, a float goes through :func:`num`, a complex
+    value becomes [num(re), num(im)] and a `QC` its [re, im] rational
+    strings; None, bools, ints and strings pass through.
+    """
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return num(obj)
+    if isinstance(obj, complex):
+        return [num(obj.real), num(obj.imag)]
+    if isinstance(obj, QC):
+        return [str(obj.re), str(obj.im)]
+    if isinstance(obj, (tuple, list)):
+        return [record(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: record(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    raise TypeError(f"cannot encode {type(obj).__name__} as a result")
 
 
 def pair(x, exact: bool) -> list:

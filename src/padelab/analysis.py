@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._jsonfmt import format_float, num, num_pair
+from ._jsonfmt import format_float, num
 from .errors import InvalidParameterError
 from .linalg import ORACLE_MAX_ROWS, exact_sigma_ratio_bounds, svd
 from .pade import PadeApproximant, classical_pade
@@ -101,38 +101,6 @@ class PoleReport:
     radius_hint: float
     delta_doublet: float
     tol_spurious: float
-
-    def to_dict(self) -> dict:
-        return {
-            "poles": [
-                {
-                    "location": num_pair(p.location),
-                    "residue_magnitude": num(p.residue_magnitude),
-                    "denom_residual": num(p.denom_residual),
-                }
-                for p in self.poles
-            ],
-            "zeros": [num_pair(z) for z in self.zeros],
-            "doublets": [
-                {
-                    "pole": num_pair(d.pole),
-                    "zero": num_pair(d.zero),
-                    "separation": num(d.separation),
-                }
-                for d in self.doublets
-            ],
-            "spurious": [
-                {
-                    "location": num_pair(p.location),
-                    "numerator_magnitude": num(p.numerator_magnitude),
-                }
-                for p in self.spurious
-            ],
-            "discarded": [num_pair(z) for z in self.discarded],
-            "radius_hint": num(self.radius_hint),
-            "delta_doublet": num(self.delta_doublet),
-            "tol_spurious": num(self.tol_spurious),
-        }
 
 
 def _sorted_roots(coeffs) -> tuple:
@@ -247,41 +215,6 @@ class CounterexampleReport:
     passed: bool
 
     CSV_HEADER = "k,n,sigma1,sigman,ratio,S,S_limit,q_match,p_at_zk_re,p_at_zk_im,pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "exact": self.exact,
-            "coeff_bound_ok": self.coeff_bound_ok,
-            "c1_equality": self.c1_equality,
-            "q_match": num(self.q_match),
-            "q_ok": self.q_ok,
-            "p_at_zk": num_pair(self.p_at_zk),
-            "p_expected": num_pair(self.p_expected),
-            "p_match": num(self.p_match),
-            "p_ok": self.p_ok,
-            "sigma1": num(self.sigma1),
-            "sigman": num(self.sigman),
-            "sigma_ratio": num(self.sigma_ratio),
-            "sigma_ratio_pass": self.sigma_ratio_pass,
-            "sigma_ratio_oracle": num(self.sigma_ratio_oracle),
-            "sigma_ratio_bracket": (None if self.sigma_ratio_bracket is None
-                                    else [num(x) for x in self.sigma_ratio_bracket]),
-            "oracle_agrees": self.oracle_agrees,
-            "tail_sum": num(self.tail_sum),
-            "tail_limit": num(self.tail_limit),
-            "head_sum": num(self.head_sum),
-            "head_limit": num(self.head_limit),
-            "s_value": num(self.s_value),
-            "s_limit": num(self.s_limit),
-            "bounds_ok": self.bounds_ok,
-            "sandwich_lo": num(self.sandwich_lo),
-            "sandwich_hi": num(self.sandwich_hi),
-            "sandwich_ok": self.sandwich_ok,
-            "max_no_reduction_tol": num(self.max_no_reduction_tol),
-            "passed": self.passed,
-        }
 
     def csv_row(self) -> str:
         cells = [
@@ -483,32 +416,6 @@ class ScanTable:
     points: tuple
     rows: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "k_max": self.k_max,
-            "exact": self.exact,
-            "points": [num_pair(p) for p in self.points],
-            "rows": [
-                {
-                    "k": row.k,
-                    "n": row.n,
-                    "z_k": num_pair(row.z_k),
-                    "abs_q_at_zk": num(row.abs_q_at_zk),
-                    "error_at_zk": num(row.error_at_zk),
-                    "extras": [
-                        {
-                            "point": num_pair(e.point),
-                            "abs_q": num(e.abs_q),
-                            "error": num(e.error),
-                        }
-                        for e in row.extras
-                    ],
-                }
-                for row in self.rows
-            ],
-        }
-
 
 def _probe(f, approx, z, exact: bool, tol_hit: float) -> tuple:
     """(|q(z)|, |f(z) - r(z)| or inf at a denominator zero)."""
@@ -572,7 +479,7 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     def f(z):
         # f at each distinct point once: block poles and probe points recur
         if z not in f_values:
-            f_values[z] = eval_series(s, z).value
+            f_values[z] = eval_series(s, z)
         return f_values[z]
 
     rows = []

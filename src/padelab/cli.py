@@ -160,13 +160,13 @@ def _approximant_payload(args: argparse.Namespace, max_n: int, s, n: int) -> dic
         r = classical_pade(s, n, exact=args.exact)
     else:
         r = robust_pade(s, n, tol_rel=args.tol)
-    doc = r.to_json_dict()
+    doc = _jsonfmt.record(r)
     if args.analyze:
         radius = args.radius if args.radius is not None else s.radius_hint
         report = find_poles(r, radius_hint=radius,
                             delta_doublet=args.delta_doublet,
                             tol_spurious=args.tol_spurious)
-        doc["pole_report"] = report.to_dict()
+        doc["pole_report"] = _jsonfmt.record(report)
     return doc
 
 
@@ -205,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.extend(r.csv_row() for r in reports)
         _write_text(out, "\n".join(lines) + "\n")
     else:
-        _write_json(out, [r.to_dict() for r in reports])
+        _write_json(out, _jsonfmt.record(reports))
     verdict = "all passed" if all(r.passed for r in reports) else "FAILED checks present"
     unseen = [str(r.k) for r in reports if r.p_ok is None]
     if unseen:
@@ -223,7 +223,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _check_cap(block_order(args.k_max), max_n)
     table = divergence_scan(args.k_max, scheme=args.scheme.replace("-", "_"),
                             exact=not args.float_mode, points=points)
-    _write_json(args.out, table.to_dict())
+    _write_json(args.out, _jsonfmt.record(table))
     hits = sum(1 for row in table.rows if row.error_at_zk == float("inf"))
     print(f"wrote {args.out} ({len(table.rows)} rows, {hits} exact pole hits)")
     return 0

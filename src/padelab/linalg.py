@@ -145,7 +145,9 @@ class SingularSpectrum:
     `sigmas` is descending.  `null_vector` is a designated unit vector
     with M v ~ 0 (None for square inputs); its first significant
     component is rotated to the positive real axis.  `ratio` is
-    sigma_1/sigma_n, infinite when sigma_n = 0.
+    sigma_1/sigma_n, infinite when sigma_n = 0.  `null_residual` is
+    ||(M / sigma_1) v||_2, computed on the scaled matrix so that it
+    cannot overflow.
     """
 
     sigmas: np.ndarray
@@ -181,9 +183,10 @@ def svd(mat) -> SingularSpectrum:
     tolerance of ``np.linalg.matrix_rank``) are set to exactly 0, so a
     numerically singular matrix reports an infinite ratio.  A LAPACK
     failure to converge (``np.linalg.LinAlgError``) is re-raised as
-    :class:`ConvergenceError`.  Pair phases and the designated null
-    vector follow fixed conventions, so on one numpy build identical
-    input gives identical output.
+    :class:`ConvergenceError`, and a sigma_1 that overflows the float
+    range (finite entries near 1e308) as :class:`NumericalError`.  Pair
+    phases and the designated null vector follow fixed conventions, so
+    on one numpy build identical input gives identical output.
     """
     M = _as_complex_matrix(mat)
     n, m = M.shape
@@ -195,6 +198,8 @@ def svd(mat) -> SingularSpectrum:
         left, sigmas, right_h = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
+    if not math.isfinite(sigmas[0]):
+        raise NumericalError(f"sigma_1 = {sigmas[0]} overflows the float range")
     sigmas[sigmas <= max(n, m) * np.finfo(float).eps * sigmas[0]] = 0.0
     right = right_h.conj().T
     _fix_pair_phases(left, right)
@@ -208,7 +213,7 @@ def svd(mat) -> SingularSpectrum:
     if m > n:
         null_vector = _complement_direction(right, sigmas)
         if sigma1 > 0.0:
-            null_residual = float(np.linalg.norm(M @ null_vector) / sigma1)
+            null_residual = float(np.linalg.norm((M / sigma1) @ null_vector))
     return SingularSpectrum(sigmas=sigmas, ratio=ratio, null_vector=null_vector,
                             null_residual=null_residual, left=left, right=right,
                             sweeps=0)

@@ -17,10 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _jsonfmt
 from .errors import InvalidParameterError, RankDeficiencyError
 from .linalg import exact_nullspace, svd
-from .rational import QC, horner, is_exact_scalar, qc, to_complex
+from .rational import horner, is_exact_scalar, qc, to_complex
 from .series import PowerSeries
 from .toeplitz import build_pair
 
@@ -73,9 +72,9 @@ class PadeApproximant:
 
     a: tuple
     b: tuple
+    mode: str
     requested_n: int
     effective_degrees: tuple
-    mode: str
     exact: bool
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
@@ -100,29 +99,6 @@ class PadeApproximant:
     def value(self, z):
         """p(z)/q(z); raises ZeroDivisionError exactly at a pole."""
         return self.numerator_at(z) / self.denominator_at(z)
-
-    def to_json_dict(self) -> dict:
-        diag = self.diagnostics
-        return {
-            "a": [_jsonfmt.pair(x, self.exact) for x in self.a],
-            "b": [_jsonfmt.pair(x, self.exact) for x in self.b],
-            "mode": self.mode,
-            "requested_n": self.requested_n,
-            "effective_degrees": [self.effective_degrees[0], self.effective_degrees[1]],
-            "exact": self.exact,
-            "diagnostics": {
-                "sigmas": None if diag.sigmas is None else [float(s) for s in diag.sigmas],
-                "ratio": _jsonfmt.num(diag.ratio),
-                "threshold_used": _jsonfmt.num(diag.threshold_used),
-                "reductions": [
-                    {"nu_from": r.nu_from, "deficiency": r.deficiency, "nu_to": r.nu_to}
-                    for r in diag.reductions
-                ],
-                "b0_degenerate": diag.b0_degenerate,
-                "fully_reduced": diag.fully_reduced,
-                "nullspace_dim": diag.nullspace_dim,
-            },
-        }
 
 
 def _trim_degree(vec: Sequence, exact: bool, tol: float) -> int:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -166,10 +166,6 @@ class SeriesMeta:
     k_max: int | None = None
     poles: PoleSequence | None = None
     alphas: tuple | None = None
-
-
-class EvalResult(NamedTuple):
-    value: object        # complex, or QC on the exact path
 
 
 @dataclass(frozen=True)
@@ -380,15 +376,15 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
 # evaluation
 
 
-def eval_series(s: PowerSeries, z) -> EvalResult:
-    """Evaluate the truncated series at z as a polynomial (exactly, when
-    both the series and z are rational)."""
+def eval_series(s: PowerSeries, z):
+    """Evaluate the truncated series at z as a polynomial: a `QC` when
+    both the series and z are rational, else a complex."""
     zc = to_complex(z)
     if not abs(zc) < s.radius_hint:
         raise DomainError(f"|z| = {abs(zc)} outside radius_hint = {s.radius_hint}")
     if s.exact and is_exact_scalar(z):
-        return EvalResult(horner(s.coeffs, qc(z)))
-    return EvalResult(complex(horner(s.as_complex_array(), zc)))
+        return horner(s.coeffs, qc(z))
+    return complex(horner(s.as_complex_array(), zc))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padelab._jsonfmt import record
 from padelab.analysis import (
     CounterexampleReport,
     PoleReport,
@@ -107,7 +108,7 @@ def test_find_poles_parameter_guards(k2_float_approx):
 
 
 def test_pole_report_dict_shape(k2_float_approx):
-    d = find_poles(k2_float_approx, radius_hint=0.9).to_dict()
+    d = record(find_poles(k2_float_approx, radius_hint=0.9))
     assert set(d) == {"poles", "zeros", "doublets", "spurious", "discarded",
                       "radius_hint", "delta_doublet", "tol_spurious"}
     assert d["radius_hint"] == 0.9
@@ -162,13 +163,13 @@ def test_verify_float_route_does_not_certify_p_below_rounding(k):
     # 16^k z_k^(2 n_k) is 1.1e-17, 2.1e-45 and 1.7e-105 here, under the
     # 5.5e-13 .. 1.8e-12 rounding bound of the float numerator at z_k
     rep = verify_counterexample(k, PoleSequence.harmonic(k), exact=False)
-    assert rep.p_ok is None and rep.to_dict()["p_ok"] is None
+    assert rep.p_ok is None and record(rep)["p_ok"] is None
     assert rep.q_ok and rep.passed
 
 
 def test_verify_consistency_of_pass_flag():
     rep = verify_counterexample(2, PoleSequence.harmonic(4), exact=True)
-    d = rep.to_dict()
+    d = record(rep)
     recomputed = (d["coeff_bound_ok"] and d["c1_equality"] and d["q_ok"]
                   and d["p_ok"] and d["sigma_ratio_pass"] and d["bounds_ok"]
                   and d["sandwich_ok"] and d["oracle_agrees"] is not False)
@@ -208,13 +209,13 @@ def test_verify_oracle_bracket_on_complex_poles(k):
     assert lo <= rep.sigma_ratio_oracle <= hi
     assert lo * (1 - 1e-8) <= rep.sigma_ratio <= hi * (1 + 1e-8)
     assert rep.oracle_agrees and rep.passed
-    assert rep.to_dict()["sigma_ratio_bracket"] == [lo, hi]
+    assert record(rep)["sigma_ratio_bracket"] == [lo, hi]
 
 
 def test_verify_bracket_absent_without_oracle():
     rep = verify_counterexample(2, PoleSequence.harmonic(2), with_oracle=False)
     assert rep.sigma_ratio_bracket is None and rep.oracle_agrees is None
-    assert rep.to_dict()["sigma_ratio_bracket"] is None
+    assert record(rep)["sigma_ratio_bracket"] is None
 
 
 def test_verify_guards():
@@ -295,7 +296,7 @@ def test_scan_guards():
 
 
 def test_scan_dict_serializes_infinities():
-    d = divergence_scan(2, points=(Fraction(1, 4),)).to_dict()
+    d = record(divergence_scan(2, points=(Fraction(1, 4),)))
     assert set(d) == {"scheme", "k_max", "exact", "points", "rows"}
     assert d["points"] == [[0.25, 0.0]]
     row = d["rows"][0]

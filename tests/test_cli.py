@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: files written, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,12 @@ import pytest
 
 import padelab
 from padelab import cli
+from padelab._jsonfmt import dumps, record
+from padelab.analysis import CounterexampleReport, PoleInfo, PoleReport, SpuriousPole
 from padelab.cli import ENV_MAX_N, main
 from padelab.errors import ConvergenceError, NumericalError
 from padelab.linalg import svd
+from padelab.pade import Diagnostics, PadeApproximant
 from padelab.rational import qc
 from padelab.series import load_series
 
@@ -219,6 +224,130 @@ def test_scan_float_mode():
 
 
 # ---------------------------------------------------------------------------
+# result encoding: every file lists its result's dataclass fields in order
+
+# exact outputs, whose floats come from exact values (no LAPACK in them)
+EXACT_APPROXIMANT_K2 = """\
+{
+  "a": [
+    ["1", "0"],
+    ["252", "0"],
+    ["-1008", "0"]
+  ],
+  "b": [
+    ["1", "0"],
+    ["-4", "0"],
+    ["0", "0"]
+  ],
+  "mode": "classical",
+  "requested_n": 2,
+  "effective_degrees": [2, 1],
+  "exact": true,
+  "diagnostics": {
+    "sigmas": null,
+    "ratio": null,
+    "threshold_used": null,
+    "reductions": [],
+    "b0_degenerate": false,
+    "fully_reduced": false,
+    "nullspace_dim": 1
+  }
+}
+"""
+
+EXACT_SCAN_K3 = """\
+{
+  "scheme": "harmonic_repeated",
+  "k_max": 3,
+  "exact": true,
+  "points": [
+    [0.25, 0],
+    [0.90000000000000002, 0]
+  ],
+  "rows": [
+    {
+      "k": 2,
+      "n": 2,
+      "z_k": [0.25, 0],
+      "abs_q_at_zk": 0,
+      "error_at_zk": "inf",
+      "extras": [
+        {
+          "point": [0.25, 0],
+          "abs_q": 0,
+          "error": "inf"
+        },
+        {
+          "point": [0.90000000000000002, 0],
+          "abs_q": 2.6000000000000001,
+          "error": 4252.771383128551
+        }
+      ]
+    },
+    {
+      "k": 3,
+      "n": 6,
+      "z_k": [0.25, 0],
+      "abs_q_at_zk": 0,
+      "error_at_zk": "inf",
+      "extras": [
+        {
+          "point": [0.25, 0],
+          "abs_q": 0,
+          "error": "inf"
+        },
+        {
+          "point": [0.90000000000000002, 0],
+          "abs_q": 2.6000000000000001,
+          "error": 1601.7665281285513
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
+def _field_names(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_exact_outputs_are_pinned_byte_for_byte():
+    path = _make_series()
+    assert run("approximate", "--series", path, "--exact", "--n", "2",
+               "--out", "a.json") == 0
+    assert Path("a.json").read_bytes() == EXACT_APPROXIMANT_K2.encode()
+    assert run("scan", "--k-max", "3", "--points", "1/4,9/10", "--out", "t.json") == 0
+    assert Path("t.json").read_bytes() == EXACT_SCAN_K3.encode()
+
+
+def test_float_outputs_list_dataclass_fields_in_order():
+    assert run("verify", "--k-range", "2..3", "--exact-up-to", "2", "--out", "v.json") == 0
+    for report in json.loads(Path("v.json").read_text()):
+        assert list(report) == _field_names(CounterexampleReport)
+    path = _make_series()
+    assert run("approximate", "--series", path, "--n", "2", "--mode", "robust",
+               "--analyze", "--out", "a.json") == 0
+    doc = json.loads(Path("a.json").read_text())
+    assert list(doc) == _field_names(PadeApproximant) + ["pole_report"]
+    assert list(doc["diagnostics"]) == _field_names(Diagnostics)
+    report = doc["pole_report"]
+    assert list(report) == _field_names(PoleReport)
+    assert list(report["poles"][0]) == _field_names(PoleInfo)
+    assert list(report["spurious"][0]) == _field_names(SpuriousPole)
+
+
+def test_record_encodes_infinities_and_refuses_nan():
+    inf = float("inf")
+    value = record((inf, complex(-inf, 1.0), qc(Fraction(1, 3), -2), None, True, 7, "x"))
+    assert value == ["inf", ["-inf", 1.0], ["1/3", "-2"], None, True, 7, "x"]
+    with pytest.raises(ValueError):
+        dumps(record(float("nan")))
+    with pytest.raises(TypeError):
+        record(Fraction(1, 3))
+
+
+# ---------------------------------------------------------------------------
 # cross-cutting
 
 
@@ -331,3 +460,12 @@ def test_lapack_svd_failure_maps_to_exit_3(capsys, monkeypatch):
         svd(np.eye(2))
     assert run("approximate", "--series", path, "--n", "2", "--out", "a.json") == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_overflowed_spectrum_maps_to_exit_3(capsys):
+    # finite coefficients whose 3 x 4 Toeplitz block has sigma_1 = inf
+    coeffs = [[1.0, 0.0]] + [[1.5e308 * (-1) ** j, 0.0] for j in range(1, 7)]
+    Path("big.json").write_text(json.dumps({"c": coeffs, "exact": False, "radius_hint": 1.0}))
+    assert run("approximate", "--series", "big.json", "--n", "3", "--out", "a.json") == 3
+    assert "numerical failure: sigma_1 = inf" in capsys.readouterr().err
+    assert not Path("a.json").exists()

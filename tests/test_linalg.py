@@ -1,6 +1,7 @@
 """LAPACK SVD conventions, exact elimination, and the certified sigma oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from padelab.errors import (
     InvalidInputError,
+    NumericalError,
     RankDeficiencyError,
     UnsupportedSizeError,
 )
@@ -160,6 +162,26 @@ def test_svd_input_guards():
         svd(np.zeros((3, 2)))
     with pytest.raises(InvalidInputError):
         svd(np.array([[np.nan, 1.0]]))
+
+
+def test_svd_refuses_an_overflowed_spectrum():
+    # finite entries, but sigma_1 of this 3 x 4 block exceeds the float
+    # range: LAPACK returns inf, which must not read as a zero spectrum
+    s = PowerSeries.from_coefficients([1.0] + [1.5e308 * (-1) ** j for j in range(1, 7)])
+    B = build_pair(s, 3, exact=False).B
+    assert np.all(np.isfinite(B))
+    with pytest.raises(NumericalError):
+        svd(B)
+
+
+def test_svd_null_residual_is_finite_at_extreme_scale():
+    # ||M v|| overflows at this scale; the residual is taken on M / sigma_1
+    s = PowerSeries.from_coefficients([1.0] + [1e300 * x for x in (3, -1, 4, 1, -5, 9)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = svd(build_pair(s, 3, exact=False).B)
+    assert spec.sigmas[-1] > 0
+    assert math.isfinite(spec.null_residual) and spec.null_residual <= 1e-14
 
 
 def test_svd_accepts_rational_matrix_input(k2_series):

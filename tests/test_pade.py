@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padelab._jsonfmt import record
 from padelab.errors import InvalidParameterError, OutOfRangeError
 from padelab.linalg import exact_nullspace
 from padelab.pade import (
@@ -303,7 +304,7 @@ def test_scaling_series_leaves_denominator_fixed(num, den):
 
 
 def test_json_dict_float_route(k2_float):
-    d = classical_pade(k2_float, 2).to_json_dict()
+    d = record(classical_pade(k2_float, 2))
     assert set(d) == {"a", "b", "mode", "requested_n", "effective_degrees",
                       "exact", "diagnostics"}
     assert d["mode"] == "classical" and d["exact"] is False
@@ -315,7 +316,7 @@ def test_json_dict_float_route(k2_float):
 
 
 def test_json_dict_exact_route_uses_rational_strings(k2_exact):
-    d = classical_pade(k2_exact, 2, exact=True).to_json_dict()
+    d = record(classical_pade(k2_exact, 2, exact=True))
     assert d["exact"] is True
     assert d["b"] == [["1", "0"], ["-4", "0"], ["0", "0"]]
     assert d["a"][2] == ["-1008", "0"]
@@ -327,7 +328,7 @@ def test_json_dict_infinite_ratio_serializes_as_string():
     # a rank-deficient order-2 system has sigma_2 = 0, hence ratio = inf
     r = classical_pade(geometric_series(5, 1.0), 2)
     assert r.diagnostics.ratio == float("inf")
-    d = r.to_json_dict()
+    d = record(r)
     assert d["diagnostics"]["ratio"] == "inf"
     assert d["diagnostics"]["sigmas"][1] == 0.0
 
