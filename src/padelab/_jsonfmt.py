@@ -17,9 +17,9 @@ from .rational import QC, qc, to_complex
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("refusing to serialize a non-finite float")
-    s = format(float(x), ".17g")
-    # keep a numeric token that round-trips as float
-    return s
+    # .17g round-trips every double; an integral float is written without a
+    # decimal point ("2", not "2.0")
+    return format(float(x), ".17g")
 
 
 def num(x):

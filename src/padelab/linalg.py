@@ -14,16 +14,20 @@ Three independent routes live here on purpose:
   only when exact substitution proves it (B b = 0).
   Gaussian-rational entries, other shapes, rank deficiency and any
   unproved vector fall back to fraction-free (Bareiss) elimination.
-  Every exact kernel runs on integers: real rows are Python ints,
-  Gaussian-rational rows are (re, im) int pairs, and back substitution
-  is fraction-free too, so Fractions appear only in the returned
-  entries;
+  Each exact kernel runs on one integer type: the modular stages on
+  Python ints (the rows of a real system), Bareiss elimination and its
+  fraction-free back substitution on Gaussian integers as (re, im) int
+  pairs, a real row entering as (v, 0), so Fractions appear only in
+  the returned entries;
 * :func:`exact_sigma_ratio_bounds` -- certified brackets of the
   extreme singular values: Sylvester's law of inertia applied to an
-  exact LDL^H factorization of M M^H - mu I counts the eigenvalues
-  below mu.  Float guesses only place the shifts mu; every bracket
-  endpoint is proved by an exact count, so a wrong guess cannot yield
-  a wrong bracket.
+  exact LDL^T factorization of the integer Gram matrix, shifted by mu,
+  counts the eigenvalues below mu.  The Gram matrix and its
+  characteristic polynomial (:func:`gram_char_poly`) are on ints only:
+  a complex M is taken through its real form [[P, -Q], [Q, P]], whose
+  Gram matrix holds each eigenvalue of M M^H twice.  Float guesses
+  only place the shifts mu; every bracket endpoint is proved by an
+  exact count, so a wrong guess cannot yield a wrong bracket.
 
 Keeping the float and exact routes independent is what lets the test
 suite cross-check one against the other.
@@ -47,7 +51,7 @@ from .errors import (
     RankDeficiencyError,
     UnsupportedSizeError,
 )
-from .rational import QC_ZERO, from_gaussian, gaussian_integers, qc, scaled_to_first
+from .rational import QC_ZERO, from_gaussian, gaussian_integers, qc
 
 ORACLE_MAX_ROWS = 16     # exact sigma oracle cap
 
@@ -115,23 +119,9 @@ class RationalMatrix:
             out.append(from_gaussian(re, im, dm * dv))
         return tuple(out)
 
-    def gram(self) -> "RationalMatrix":
-        """M M^H, Hermitian positive semidefinite."""
-        conj_rows = [tuple(e.conjugate() for e in row) for row in self.entries]
-        return RationalMatrix(tuple(
-            tuple(_dot(row, crow) for crow in conj_rows) for row in self.entries))
-
     def to_numpy(self) -> np.ndarray:
         return np.array([[complex(e) for e in row] for row in self.entries],
                         dtype=complex)
-
-
-def _dot(row, col):
-    acc = qc(0)
-    for a, b in zip(row, col):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +192,8 @@ def svd(mat) -> SingularSpectrum:
         raise NumericalError(f"sigma_1 = {sigmas[0]} overflows the float range")
     sigmas[sigmas <= max(n, m) * np.finfo(float).eps * sigmas[0]] = 0.0
     right = right_h.conj().T
+    # not cosmetic: the phased `right` feeds the null-vector projection of
+    # _complement_direction, whose rounding, and so the output bits, follow it
     _fix_pair_phases(left, right)
 
     sigma1 = float(sigmas[0])
@@ -290,50 +282,39 @@ def singular_value_perturbation_check(mat, delta, slack: float = 1e-10) -> Pertu
 # exact nullspace (modular solve proved by substitution, Bareiss fallback)
 
 
-def _strip_to_field(mat: RationalMatrix):
-    """Rows with denominators cleared: ints (real case) or Gaussian integers.
+def _strip_to_field(mat: RationalMatrix) -> list:
+    """Rows with denominators cleared, as Gaussian integers in (re, im) int pairs.
 
-    A Gaussian-rational row becomes (re, im) int pairs, scaled by the lcm
-    of its real and imaginary denominators.  Row scaling by a positive
+    Each row is scaled by the lcm of its real and imaginary denominators,
+    so a real row becomes (v, 0) pairs.  Row scaling by a positive
     integer changes neither rank nor nullspace, and integer entries keep
     the fraction-free minors small.
     """
-    rows = [gaussian_integers(row)[0] for row in mat.entries]
-    real = mat.is_real
-    if real:
-        rows = [[re for re, _ in row] for row in rows]
-    return rows, real
+    return [gaussian_integers(row)[0] for row in mat.entries]
 
 
-def _echelon_bareiss(rows: list, real: bool) -> tuple[list, list[int]]:
+def _echelon_bareiss(rows: list) -> tuple[list, list[int]]:
     """In-place fraction-free row echelon; returns (rows, pivot columns).
 
-    Rows hold ints (real) or Gaussian integers as (re, im) int pairs.
-    Each entry is a minor of the input, so every division by the
-    previous pivot q is exact: integer division on ints, and
-    v conj(q) // |q|^2 per component on pairs.
+    Rows hold Gaussian integers as (re, im) int pairs.  Each entry is a
+    minor of the input, so every division by the previous pivot q is
+    exact: v conj(q) // |q|^2 per component.
     """
     nrows = len(rows)
     ncols = len(rows[0])
-    nonzero = bool if real else any
     piv_cols: list[int] = []
     r = 0
-    prev = 1 if real else (1, 0)
+    prev = (1, 0)
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if nonzero(rows[i][c])), None)
+        pivot_row = next((i for i in range(r, nrows) if any(rows[i][c])), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         p = rows[r][c]
         tail = rows[r][c + 1:]
         for ri in rows[r + 1:]:
-            if real:
-                h = ri[c]
-                ri[c + 1:] = [(p * v - h * t) // prev for v, t in zip(ri[c + 1:], tail)]
-                ri[c] = 0
-            else:
-                ri[c + 1:] = _gaussian_step(p, ri[c], ri[c + 1:], tail, prev)
-                ri[c] = (0, 0)
+            ri[c + 1:] = _gaussian_step(p, ri[c], ri[c + 1:], tail, prev)
+            ri[c] = (0, 0)
         piv_cols.append(c)
         prev = p
         r += 1
@@ -356,8 +337,7 @@ def _gaussian_step(p: tuple, h: tuple, row: list, tail: list, q: tuple) -> list:
     return out
 
 
-def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int,
-                    real: bool) -> tuple:
+def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int) -> tuple:
     """Basic solution of `free_col` as QC values, first nonzero entry 1.
 
     Fraction-free: only the t rows whose pivot column precedes free_col
@@ -367,14 +347,11 @@ def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int,
     exact.  The one normalization divides by the first nonzero y_j.
     """
     t = bisect_left(piv_cols, free_col)
-    y = [0 if real else (0, 0)] * ncols
-    y[free_col] = ech[t - 1][piv_cols[t - 1]] if t else (1 if real else (1, 0))
+    y = [(0, 0)] * ncols
+    y[free_col] = ech[t - 1][piv_cols[t - 1]] if t else (1, 0)
     for i in reversed(range(t)):
         pc = piv_cols[i]
         row = ech[i]
-        if real:
-            y[pc] = -sum(row[j] * y[j] for j in range(pc + 1, free_col + 1)) // row[pc]
-            continue
         sr = si = 0
         for j in range(pc + 1, free_col + 1):
             (ar, ai), (br, bi) = row[j], y[j]
@@ -383,8 +360,6 @@ def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int,
         qr, qi = row[pc]
         norm = qr * qr + qi * qi
         y[pc] = (-(sr * qr + si * qi) // norm, -(si * qr - sr * qi) // norm)
-    if real:
-        return scaled_to_first(y)
     fr, fi = next(v for v in y if any(v))
     norm = fr * fr + fi * fi
     return tuple(from_gaussian(vr * fr + vi * fi, vi * fr - vr * fi, norm)
@@ -405,35 +380,37 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     one solve modulo 2^61 - 1 lifted by rational reconstruction
     (:func:`_modular_nullspace`), then, for outputs too large for one
     prime, a solve modulo many word-size primes at once recombined by
-    the CRT (:func:`multimodular.nullspace`), and finally fraction-free
-    elimination (:func:`_bareiss_nullspace`).  Complex matrices, other
-    shapes and rank-deficient systems go to Bareiss directly or after
-    the modular stages decline.  Every stage returns the same vector.
+    the CRT (:func:`multimodular.nullspace`), both on the real parts of
+    the stripped rows as ints, and finally fraction-free elimination
+    (:func:`_bareiss_nullspace`).  Complex matrices, other shapes and
+    rank-deficient systems go to Bareiss directly or after the modular
+    stages decline.  Every stage returns the same vector.
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
-    rows, real = _strip_to_field(mat)
-    if real and mat.cols == mat.rows + 1:
-        vec = _modular_nullspace(rows)
+    rows = _strip_to_field(mat)
+    if mat.is_real and mat.cols == mat.rows + 1:
+        ints = [[re for re, _ in row] for row in rows]
+        vec = _modular_nullspace(ints)
         if vec is None:
             from . import multimodular      # imported on first use: most runs never need it
-            vec = multimodular.nullspace(rows)
+            vec = multimodular.nullspace(ints)
         if vec is not None:
             return vec
-    return _bareiss_nullspace(rows, real)
+    return _bareiss_nullspace(rows)
 
 
-def _bareiss_nullspace(rows: list, real: bool) -> tuple:
+def _bareiss_nullspace(rows: list) -> tuple:
     """:func:`exact_nullspace` by Bareiss elimination of stripped rows."""
     ncols = len(rows[0])
     nrows = len(rows)
-    ech, piv_cols = _echelon_bareiss(rows, real)
+    ech, piv_cols = _echelon_bareiss(rows)
     rank = len(piv_cols)
     pivset = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in pivset]
     if not free_cols:
         raise InvalidInputError("matrix has a trivial nullspace")
-    basis = tuple(_basic_solution(ech, piv_cols, ncols, f, real) for f in free_cols)
+    basis = tuple(_basic_solution(ech, piv_cols, ncols, f) for f in free_cols)
     if rank < nrows:
         raise RankDeficiencyError(rank, basis)
     return basis[0]
@@ -565,70 +542,24 @@ class SigmaRatioOracle:
 
 
 def gram_char_poly(mat: RationalMatrix) -> tuple:
-    """Exact monic characteristic polynomial of M M^H, highest power first."""
-    G = mat.gram()
-    n = G.rows
-    # scale to integer entries: char coefficients unscale by powers of s
-    dens = []
-    for row in G.entries:
-        for e in row:
-            dens.append(e.re.denominator)
-            dens.append(e.im.denominator)
-    s = math.lcm(*dens)
-    real = G.is_real
-    if real:
-        gs = [[e.re * s for e in row] for row in G.entries]
-        work = [row[:] for row in gs]
-        coeffs = [Fraction(1)]
-        for k in range(1, n + 1):
-            if k > 1:
-                work = _fmatmul(gs, work)
-            tr = sum(work[i][i] for i in range(n))
-            ck = Fraction(-tr, k)
-            coeffs.append(ck / s ** k)
-            if k < n:
-                for i in range(n):
-                    work[i][i] = work[i][i] + ck
-        return tuple(coeffs)
-    gs = [[e * s for e in row] for row in G.entries]
-    work = [row[:] for row in gs]
-    coeffs = [Fraction(1)]
-    for k in range(1, n + 1):
-        if k > 1:
-            work = _qmatmul(gs, work)
-        tr = work[0][0]
-        for i in range(1, n):
-            tr = tr + work[i][i]
-        ck = -tr / k
-        if ck.im != 0:
-            raise InvalidInputError("Gram characteristic polynomial must be real")
-        coeffs.append(ck.re / s ** k)
-        if k < n:
-            for i in range(n):
-                work[i][i] = work[i][i] + ck
-    return tuple(coeffs)
+    """Exact monic characteristic polynomial of M M^H, highest power first.
 
-
-def _fmatmul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a]
-
-
-def _qmatmul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = qc(0)
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            orow.append(acc)
-        out.append(orow)
-    return out
+    Newton's identities on the integer Gram S of :func:`_integer_gram`:
+    k e_k = -sum_{i=1..k} e_(k-i) t_i with t_i = tr(S^i) / copies.  The
+    e_k are the (integer) coefficients for s^2 M M^H, so each division
+    by k is exact, and the coefficients of M M^H are e_k / s^(2k).
+    """
+    gram, scale2, copies = _integer_gram(mat)
+    traces = []
+    power = gram
+    for i in range(mat.rows):
+        if i:   # S is symmetric: its rows are its columns
+            power = [[sum(a * b for a, b in zip(row, col)) for col in gram] for row in power]
+        traces.append(sum(power[j][j] for j in range(len(gram))) // copies)
+    coeffs = [1]
+    for k in range(1, mat.rows + 1):
+        coeffs.append(-sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+    return tuple(Fraction(c, scale2 ** k) for k, c in enumerate(coeffs))
 
 
 def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
@@ -636,11 +567,12 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
     """Certified sigma_1/sigma_n from the inertia of the exact Gram matrix.
 
     By Sylvester's law of inertia, the negative pivots of an exact
-    LDL^H factorization of G - mu I count the eigenvalues of G = M M^H
-    below mu.  The float guesses (sigma_max, sigma_min) -- from `svd`
-    unless given -- only place the probes: two counts per eigenvalue
-    prove an enclosure, and a wrong guess can only cost extra probes,
-    never a wrong bracket.  Capped at ORACLE_MAX_ROWS rows.  sigma_n = 0
+    LDL^T factorization of the int Gram matrix of :func:`_integer_gram`,
+    shifted by mu, count the eigenvalues of G = M M^H below mu (twice
+    each for complex M, so the count is halved).  The float guesses
+    (sigma_max, sigma_min) -- from `svd` unless given -- only place the
+    probes: two counts per eigenvalue prove an enclosure, and a wrong
+    guess can only cost extra probes, never a wrong bracket.  Capped at ORACLE_MAX_ROWS rows.  sigma_n = 0
     reports an infinite ratio rather than an error.
     """
     if not isinstance(mat, RationalMatrix):
@@ -653,27 +585,21 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
     if guess is None:
         sigmas = svd(mat).sigmas
         guess = (float(sigmas[0]), float(sigmas[-1]))
-    gram, scale2 = _integer_gram(mat)
-    real = mat.is_real
-    n = mat.rows
+    gram, scale2, copies = _integer_gram(mat)
+    size = len(gram)
 
     def count_below(x: Fraction) -> int | None:
-        # G - x I scaled by x.denominator * scale2 > 0, which keeps its inertia
+        # the Gram form of G - x I scaled by x.denominator * scale2 > 0,
+        # which keeps its inertia
         shift = x.numerator * scale2
-        den = x.denominator
-        if real:
-            h = [[den * e for e in row] for row in gram]
-            for i in range(n):
-                h[i][i] -= shift
-        else:
-            h = [[(den * er, den * ei) for er, ei in row] for row in gram]
-            for i in range(n):
-                h[i][i] = (h[i][i][0] - shift, 0)
-        return _negative_pivots(h, real)
+        h = [[x.denominator * e for e in row] for row in gram]
+        for i in range(size):
+            h[i][i] -= shift
+        negative = _negative_pivots(h)
+        return None if negative is None else negative // copies
 
-    diagonal = (gram[i][i] if real else gram[i][i][0] for i in range(n))
-    trace = Fraction(sum(diagonal), scale2)
-    lam_max = _enclose(count_below, n - 1, guess[0] ** 2, trace)
+    trace = Fraction(sum(gram[i][i] for i in range(size)) // copies, scale2)
+    lam_max = _enclose(count_below, mat.rows - 1, guess[0] ** 2, trace)
     lam_min = _enclose(count_below, 0, guess[1] ** 2, lam_max[1])
     sigma_max = math.sqrt(float(sum(lam_max) / 2))
     sigma_min = math.sqrt(float(sum(lam_min) / 2))
@@ -686,55 +612,50 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
 
 
 def _integer_gram(mat: RationalMatrix) -> tuple:
-    """(S, s^2) with S = (s M)(s M)^H integral, s the common denominator.
+    """(S, s^2, copies): the int Gram S = (s R)(s R)^T, s the common denominator.
 
-    S holds ints when M is real and Gaussian integers as (re, im) int
-    pairs otherwise.
+    R is M itself when M is real (copies = 1).  A complex M = P + iQ is
+    taken through its real form R = [[P, -Q], [Q, P]]: with
+    M M^H = A + iB, R R^T = [[A, -B], [B, A]], which holds each
+    eigenvalue of M M^H twice (copies = 2).
     """
     flat, scale = gaussian_integers(e for row in mat.entries for e in row)
-    rows = [flat[i:i + mat.cols] for i in range(0, len(flat), mat.cols)]
+    pairs = [flat[i:i + mat.cols] for i in range(0, len(flat), mat.cols)]
+    real = [[re for re, _ in row] for row in pairs]
     if mat.is_real:
-        rows = [[re for re, _ in row] for row in rows]
-        gram = [[sum(a * b for a, b in zip(r, c)) for c in rows] for r in rows]
+        form, copies = real, 1
     else:
-        gram = [[(sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(r, c)),
-                  sum(ai * br - ar * bi for (ar, ai), (br, bi) in zip(r, c)))
-                 for c in rows] for r in rows]
-    return gram, scale * scale
+        imag = [[im for _, im in row] for row in pairs]
+        form = ([p + [-v for v in q] for p, q in zip(real, imag)]
+                + [q + p for p, q in zip(real, imag)])
+        copies = 2
+    gram = [[sum(a * b for a, b in zip(r, c)) for c in form] for r in form]
+    return gram, scale * scale, copies
 
 
-def _negative_pivots(h: list, real: bool) -> int | None:
-    """Negative pivots of the LDL^H factorization of the Hermitian matrix h.
+def _negative_pivots(h: list) -> int | None:
+    """Negative pivots of the LDL^T factorization of the symmetric int matrix h.
 
     Fraction-free (Bareiss) elimination without pivoting on the upper
-    triangle of an integral h (ints, or Gaussian integers as (re, im)
-    int pairs with a real diagonal).  Its k-th pivot is the leading
-    principal minor D_k, so the LDL^H pivot d_k = D_k / D_(k-1) is real,
-    and it is negative exactly where the sign of D_k flips.  Every
-    division is by the real previous pivot and exact.  Returns None on
-    a zero pivot.
+    triangle.  Its k-th pivot is the leading principal minor D_k, so the
+    LDL^T pivot d_k = D_k / D_(k-1) is negative exactly where the sign
+    of D_k flips.  Every division is by the previous pivot and exact.
+    Returns None on a zero pivot.
     """
     n = len(h)
     prev = 1
     negative = 0
     for k in range(n):
         rk = h[k]
-        p = rk[k] if real else rk[k][0]
+        p = rk[k]
         if p == 0:
             return None
         if (p < 0) != (prev < 0):
             negative += 1
         for i in range(k + 1, n):
             ri = h[i]
-            if real:
-                a = rk[i]
-                ri[i:] = [(p * v - a * t) // prev for v, t in zip(ri[i:], rk[i:])]
-                continue
-            # p h_ij - conj(h_ki) h_kj on pairs
-            ar, ai = rk[i]
-            ri[i:] = [((p * vr - ar * tr - ai * ti) // prev,
-                       (p * vi - ar * ti + ai * tr) // prev)
-                      for (vr, vi), (tr, ti) in zip(ri[i:], rk[i:])]
+            a = rk[i]
+            ri[i:] = [(p * v - a * t) // prev for v, t in zip(ri[i:], rk[i:])]
         prev = p
     return negative
 

@@ -473,7 +473,7 @@ def load_series(path) -> PowerSeries:
     if not isinstance(family, str):
         raise SeriesFormatError(f"{p}: meta.family must be a string")
     k_max = meta_doc.get("k_max")
-    if k_max is not None and not isinstance(k_max, int):
+    if k_max is not None and (isinstance(k_max, bool) or not isinstance(k_max, int)):
         raise SeriesFormatError(f"{p}: meta.k_max must be an integer or null")
     poles = None
     raw_poles = meta_doc.get("poles")
@@ -486,7 +486,7 @@ def load_series(path) -> PowerSeries:
                     for i, pair in enumerate(raw_poles))
         tag = meta_doc.get("pole_scheme", "explicit_list")
         start = meta_doc.get("pole_start_index", 2)
-        if not isinstance(start, int):
+        if isinstance(start, bool) or not isinstance(start, int):
             raise SeriesFormatError(f"{p}: meta.pole_start_index must be an integer")
         try:
             poles = PoleSequence(pts, generator_tag=tag, start_index=start)

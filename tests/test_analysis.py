@@ -8,7 +8,6 @@ import pytest
 from padelab._jsonfmt import record
 from padelab.analysis import (
     CounterexampleReport,
-    PoleReport,
     divergence_scan,
     find_poles,
     verify_counterexample,

@@ -69,8 +69,7 @@ def test_rational_matrix_shape_guard():
 
 def test_hermitian_and_gram():
     m = RationalMatrix.from_rows([[QC(1, 2), QC(0, -1)]])
-    g = m.gram()
-    assert g.entries == ((qc(6),),)       # |1+2i|^2 + |i|^2 = 5 + 1
+    assert gram_char_poly(m) == (1, -6)       # |1+2i|^2 + |i|^2 = 5 + 1
 
 
 def test_to_numpy_round_trip():
@@ -288,7 +287,11 @@ def test_exact_rank_matches_reference(rows):
 
 
 def _bareiss_only(m):
-    return _bareiss_nullspace(*_strip_to_field(m))
+    return _bareiss_nullspace(_strip_to_field(m))
+
+
+def _int_rows(m):
+    return [[re for re, _ in row] for row in _strip_to_field(m)]
 
 
 P61 = 2 ** 61 - 1        # modulus of the modular nullspace route
@@ -309,7 +312,7 @@ def test_modular_route_matches_bareiss_on_random_full_rank():
         except RankDeficiencyError:
             continue
         assert exact_nullspace(m) == expected
-        modular = _modular_nullspace(_strip_to_field(m)[0])
+        modular = _modular_nullspace(_int_rows(m))
         if modular is not None:             # None: an output beyond one prime
             assert modular == expected
             proved += 1
@@ -319,14 +322,14 @@ def test_modular_route_matches_bareiss_on_random_full_rank():
 def test_modular_rank_drop_falls_back_to_exact_vector():
     # the rows agree mod p, so the rank drops mod p but not over Q
     m = RationalMatrix.from_rows([[1, 2, 3], [1 + P61, 2, 3]])
-    assert _modular_nullspace(_strip_to_field(m)[0]) is None
+    assert _modular_nullspace(_int_rows(m)) is None
     assert exact_nullspace(m) == (qc(0), qc(1), qc(Fraction(-2, 3)))
 
 
 def test_modular_failed_substitution_falls_back():
     # the entry p vanishes mod p, so the modular vector (1, 0) fails B b = 0
     m = RationalMatrix.from_rows([[P61, 1]])
-    assert _modular_nullspace(_strip_to_field(m)[0]) is None
+    assert _modular_nullspace(_int_rows(m)) is None
     assert exact_nullspace(m) == (qc(1), qc(-P61))
 
 
@@ -339,7 +342,7 @@ def test_modular_reconstruction_failure_still_exact():
     assert _rational_reconstruction((b + 3) * pow(b + 1, -1, P61) % P61) is not None
     for num, den in ((t + 5, t + 1), (b + 3, b + 1)):
         m = RationalMatrix.from_rows([[num, -den, 0], [0, 0, 1]])
-        assert _modular_nullspace(_strip_to_field(m)[0]) is None
+        assert _modular_nullspace(_int_rows(m)) is None
         assert exact_nullspace(m) == (qc(1), qc(Fraction(num, den)), qc(0))
 
 
@@ -513,6 +516,18 @@ def test_gram_char_poly_rational_entries():
     assert gram_char_poly(m) == (Fraction(1), Fraction(-13, 36))
 
 
+def test_gram_char_poly_gaussian_rational_entries():
+    rows = [[QC(Fraction(1, 2), 1), QC(0, Fraction(-2, 3)), QC(3, 0)],
+            [QC(-1, Fraction(1, 4)), QC(2, 5), QC(0, Fraction(1, 3))]]
+    g = [[sum((a * b.conjugate() for a, b in zip(r, c)), qc(0)) for c in rows]
+         for r in rows]
+    trace = g[0][0] + g[1][1]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    assert trace.im == 0 and det.im == 0 and det.re != 0
+    m = RationalMatrix.from_rows(rows)
+    assert gram_char_poly(m) == (1, -trace.re, det.re)     # lambda^2 - tr(G) lambda + det(G)
+
+
 def test_sigma_oracle_matches_float(k2_series):
     pair = build_pair(k2_series, 2, exact=True)
     oracle = exact_sigma_ratio_bounds(pair.B)
@@ -609,7 +624,7 @@ def test_sigma_oracle_recovers_from_a_wrong_guess(k2_series, monkeypatch):
     true_pivots = linalg._negative_pivots
     monkeypatch.setattr(linalg, "svd", off_svd)
     monkeypatch.setattr(linalg, "_negative_pivots",
-                        lambda h, real: counts.append(1) or true_pivots(h, real))
+                        lambda h: counts.append(1) or true_pivots(h))
     oracle = exact_sigma_ratio_bounds(B)
     assert len(counts) > 4            # widening and bisection, not two probes each
     assert _contains(oracle.lambda_max_bracket, 91392)
@@ -631,8 +646,8 @@ def test_sigma_oracle_steps_off_a_zero_pivot(monkeypatch):
     results = []
     true_pivots = linalg._negative_pivots
 
-    def spy(h, real):
-        results.append(true_pivots(h, real))
+    def spy(h):
+        results.append(true_pivots(h))
         return results[-1]
 
     monkeypatch.setattr(linalg, "_negative_pivots", spy)

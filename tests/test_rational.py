@@ -1,6 +1,5 @@
 """Exact rational-complex scalar arithmetic."""
 
-import math
 from fractions import Fraction
 
 import numpy as np

@@ -14,7 +14,7 @@ from padelab.errors import (
     OutOfRangeError,
     SeriesFormatError,
 )
-from padelab.rational import QC, qc
+from padelab.rational import qc
 from padelab.series import (
     GammelParams,
     PoleSequence,
@@ -305,6 +305,8 @@ def _write(tmp_path, doc):
     lambda d: d.__setitem__("exact", "yes"),
     lambda d: d.__setitem__("radius_hint", -1),
     lambda d: d.__setitem__("meta", 3),
+    lambda d: d.__setitem__("meta", {"k_max": True}),
+    lambda d: d.__setitem__("meta", {"poles": [["1/4", "0"]], "pole_start_index": True}),
 ])
 def test_malformed_documents_rejected(tmp_path, mutate):
     doc = {"c": [[1.0, 0.0]], "exact": False, "radius_hint": 1.0, "meta": {}}
