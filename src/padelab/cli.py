@@ -182,6 +182,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         if lo < 0:
             raise UsageError("--n-range must be nonnegative")
         label = f"n = {lo}..{hi}"
+    if not 0.0 < args.tol < 1.0:            # false for NaN too
+        raise UsageError("--tol must lie in (0, 1)")
     if args.exact and args.mode == "robust":
         raise UsageError("--exact applies to classical mode only "
                          "(the robust route is floating point by definition)")

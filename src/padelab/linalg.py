@@ -6,15 +6,13 @@ Three independent routes live here on purpose:
   negligible singular values set to exactly 0 and a designated
   nullspace direction;
 * :func:`exact_nullspace` -- the exact nullspace vector, in up to
-  three stages.  A real n x (n+1) system is first eliminated modulo the
-  prime 2^61 - 1 and its null vector lifted by rational reconstruction;
-  if that does not prove out, the vector of maximal minors is found
-  modulo many word-size primes at once (int64 arrays) and recombined by
-  the CRT (:mod:`padelab.multimodular`).  Either vector is returned
-  only when exact substitution proves it (B b = 0).
+  two stages.  For a real n x (n+1) system the vector of maximal
+  minors is found modulo many word-size primes at once (int64 arrays)
+  and recombined by the CRT (:mod:`padelab.multimodular`); it is
+  returned only when exact substitution proves it (B b = 0).
   Gaussian-rational entries, other shapes, rank deficiency and any
   unproved vector fall back to fraction-free (Bareiss) elimination.
-  Each exact kernel runs on one integer type: the modular stages on
+  Each exact kernel runs on one integer type: the multi-prime stage on
   Python ints (the rows of a real system), Bareiss elimination and its
   fraction-free back substitution on Gaussian integers as (re, im) int
   pairs, a real row entering as (v, 0), so Fractions appear only in
@@ -279,7 +277,7 @@ def singular_value_perturbation_check(mat, delta, slack: float = 1e-10) -> Pertu
 
 
 # ---------------------------------------------------------------------------
-# exact nullspace (modular solve proved by substitution, Bareiss fallback)
+# exact nullspace (multi-prime solve proved by substitution, Bareiss fallback)
 
 
 def _strip_to_field(mat: RationalMatrix) -> list:
@@ -375,26 +373,23 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     :class:`RankDeficiencyError` carrying the exact rank and a full
     basis of basic solutions, minimal degree first.
 
-    A real n x (n+1) matrix goes through up to three stages, and each
-    vector a stage returns is proved by exact substitution (B b = 0):
-    one solve modulo 2^61 - 1 lifted by rational reconstruction
-    (:func:`_modular_nullspace`), then, for outputs too large for one
-    prime, a solve modulo many word-size primes at once recombined by
-    the CRT (:func:`multimodular.nullspace`), both on the real parts of
-    the stripped rows as ints, and finally fraction-free elimination
-    (:func:`_bareiss_nullspace`).  Complex matrices, other shapes and
-    rank-deficient systems go to Bareiss directly or after the modular
-    stages decline.  Every stage returns the same vector.
+    A real n x (n+1) matrix goes through up to two stages: a solve
+    modulo many word-size primes at once, recombined by the CRT and
+    proved by exact substitution B b = 0 (:func:`multimodular.nullspace`,
+    on the real parts of the stripped rows as ints), then fraction-free
+    elimination (:func:`_bareiss_nullspace`).  Complex matrices, other
+    shapes and rank-deficient systems go to Bareiss directly or after
+    the multi-prime stage declines.  Both stages return the same
+    vector.  (`classical_pade` proves most real Toeplitz systems
+    without B, by ``pade._eea_pade``; it calls this function for
+    complex series and when that stage declines.)
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
     rows = _strip_to_field(mat)
     if mat.is_real and mat.cols == mat.rows + 1:
-        ints = [[re for re, _ in row] for row in rows]
-        vec = _modular_nullspace(ints)
-        if vec is None:
-            from . import multimodular      # imported on first use: most runs never need it
-            vec = multimodular.nullspace(ints)
+        from . import multimodular          # imported on first use: most runs never need it
+        vec = multimodular.nullspace([[re for re, _ in row] for row in rows])
         if vec is not None:
             return vec
     return _bareiss_nullspace(rows)
@@ -414,85 +409,6 @@ def _bareiss_nullspace(rows: list) -> tuple:
     if rank < nrows:
         raise RankDeficiencyError(rank, basis)
     return basis[0]
-
-
-_MODULUS = (1 << 61) - 1                # Mersenne prime of the modular nullspace
-_RECON_BOUND = math.isqrt(_MODULUS // 2)
-
-
-def _modular_nullspace(rows: list) -> tuple | None:
-    """Proved nullspace vector of integral n x (n+1) rows, or None.
-
-    Gaussian elimination mod p gives the null vector mod p, scaled so
-    its first nonzero entry is 1; Wang's rational reconstruction
-    lifts each entry to a fraction with numerator and denominator at
-    most sqrt(p/2).  Rank n mod p implies rank n over Q, so the
-    nullspace over Q is a line, and a lifted vector that passes the
-    exact check B b = 0 is the normalized vector of that line.  Returns
-    None when the rank drops mod p, an entry does not reconstruct, or
-    the check fails; the caller then falls back to Bareiss.
-    """
-    ncols = len(rows[0])
-    work = [[v % _MODULUS for v in row] for row in rows]
-    piv_cols: list[int] = []
-    free_col = None
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            if free_col is not None:        # two free columns: rank < n mod p
-                return None
-            free_col = c
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][c], -1, _MODULUS)
-        # entries left of c are zero in rows r and below: only tails move
-        head = [v * inv % _MODULUS for v in work[r][c:]]
-        work[r][c:] = head
-        for row in work[r + 1:]:
-            f = row[c]
-            if f:
-                row[c:] = [(v - f * h) % _MODULUS for v, h in zip(row[c:], head)]
-        piv_cols.append(c)
-        r += 1
-    x = [0] * ncols
-    x[free_col] = 1
-    for i in reversed(range(len(piv_cols))):     # unit pivots: no division
-        pc = piv_cols[i]
-        row = work[i]
-        x[pc] = -sum(row[j] * x[j] for j in range(pc + 1, ncols) if x[j]) % _MODULUS
-    inv = pow(next(v for v in x if v), -1, _MODULUS)
-    fracs = []
-    for v in x:
-        frac = _rational_reconstruction(v * inv % _MODULUS)
-        if frac is None:
-            return None
-        fracs.append(frac)
-    den = math.lcm(*(d for _, d in fracs))
-    scaled = [num * (den // d) for num, d in fracs]
-    for row in rows:
-        if sum(a * b for a, b in zip(row, scaled) if b):
-            return None
-    return tuple(qc(Fraction(num, d)) for num, d in fracs)
-
-
-def _rational_reconstruction(u: int) -> tuple[int, int] | None:
-    """(num, den) with num = den * u mod p, |num|, |den| <= sqrt(p/2), or None.
-
-    Wang's rule: run the extended Euclidean algorithm on (p, u) and stop
-    at the first remainder within the bound; the fraction exists and is
-    unique exactly when its cofactor is within the bound and coprime to
-    the remainder.
-    """
-    r0, r1 = _MODULUS, u
-    s0, s1 = 0, 1
-    while r1 > _RECON_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > _RECON_BOUND or math.gcd(r1, s1) != 1:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Chinese remainder theorem.  The O(n^3) elimination runs on int64
 residues, vectorized over a chunk of primes, so no step touches a big
 integer; the CRT, the exact check B y = 0 and the normalization are the
 only big-integer work.  `linalg.exact_nullspace` calls :func:`nullspace`
-for real systems too large for its one-prime solve.
+for every real n x (n+1) system before it falls back to Bareiss.
 """
 
 from __future__ import annotations

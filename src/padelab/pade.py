@@ -1,17 +1,19 @@
 """Classical and SVD-robust Pade approximants.
 
 Both construct r = p/q of type (n, n) from c_0..c_{2n}: a denominator b
-in the nullspace of the Toeplitz matrix B_n, then a = A_n b.  The
-robust variant additionally treats singular values at or below
-tol_rel * sigma_1 as a rank deficiency, shrinks the order by that
-count, and repeats until the system is numerically full rank; trailing
-coefficients at or below tol_rel * max|coeff| are then trimmed.  When
-no reduction fires, its output is identical to the classical float
-route by construction.
+in the nullspace of the Toeplitz matrix B_n, then a = A_n b.  For a
+real series the exact route finds both by the extended Euclidean
+algorithm, without building B_n.  The robust variant additionally
+treats singular values at or below tol_rel * sigma_1 as a rank
+deficiency, shrinks the order by that count, and repeats until the
+system is numerically full rank; trailing coefficients at or below
+tol_rel * max|coeff| are then trimmed.  When no reduction fires, its
+output is identical to the classical float route by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, RankDeficiencyError
 from .linalg import exact_nullspace, svd
-from .rational import horner, is_exact_scalar, qc, to_complex
+from .rational import from_gaussian, horner, is_exact_scalar, qc, to_complex
 from .series import PowerSeries
 from .toeplitz import build_pair
 
@@ -129,12 +131,16 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
                    trim_tol: float = 0.0) -> PadeApproximant:
     """Type-(n, n) Pade approximant from the full-order system.
 
-    With `exact=True` (rational series required) the denominator comes
-    from fraction-free elimination and every quantity is exact; a rank
-    deficient system then yields the minimal-degree denominator, with
-    the nullspace dimension recorded in the diagnostics rather than an
-    error, since all choices represent the same rational function.
-    The float route takes the designated SVD nullspace direction.
+    With `exact=True` (rational series required) every quantity is
+    exact.  For a real series the denominator comes from the extended
+    Euclidean algorithm modulo 2^61 - 1 (:func:`_eea_pade`); a complex
+    series, or a real one that stage declines, solves B b = 0 with
+    :func:`linalg.exact_nullspace`.  Either way b is proved by exact
+    substitution.  A rank deficient system yields the minimal-degree
+    denominator, with the nullspace dimension recorded in the
+    diagnostics rather than an error, since all choices represent the
+    same rational function.  The float route takes the designated SVD
+    nullspace direction.
 
     `trim_tol` controls trailing-coefficient trimming on the float
     route (relative to the largest magnitude); the default 0.0 trims
@@ -152,19 +158,107 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
 
     if not exact:
         return _float_pade(s, n, trim_tol)
-    pair = build_pair(s, n, exact=True)
+    c = [s.coeff(j) for j in range(2 * n + 1)]
+    solved = _eea_pade([x.re for x in c], n) if all(x.is_real for x in c) else None
     nullspace_dim = 1
-    try:
-        b = exact_nullspace(pair.B)
-    except RankDeficiencyError as deficiency:
-        b = deficiency.basis[0]
-        nullspace_dim = len(deficiency.basis)
-    a = pair.A.matvec(b)
+    if solved is not None:
+        a, b = solved
+    else:
+        pair = build_pair(s, n, exact=True)
+        try:
+            b = exact_nullspace(pair.B)
+        except RankDeficiencyError as deficiency:
+            b = deficiency.basis[0]
+            nullspace_dim = len(deficiency.basis)
+        a = pair.A.matvec(b)
     diag = Diagnostics(b0_degenerate=not b[0], nullspace_dim=nullspace_dim)
     effective = (_trim_degree(a, True, 0.0), _trim_degree(b, True, 0.0))
     return PadeApproximant(a=tuple(a), b=tuple(b), requested_n=n,
                            effective_degrees=effective, mode="classical",
                            exact=True, diagnostics=diag)
+
+
+_MODULUS = (1 << 61) - 1                # Mersenne prime of the Euclidean stage
+_RECON_BOUND = math.isqrt(_MODULUS // 2)
+
+
+def _eea_pade(c: list, n: int) -> tuple | None:
+    """Proved (a, b) of type (n, n) from real c_0..c_2n (Fractions), or None.
+
+    b spans the nullspace of B_n exactly when q g = r mod z^(2n+1) with
+    deg r <= n, where g = f - c_0 (c_0 does not enter B).  Modulo
+    p = 2^61 - 1 the extended Euclidean algorithm on (z^(2n+1), g)
+    stops at the first remainder r_j = s_j z^(2n+1) + t_j g with
+    deg r_j <= n.  Every solution is a polynomial multiple of
+    (r_j, t_j), so the nullspace of B mod p has dimension
+    1 + min(n - deg r_j, n - deg t_j) (Brent, Gustavson & Yun 1980).
+    Dimension 1 mod p implies rank n over Q, so the nullspace over Q is
+    a line.  t_j, scaled so its first nonzero entry is 1, is lifted by
+    Wang's rational reconstruction.  One integer convolution of the c_j
+    with the lifted b then proves it and gives the numerator: its
+    coefficients n+1..2n are B b and must be 0, and 0..n are a = A b.
+    Returns None when p divides a denominator of c_1..c_2n, the
+    dimension is not 1, an entry does not reconstruct or the proof
+    fails; the caller then solves B b = 0 by elimination.
+    """
+    p = _MODULUS
+    try:
+        g = [0] + [x.numerator * pow(x.denominator, -1, p) % p for x in c[1:]]
+    except ValueError:                      # p divides a denominator
+        return None
+    # ascending coefficients, no trailing zeros: [] is the zero polynomial
+    r0, r1 = [0] * (2 * n + 1) + [1], _trimmed(g)
+    t0, t1 = [], [1]
+    while len(r1) > n + 1:
+        top = len(r1) - 1
+        inv = pow(r1[-1], -1, p)
+        t = t0 + [0] * (len(r0) - len(r1) + len(t1) - len(t0))
+        for i in reversed(range(len(r0) - top)):
+            f = r0[i + top] * inv % p
+            if f:
+                r0[i:i + top] = [(u - f * v) % p for u, v in zip(r0[i:i + top], r1)]
+                t[i:i + len(t1)] = [(u - f * v) % p for u, v in zip(t[i:i + len(t1)], t1)]
+        r0, r1, t0, t1 = r1, _trimmed(r0[:top]), t1, t
+    if max(len(r1), len(t1)) != n + 1:      # the nullspace of B mod p is not a line
+        return None
+    scale = pow(next(v for v in t1 if v), -1, p)
+    fracs = [_rational_reconstruction(v * scale % p) for v in t1 + [0] * (n + 1 - len(t1))]
+    if None in fracs:
+        return None
+    den = math.lcm(*(d for _, d in fracs))
+    live = [(j, num * (den // d)) for j, (num, d) in enumerate(fracs) if num]
+    dc = math.lcm(*(x.denominator for x in c))
+    ints = [x.numerator * (dc // x.denominator) for x in c]
+    conv = [sum(ints[i - j] * v for j, v in live if j <= i) for i in range(2 * n + 1)]
+    if any(conv[n + 1:]):
+        return None
+    return (tuple(from_gaussian(v, 0, dc * den) for v in conv[:n + 1]),
+            tuple(from_gaussian(num, 0, d) for num, d in fracs))
+
+
+def _trimmed(poly: list) -> list:
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _rational_reconstruction(u: int) -> tuple[int, int] | None:
+    """(num, den) with num = den * u mod p, |num|, |den| <= sqrt(p/2), or None.
+
+    Wang's rule: run the extended Euclidean algorithm on (p, u) and stop
+    at the first remainder within the bound; the fraction exists and is
+    unique exactly when its cofactor is within the bound and coprime to
+    the remainder.
+    """
+    r0, r1 = _MODULUS, u
+    s0, s1 = 0, 1
+    while r1 > _RECON_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _RECON_BOUND or math.gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _float_pade(s: PowerSeries, nu: int, trim_tol: float) -> PadeApproximant:

@@ -433,6 +433,11 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("approximate", "--series", "s.json", "--n-r", "-1..2"),
      "--n-range must be nonnegative"),
     (("verify", "--k-ra", "-1..2"), "counterexample blocks start at k = 2"),
+    # --tol is checked in every mode, before the series is read
+    (("approximate", "--series", "s.json", "--n", "2", "--tol", "2"),
+     "--tol must lie in (0, 1)"),
+    (("approximate", "--series", "s.json", "--n", "2", "--mode", "robust", "--tol", "nan"),
+     "--tol must lie in (0, 1)"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2

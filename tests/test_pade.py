@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padelab import pade
 from padelab._jsonfmt import record
 from padelab.errors import InvalidParameterError, OutOfRangeError
 from padelab.linalg import exact_nullspace
@@ -160,6 +163,55 @@ def test_classical_exact_degenerate_leading_denominator():
 
 # ---------------------------------------------------------------------------
 # classical route, float arithmetic
+
+
+def _random_real_coefficients(rnd, n, kind):
+    if kind == "small":
+        return [Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) for _ in range(2 * n + 1)]
+    if kind == "signs":                     # often rank deficient or b_0 = 0
+        return [Fraction(rnd.choice((-1, 0, 0, 1))) for _ in range(2 * n + 1)]
+    if kind == "wide":                      # outputs beyond one prime
+        return [Fraction(rnd.getrandbits(100) - 2 ** 99, rnd.getrandbits(20) + 1)
+                for _ in range(2 * n + 1)]
+    m = rnd.randint(0, n - 1)               # "padded": type (m, m), so B_n is rank deficient
+    head = [Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(2 * m + 1)]
+    return head + [Fraction(0)] * (2 * (n - m))
+
+
+def test_euclidean_route_matches_elimination_on_random_real_series(monkeypatch):
+    rnd = random.Random(20261018)
+    seen = {"proved": 0, "declined": 0, "rank deficient": 0, "proved with b0 = 0": 0}
+    for trial in range(320):
+        n = rnd.randint(1, 12)
+        kind = ("small", "signs", "wide", "padded")[trial % 4]
+        series = PowerSeries.from_coefficients(_random_real_coefficients(rnd, n, kind))
+        route = classical_pade(series, n, exact=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(pade, "_eea_pade", lambda c, n: None)
+            fallback = classical_pade(series, n, exact=True)
+        assert route.b == fallback.b and route.a == fallback.a
+        assert route.diagnostics.nullspace_dim == fallback.diagnostics.nullspace_dim
+        assert route.diagnostics.b0_degenerate == fallback.diagnostics.b0_degenerate
+        assert route == fallback
+        c = [series.coeff(j).re for j in range(2 * n + 1)]
+        proved = pade._eea_pade(c, n) is not None
+        seen["proved" if proved else "declined"] += 1
+        seen["rank deficient"] += route.diagnostics.nullspace_dim > 1
+        seen["proved with b0 = 0"] += proved and route.diagnostics.b0_degenerate
+    assert seen["proved"] >= 120 and seen["declined"] >= 120
+    assert seen["rank deficient"] >= 40 and seen["proved with b0 = 0"] >= 5
+
+
+def test_harmonic_block8_is_proved_by_the_euclidean_stage(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("exact_nullspace reached")
+
+    monkeypatch.setattr(pade, "exact_nullspace", no_elimination)
+    s = build_counterexample_series(8, PoleSequence.harmonic(8))
+    r = classical_pade(s, 254, exact=True)
+    assert r.b == (qc(1), qc(-10)) + (qc(0),) * 253
+    assert r.diagnostics.nullspace_dim == 1 and not r.diagnostics.b0_degenerate
+    assert r.a[0] == 1 and r.a[254] == s.coeff(254) - 10 * s.coeff(253)
 
 
 def test_classical_float_block2(k2_float):
