@@ -43,6 +43,7 @@ __all__ = [
     "DoubletInfo",
     "SpuriousPole",
     "PoleReport",
+    "check_positive",
     "find_poles",
     "CounterexampleReport",
     "verify_counterexample",
@@ -111,6 +112,13 @@ def _sorted_roots(coeffs) -> tuple:
     return tuple(sorted((complex(r) for r in roots), key=lambda w: (w.real, w.imag)))
 
 
+def check_positive(**settings) -> None:
+    """Raise InvalidParameterError for the first setting that is not > 0 (NaN included)."""
+    for name, value in settings.items():
+        if not value > 0:
+            raise InvalidParameterError(f"{name} must be positive")
+
+
 def find_poles(r: PadeApproximant, radius_hint: float = 1.0,
                delta_doublet: float = 1e-3,
                tol_spurious: float = 1e-6) -> PoleReport:
@@ -123,13 +131,7 @@ def find_poles(r: PadeApproximant, radius_hint: float = 1.0,
     not cancel it.  `tol_spurious` is the knob to tighten when the
     numerator values at the poles are far below the coefficient scale.
     """
-    if not (radius_hint > 0):
-        raise InvalidParameterError("radius_hint must be positive")
-    if not (delta_doublet > 0):
-        raise InvalidParameterError("delta_doublet must be positive")
-    if not (tol_spurious > 0):
-        raise InvalidParameterError("tol_spurious must be positive")
-
+    check_positive(radius_hint=radius_hint, delta_doublet=delta_doublet, tol_spurious=tol_spurious)
     a_eff = [to_complex(x) for x in r.a_effective]
     b_eff = [to_complex(x) for x in r.b_effective]
     pole_locs = _sorted_roots(b_eff)

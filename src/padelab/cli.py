@@ -19,6 +19,7 @@ from pathlib import Path
 from . import _jsonfmt
 from .analysis import (
     CounterexampleReport,
+    check_positive,
     divergence_scan,
     find_poles,
     verify_counterexample,
@@ -154,8 +155,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _approximant_payload(args: argparse.Namespace, max_n: int, s, n: int) -> dict:
-    _check_cap(n, max_n)
+def _approximant_payload(args: argparse.Namespace, s, n: int) -> dict:
     if args.mode == "classical":
         r = classical_pade(s, n, exact=args.exact)
     else:
@@ -187,8 +187,13 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     if args.exact and args.mode == "robust":
         raise UsageError("--exact applies to classical mode only "
                          "(the robust route is floating point by definition)")
+    if args.analyze:                        # a file's own radius_hint is checked as it loads
+        given = {} if args.radius is None else {"radius_hint": args.radius}
+        check_positive(**given, delta_doublet=args.delta_doublet, tol_spurious=args.tol_spurious)
+    _check_cap(hi, max_n)
     s = load_series(args.series)
-    docs = [_approximant_payload(args, max_n, s, n) for n in range(lo, hi + 1)]
+    s.require_terms(2 * hi + 1)
+    docs = [_approximant_payload(args, s, n) for n in range(lo, hi + 1)]
     _write_json(args.out, docs[0] if args.n is not None else docs)
     print(f"wrote {args.out} ({args.mode} mode, {label})")
     return 0

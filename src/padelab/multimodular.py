@@ -1,13 +1,14 @@
-"""Exact nullspace vector of a large integral n x (n+1) system, many primes at once.
+"""Exact integral minor vectors of large n x (n+1) systems, many primes at once.
 
 The multi-modular method (Cabay, *Exact solution of linear equations*,
 1971): the integral vector of maximal minors is found modulo enough
-word-size primes to cover its Hadamard bound and recombined by the
-Chinese remainder theorem.  The O(n^3) elimination runs on int64
-residues, vectorized over a chunk of primes, so no step touches a big
-integer; the CRT, the exact check B y = 0 and the normalization are the
-only big-integer work.  `linalg.exact_nullspace` calls :func:`nullspace`
-for every real n x (n+1) system before it falls back to Bareiss.
+word-size primes to cover its Hadamard bound, by an int64 kernel
+vectorized over a chunk of primes, and joined by the CRT (:func:`_crt`,
+one prime loop for both kernels): O(n^3) elimination of general rows in
+:func:`nullspace`, for `linalg.exact_nullspace`, and the O(n^2) extended
+Euclidean algorithm on a power series in :func:`pade_minors`, for
+`pade.classical_pade`.  The CRT and the check B y = 0 are the only
+big-integer work.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,6 +26,7 @@ _WORD_PRIME_TOP = 1 << 31     # products of two residues stay below 2^62: int64-
 _WORD_PRIME_SPAN = 1 << 16    # the list holds every prime in [2^31 - span, 2^31)
 _PRIME_CHUNK = 16             # primes eliminated together: 0.2 MB of residues at n = 38
 _ROW_BLOCK = 8                # rows updated per elimination call: bounds the temporary array
+_EUCLID_CHUNK = 256           # primes in one Euclidean run: 0.5 MB per (R, T) pair at n = 62
 
 
 @cache
@@ -43,11 +46,10 @@ def _word_primes() -> np.ndarray:
     return primes
 
 
-def _hadamard_bound(rows: list) -> int:
-    """Product of the row norms rounded up: bounds every maximal minor (0 on a zero row)."""
+def _hadamard_bound(squares) -> int:
+    """Product of ceil(sqrt(s)) over squared row norms s: bounds every maximal minor."""
     bound = 1
-    for row in rows:
-        norm2 = sum(v * v for v in row)
+    for norm2 in squares:
         if not norm2:
             return 0
         bound *= math.isqrt(norm2 - 1) + 1
@@ -59,69 +61,99 @@ def nullspace(rows: list) -> tuple | None:
 
     The integral vector of maximal minors, y_j = (-1)^j det(B without
     column j), spans the nullspace when the rank is n, and each |y_j|
-    is at most H, the Hadamard bound.  Word-size primes are taken from
-    a fixed list until their product exceeds 2H; for each, y mod p
-    comes from one elimination (:func:`_chunk_minors`), run on many
-    primes at once in int64 arrays.  A prime whose rank drops is
-    dropped.  The CRT in the symmetric range then gives y exactly; no
-    rational reconstruction is needed.  The vector is returned only if
-    the exact check B y = 0 holds, normalized so its first nonzero
-    entry is 1.  Returns None when the bound outgrows the prime list,
-    more primes are dropped than kept (as for rank below n), or the
-    check fails; the caller then falls back to Bareiss.
+    is at most H, the Hadamard bound.  :func:`_crt` joins its images
+    mod primes that exceed 2H, each chunk from one elimination
+    (:func:`_chunk_minors`).  The vector is returned, scaled so its
+    first nonzero entry is 1, only if the exact check B y = 0 holds;
+    else None, and the caller falls back to Bareiss.
     """
     n = len(rows)
-    bound = 2 * _hadamard_bound(rows)
-    primes = _word_primes()
-    # every prime exceeds 2^30; the bound also caps the entries, so fewer
-    # than 2^16 limbs each and the limb sums in _chunk_minors fit in int64
-    if not bound or bound.bit_length() >= 30 * len(primes):
-        return None
-    flat = [v for row in rows for v in row]
-    width = max(1, (max(abs(v).bit_length() for v in flat) + 15) // 16)
-    data = b"".join(abs(v).to_bytes(2 * width, "little") for v in flat)
-    limbs = np.frombuffer(data, dtype="<u2").reshape(n, n + 1, width)
-    signs = np.array([-1 if v < 0 else 1 for v in flat], dtype=np.int64).reshape(n, n + 1, 1)
-    moduli: list[int] = []
-    images: list[np.ndarray] = []
-    modulus = 1
-    start = 0
-    while modulus <= bound:
-        stop, grown = start, modulus
-        while grown <= bound and stop - start < _PRIME_CHUNK and stop < len(primes):
-            grown *= int(primes[stop])
-            stop += 1
-        if stop == start:
-            return None
-        minors, alive = _chunk_minors(limbs, signs, primes[start:stop])
-        kept = primes[start:stop][alive].tolist()
-        moduli += kept
-        modulus *= math.prod(kept)
-        images.append(minors[:, alive])
-        if stop - len(moduli) > len(moduli):    # more primes dropped than kept
-            return None
-        start = stop
-    half = modulus >> 1
-    weights = []
-    for q in moduli:
-        rest = modulus // q
-        weights.append(rest * pow(rest % q, -1, q))
-    y = []
-    for residues in np.concatenate(images, axis=1):
-        v = sum(map(operator.mul, weights, residues.tolist())) % modulus
-        y.append(v - modulus if v > half else v)
-    if not any(y) or any(sum(map(operator.mul, row, y)) for row in rows):
+    residues = _residues([v for row in rows for v in row])
+    y = _crt(2 * _hadamard_bound(sum(v * v for v in row) for row in rows),
+             lambda p: _chunk_minors(residues(p).reshape(n, n + 1, -1), p), _PRIME_CHUNK)
+    if y is None or any(sum(map(operator.mul, row, y)) for row in rows):
         return None
     return scaled_to_first(y)
 
 
-def _chunk_minors(limbs: np.ndarray, signs: np.ndarray,
-                  p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pade_minors(c: list, n: int) -> list | None:
+    """Integral minor vector y of the Toeplitz B_n of ints c_0..c_2n, unproved, or None.
+
+    B_n (entry (i, j) = c_(n+1+i-j)) is never built: :func:`_crt` joins
+    images of y from :func:`_chunk_euclid`.  Row i holds c_(i+1)..c_(i+n+1),
+    so window sums of c_j^2 give the Hadamard bound in O(n).
+    """
+    sums = list(accumulate((v * v for v in c[1:]), initial=0))
+    bound = 2 * _hadamard_bound(sums[i + n + 1] - sums[i] for i in range(n))
+    residues = _residues([0] + c[1:])
+    return _crt(bound, lambda p: _chunk_euclid(residues(p), n, p), _EUCLID_CHUNK)
+
+
+def _residues(values: list):
+    """Signed residues |r| < p of the ints, (len, P), as a function of a prime chunk p."""
+    width = max(1, (max(abs(v).bit_length() for v in values) + 15) // 16)
+    data = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
+    limbs = np.frombuffer(data, dtype="<u2").reshape(len(values), width)
+    signs = np.array([[-1 if v < 0 else 1] for v in values], dtype=np.int64)
+
+    def reduce(p: np.ndarray) -> np.ndarray:
+        powers = np.empty((width, len(p)), dtype=np.int64)    # 2^(16k) mod p
+        powers[0] = 1
+        for k in range(1, width):
+            np.fmod(powers[k - 1] << 16, p, out=powers[k])
+        w = np.empty((len(values), len(p)), dtype=np.int64)
+        for i in range(0, len(values), 64):     # 64 at a time: bounds the int64 copy of the limbs
+            np.matmul(limbs[i:i + 64], powers, out=w[i:i + 64])
+        np.fmod(w, p, out=w)
+        w *= signs
+        return w
+
+    return reduce
+
+
+def _crt(bound: int, images, chunk: int) -> list | None:
+    """The int vector y, |y_j| < bound / 2, from `images(p)`: ((m, P) residues, P flags).
+
+    Primes come from a fixed list, at most `chunk` per call, until those
+    kept (flagged True) exceed the bound; the CRT in the symmetric range
+    gives y exactly.  None when the bound is 0 or outgrows the list, a
+    chunk drops more primes than it keeps, or y is 0.
+    """
+    primes = _word_primes()
+    # every prime exceeds 2^30; the bound also caps the entries, so fewer
+    # than 2^16 limbs each and the limb sums in _residues fit in int64
+    if not bound or bound.bit_length() >= 30 * len(primes):
+        return None
+    moduli, parts, modulus, start = [], [], 1, 0
+    while modulus <= bound:
+        stop, grown = start, modulus
+        while grown <= bound and stop - start < chunk and stop < len(primes):
+            grown *= int(primes[stop])
+            stop += 1
+        if stop == start:
+            return None
+        residues, alive = images(primes[start:stop])
+        kept = primes[start:stop][alive].tolist()
+        moduli += kept
+        modulus *= math.prod(kept)
+        parts.append(residues[:, alive])
+        if stop - len(moduli) > len(moduli):    # more primes dropped than kept
+            return None
+        start = stop
+    half = modulus >> 1
+    weights = [modulus // q * pow(modulus // q % q, -1, q) for q in moduli]
+    y = []
+    for residues in np.concatenate(parts, axis=1):
+        v = sum(map(operator.mul, weights, residues.tolist())) % modulus
+        y.append(v - modulus if v > half else v)
+    return y if any(y) else None
+
+
+def _chunk_minors(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minor vector y mod each prime of `p`: ((n+1, P) residues, P rank-n flags).
 
-    Entries arrive as 16-bit limbs and reduce through a table of
-    2^(16k) mod p.  The work array is (row, column, prime) with signed
-    residues, |r| < p.  Each prime picks its own pivot row
+    The work array `w` is (row, column, prime) with signed residues,
+    |r| < p, updated in place.  Each prime picks its own pivot row
     (:func:`_choose_pivots`); the pivot row is never normalized
     (r_i <- s r_i - f r_c, one fmod per step).  A column without a
     pivot is traded for the spare column n.  The spare then holds a
@@ -131,17 +163,8 @@ def _chunk_minors(limbs: np.ndarray, signs: np.ndarray,
     scaled to det of the square part, which is y up to one sign shared
     by every prime.
     """
-    n, m = limbs.shape[:2]
+    n, m = w.shape[:2]
     nprimes = len(p)
-    powers = np.empty((limbs.shape[2], nprimes), dtype=np.int64)
-    powers[0] = 1
-    for k in range(1, len(powers)):
-        np.fmod(powers[k - 1] << 16, p, out=powers[k])
-    w = np.empty((n, m, nprimes), dtype=np.int64)
-    for i in range(n):                      # row by row: no int64 copy of every limb
-        np.matmul(limbs[i], powers, out=w[i])
-    np.fmod(w, p, out=w)
-    w *= signs
     sign = np.ones(nprimes, dtype=np.int64)
     spare = np.full(nprimes, n)             # the input column held in column n
     alive = np.ones(nprimes, dtype=bool)
@@ -205,6 +228,50 @@ def _choose_pivots(w: np.ndarray, c: int, sign: np.ndarray, spare: np.ndarray,
     w[c, :, moved] = w[top[moved], :, moved]
     w[top[moved], :, moved] = held
     sign[moved] = -sign[moved]
+
+
+def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minor vector y of B_n mod each prime of `p`, from residues of g_0 = 0, g_1..g_2n.
+
+    The extended Euclidean algorithm on (z^(2n+1), g) (Brent, Gustavson
+    & Yun 1980) stops at the first remainder r_i of degree n_i <= n, and
+    the nullspace of B mod p is a line exactly when max(n_i, deg t_i) = n.
+    With r_j monic, rho_j its divided-out leading coefficient (rho_i = 1
+    if r_i = 0) and t_j its cofactor of g, y = +-prod_j rho_j^(n_(j-1) - n) t_i,
+    one sign per degree sequence (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 6).  No step divides: pseudo-remainders
+    R_j = mu_j r_j, T_j = mu_j t_j (mu_j = lc R_j) give rho_j = mu_j / kappa_j,
+    kappa_j = mu_(j-2) mu_(j-1)^(quotient steps), and one inversion ends
+    the run.  Flags are False where a remainder degree falls below the
+    chunk's, and everywhere if the nullspace is not a line.
+    """
+    alive = np.ones(len(p), dtype=bool)
+    old, new = np.zeros((2, 2, 2 * n + 2, len(p)), dtype=np.int64)      # (R, T) pairs
+    old[0, -1] = new[1, 0] = 1
+    new[0, :-1] = g
+    n0 = 2 * n + 1
+    kappa = num = den = snum = sden = np.ones(len(p), dtype=np.int64)
+    while True:
+        live = np.flatnonzero((new[0, :n0] != 0)[:, alive].any(axis=1))
+        n1 = int(live[-1]) if len(live) else -1
+        mu = new[0, n1].copy() if n1 >= 0 else kappa
+        alive &= mu != 0
+        num, den = num * mu % p, den * kappa % p                    # rho_1 ... rho_j
+        for _ in range(n0 - max(n1, n)):                            # the product, telescoped
+            snum, sden = snum * num % p, sden * den % p
+        if n1 <= n:
+            break
+        kappa = old[0, n0].copy()
+        for k in reversed(range(n0 - n1 + 1)):                      # R <- mu R - f z^k R_j
+            f = old[0, k + n1].copy()
+            w = old[:, :max(k + n1, n) + 1]                         # the rows that can change
+            w *= mu
+            w[:, k:] -= f * new[:, :w.shape[1] - k]
+            np.fmod(w, p, out=w)
+            kappa = kappa * mu % p
+        old, new, n0 = new, old, n1
+    alive &= max(n1, 2 * n + 1 - n0) == n                          # the nullspace is a line
+    return new[1, :n + 1] * (snum * _power_mod(sden * mu % p, p - 2, p) % p) % p, alive
 
 
 def _power_mod(base: np.ndarray, exps: np.ndarray, p: np.ndarray) -> np.ndarray:

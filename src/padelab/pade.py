@@ -3,11 +3,11 @@
 Both construct r = p/q of type (n, n) from c_0..c_{2n}: a denominator b
 in the nullspace of the Toeplitz matrix B_n, then a = A_n b.  For a
 real series the exact route finds both by the extended Euclidean
-algorithm, without building B_n.  The robust variant additionally
-treats singular values at or below tol_rel * sigma_1 as a rank
-deficiency, shrinks the order by that count, and repeats until the
-system is numerically full rank; trailing coefficients at or below
-tol_rel * max|coeff| are then trimmed.  When no reduction fires, its
+algorithm, modulo one prime or many, without building B_n.  The robust
+variant additionally treats singular values at or below
+tol_rel * sigma_1 as a rank deficiency, shrinks the order by that
+count, and repeats until the system is numerically full rank; trailing
+coefficients at or below tol_rel * max|coeff| are then trimmed.  When no reduction fires, its
 output is identical to the classical float route by construction.
 """
 
@@ -133,14 +133,15 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
 
     With `exact=True` (rational series required) every quantity is
     exact.  For a real series the denominator comes from the extended
-    Euclidean algorithm modulo 2^61 - 1 (:func:`_eea_pade`); a complex
-    series, or a real one that stage declines, solves B b = 0 with
-    :func:`linalg.exact_nullspace`.  Either way b is proved by exact
-    substitution.  A rank deficient system yields the minimal-degree
-    denominator, with the nullspace dimension recorded in the
-    diagnostics rather than an error, since all choices represent the
-    same rational function.  The float route takes the designated SVD
-    nullspace direction.
+    Euclidean algorithm modulo 2^61 - 1 (:func:`_eea_pade`), or, for
+    outputs beyond that prime, modulo many word-size primes
+    (:func:`_multiprime_pade`); a complex series, or a real one both
+    stages decline, solves B b = 0 with :func:`linalg.exact_nullspace`.
+    Either way b is proved by exact substitution.  A rank deficient
+    system yields the minimal-degree denominator, with the nullspace
+    dimension recorded in the diagnostics rather than an error, since
+    all choices represent the same rational function.  The float route
+    takes the designated SVD nullspace direction.
 
     `trim_tol` controls trailing-coefficient trimming on the float
     route (relative to the largest magnitude); the default 0.0 trims
@@ -159,9 +160,10 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
     if not exact:
         return _float_pade(s, n, trim_tol)
     c = [s.coeff(j) for j in range(2 * n + 1)]
-    solved = _eea_pade([x.re for x in c], n) if all(x.is_real for x in c) else None
+    re = [x.re for x in c]
+    solved = all(x.is_real for x in c) and (_eea_pade(re, n) or _multiprime_pade(re, n))
     nullspace_dim = 1
-    if solved is not None:
+    if solved:
         a, b = solved
     else:
         pair = build_pair(s, n, exact=True)
@@ -194,9 +196,7 @@ def _eea_pade(c: list, n: int) -> tuple | None:
     1 + min(n - deg r_j, n - deg t_j) (Brent, Gustavson & Yun 1980).
     Dimension 1 mod p implies rank n over Q, so the nullspace over Q is
     a line.  t_j, scaled so its first nonzero entry is 1, is lifted by
-    Wang's rational reconstruction.  One integer convolution of the c_j
-    with the lifted b then proves it and gives the numerator: its
-    coefficients n+1..2n are B b and must be 0, and 0..n are a = A b.
+    Wang's rational reconstruction and proved by :func:`_proved`.
     Returns None when p divides a denominator of c_1..c_2n, the
     dimension is not 1, an entry does not reconstruct or the proof
     fails; the caller then solves B b = 0 by elimination.
@@ -226,14 +226,28 @@ def _eea_pade(c: list, n: int) -> tuple | None:
     if None in fracs:
         return None
     den = math.lcm(*(d for _, d in fracs))
-    live = [(j, num * (den // d)) for j, (num, d) in enumerate(fracs) if num]
+    return _proved(c, [num * (den // d) for num, d in fracs], den)
+
+
+def _multiprime_pade(c: list, n: int) -> tuple | None:
+    """:func:`_eea_pade` for outputs beyond one prime, by Euclid mod many primes on dc c_j."""
+    from .multimodular import pade_minors   # imported on first use: most runs never need it
+    dc = math.lcm(*(x.denominator for x in c))
+    y = pade_minors([x.numerator * (dc // x.denominator) for x in c], n)
+    return None if y is None else _proved(c, y, next(v for v in y if v))
+
+
+def _proved(c: list, y: list, den: int) -> tuple | None:
+    """(A b, b) for b = y / den if the convolution of C_j = dc c_j with y proves B y = 0."""
+    n = len(y) - 1
     dc = math.lcm(*(x.denominator for x in c))
     ints = [x.numerator * (dc // x.denominator) for x in c]
+    live = [(j, v) for j, v in enumerate(y) if v]
     conv = [sum(ints[i - j] * v for j, v in live if j <= i) for i in range(2 * n + 1)]
-    if any(conv[n + 1:]):
+    if any(conv[n + 1:]):                   # dc B y
         return None
     return (tuple(from_gaussian(v, 0, dc * den) for v in conv[:n + 1]),
-            tuple(from_gaussian(num, 0, d) for num, d in fracs))
+            tuple(from_gaussian(v, 0, den) for v in y))
 
 
 def _trimmed(poly: list) -> list:

@@ -166,6 +166,36 @@ def test_approximate_usage_failures(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("env, k_max, argv, message", [
+    # the cap applies to the top of the range, not the first order past it
+    ("2", 3, ("--n-range", "1..3"), "system order 3 exceeds the cap 2"),
+    # --analyze settings, NaN included, with the messages find_poles gives
+    (None, 2, ("--n", "2", "--exact", "--analyze", "--radius", "nan"),
+     "radius_hint must be positive"),
+    (None, 2, ("--n", "2", "--analyze", "--delta-doublet", "0"),
+     "delta_doublet must be positive"),
+    (None, 2, ("--n", "2", "--analyze", "--tol-spurious", "nan"),
+     "tol_spurious must be positive"),
+    # a series too short for the top order (5 coefficients, 7 needed)
+    (None, 2, ("--n-range", "1..3"), "need 7 coefficients, series provides 5"),
+])
+def test_approximate_usage_errors_stop_before_any_approximant(capsys, monkeypatch, env,
+                                                              k_max, argv, message):
+    path = _make_series(k_max=k_max)
+    capsys.readouterr()
+    if env is not None:
+        monkeypatch.setenv(ENV_MAX_N, env)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an approximant was computed")
+
+    monkeypatch.setattr(cli, "classical_pade", no_work)
+    assert run("approximate", "--series", path, *argv, "--out", "r.json") == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not Path("r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padelab import linalg, multimodular
+from padelab import linalg, multimodular, pade
 from padelab.errors import RankDeficiencyError
 from padelab.linalg import (
     RationalMatrix,
@@ -13,10 +13,16 @@ from padelab.linalg import (
     _strip_to_field,
     exact_nullspace,
 )
-from padelab.multimodular import _hadamard_bound, _word_primes
-from padelab.pade import _eea_pade
+from padelab.multimodular import (
+    _chunk_euclid,
+    _chunk_minors,
+    _hadamard_bound,
+    _residues,
+    _word_primes,
+)
+from padelab.pade import _eea_pade, _multiprime_pade, classical_pade
 from padelab.rational import qc
-from padelab.series import GammelParams, PoleSequence, build_gammel_series
+from padelab.series import GammelParams, PoleSequence, PowerSeries, build_gammel_series
 from padelab.toeplitz import build_pair
 
 
@@ -51,17 +57,17 @@ def _bareiss_rows(rows):
     return _bareiss_nullspace([[(v, 0) for v in row] for row in rows])
 
 
-def _spy_chunks(monkeypatch):
-    """Record the rank-n flags of every chunk the multi-modular stage eliminates."""
+def _spy_chunks(monkeypatch, kernel="_chunk_minors"):
+    """Record the primes and flags of every chunk a multi-modular kernel runs."""
     seen = []
-    real = multimodular._chunk_minors
+    real = getattr(multimodular, kernel)
 
-    def spy(limbs, signs, p):
-        minors, alive = real(limbs, signs, p)
-        seen.append((p.tolist(), alive.tolist()))
+    def spy(*args):                         # the chunk of primes is the last argument
+        minors, alive = real(*args)
+        seen.append((args[-1].tolist(), alive.tolist()))
         return minors, alive
 
-    monkeypatch.setattr(multimodular, "_chunk_minors", spy)
+    monkeypatch.setattr(multimodular, kernel, spy)
     return seen
 
 
@@ -96,15 +102,19 @@ def test_word_primes_are_distinct_primes_below_2_31():
     assert listed == [q for q in range(2 ** 31 - 1, lo - 1, -1) if _is_prime(q)]
 
 
+def _row_bound(rows):
+    return _hadamard_bound(sum(v * v for v in row) for row in rows)
+
+
 def test_hadamard_bound_covers_every_maximal_minor():
     rnd = random.Random(7)
     for n in range(1, 5):
         rows = [[rnd.randint(-50, 50) for _ in range(n + 1)] for _ in range(n)]
-        bound = _hadamard_bound(rows)
+        bound = _row_bound(rows)
         for j in range(n + 1):
             assert abs(_det([row[:j] + row[j + 1:] for row in rows])) <= bound
-    assert _hadamard_bound([[3, 4, 0], [0, 0, 5]]) == 25
-    assert _hadamard_bound([[3, 4, 1], [0, 0, 0]]) == 0
+    assert _row_bound([[3, 4, 0], [0, 0, 5]]) == 25
+    assert _row_bound([[3, 4, 1], [0, 0, 0]]) == 0
 
 
 def test_multimodular_matches_bareiss_on_large_random_systems():
@@ -224,20 +234,191 @@ def test_multimodular_trades_the_spare_column_per_prime(monkeypatch):
     assert all(all(flags) for _, flags in seen)
 
 
+def _big_series(rnd, n):
+    c = [Fraction(_big(rnd)) for _ in range(2 * n + 1)]
+    return c, PowerSeries.from_coefficients(c)
+
+
 def test_multimodular_rejects_a_vector_the_check_refutes(monkeypatch):
     # with the bound faked to 1, one prime is taken and the CRT cannot
-    # give the true minors; the exact check B y = 0 must refuse them
+    # give the true minors; the exact check B y = 0 must refuse them,
+    # for general rows and for the Euclidean stage alike
     rows = _big_rows(random.Random(3), 4)
     expected = _bareiss_rows(rows)
-    monkeypatch.setattr(multimodular, "_hadamard_bound", lambda rows: 1)
+    c, series = _big_series(random.Random(3), 4)
+    reference = _elimination_route(monkeypatch, series, 4)
+    monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: 1)
     assert multimodular.nullspace(rows) is None
     assert exact_nullspace(RationalMatrix.from_rows(rows)) == expected
+    assert _multiprime_pade(c, 4) is None
+    assert classical_pade(series, 4, exact=True) == reference
 
 
 def test_multimodular_declines_a_bound_beyond_the_prime_list(monkeypatch):
     rows = _big_rows(random.Random(4), 3)
     expected = _bareiss_rows(rows)
+    c, series = _big_series(random.Random(4), 3)
+    reference = _elimination_route(monkeypatch, series, 3)
     huge = 1 << (30 * len(_word_primes()))
-    monkeypatch.setattr(multimodular, "_hadamard_bound", lambda rows: huge)
+    monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: huge)
     assert multimodular.nullspace(rows) is None
     assert exact_nullspace(RationalMatrix.from_rows(rows)) == expected
+    assert multimodular.pade_minors([x.numerator for x in c], 3) is None
+    assert classical_pade(series, 3, exact=True) == reference
+
+
+# ---------------------------------------------------------------------------
+# the multi-prime Euclidean stage for Toeplitz systems
+
+
+def _toeplitz_rows(c, n):
+    """B_n of c_0..c_2n: entry (i, j) = c_(n+1+i-j)."""
+    return [[c[n + 1 + i - j] for j in range(n + 1)] for i in range(n)]
+
+
+def _remainder_degrees(c, n, q):
+    """Degrees 2n+1 = n_0 > n_1 > ... > n_i of the Euclidean remainders of
+    (z^(2n+1), c - c_0) mod q, stopping at the first n_i <= n (-1 for zero)."""
+    r0, r1 = [0] * (2 * n + 1) + [1], [0] + [v % q for v in c[1:]]
+    degrees = [2 * n + 1]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        degrees.append(len(r1) - 1)
+        if len(r1) - 1 <= n:
+            return degrees
+        inv = pow(r1[-1], -1, q)
+        while len(r0) >= len(r1):
+            f, shift = r0[-1] * inv % q, len(r0) - len(r1)
+            for i, v in enumerate(r1):
+                r0[shift + i] = (r0[shift + i] - f * v) % q
+            while r0 and not r0[-1]:
+                r0.pop()
+        r0, r1 = r1, r0
+
+
+def _rational_coefficients(rnd, n):
+    """c_0..c_2n of P/Q, deg Q = n, Q(0) = 1, P(0) = 0, deg P < n: the
+    remainder degrees end n_(i-1) = n + 1 > n > n_i = deg P."""
+    q = [1] + [rnd.randint(-3, 3) for _ in range(n - 1)] + [rnd.choice((-2, -1, 1, 2))]
+    p = [0] + [rnd.randint(-3, 3) for _ in range(n - 1)]
+    p[rnd.randint(1, n - 1)] = rnd.choice((-1, 1))
+    c = []
+    for j in range(2 * n + 1):
+        c.append((p[j] if j < n else 0) - sum(q[k] * c[j - k] for k in range(1, min(j, n) + 1)))
+    return c
+
+
+def test_euclidean_minors_match_elimination_mod_one_prime():
+    # y = +-prod rho_j^(n_(j-1) - n) t_i against the elimination's minor
+    # vector, one prime at a time, on small integer series; zeros give
+    # degree jumps, c_1 = .. = c_n = 0 < |c_(n+1)| a zero remainder
+    rnd = random.Random(20261019)
+    q = _word_primes()[:1]
+    seen = {"full rank": 0, "rank deficient": 0, "jump": 0, "zero remainder": 0,
+            "n_(i-1) = n + 1 > n > n_i": 0}
+    for trial in range(600):
+        n = rnd.randint(1, 10)
+        c = [rnd.randint(-5, 5) for _ in range(2 * n + 1)]
+        if trial % 4 == 1:
+            c = [v if rnd.random() < 0.6 else 0 for v in c]
+        elif trial % 4 == 2:
+            c[1:n + 2] = [0] * n + [rnd.choice((-3, -1, 1, 2))]
+        elif trial % 4 == 3 and n > 1:
+            c = _rational_coefficients(rnd, n)
+        rows = _residues([v for row in _toeplitz_rows(c, n) for v in row])(q)
+        minors, rank_n = _chunk_minors(rows.reshape(n, n + 1, -1), q)
+        y, alive = _chunk_euclid(_residues([0] + c[1:])(q), n, q)
+        assert alive.tolist() == rank_n.tolist()
+        if not rank_n[0]:
+            seen["rank deficient"] += 1
+            continue
+        p = int(q[0])
+        expected = [int(v) % p for v in minors[:, 0]]
+        got = [int(v) % p for v in y[:, 0]]
+        assert got in (expected, [-v % p for v in expected])
+        degrees = _remainder_degrees(c, n, p)
+        seen["full rank"] += 1
+        seen["jump"] += any(a - b > 1 for a, b in zip(degrees[1:], degrees[2:]))
+        seen["zero remainder"] += degrees[-1] == -1
+        seen["n_(i-1) = n + 1 > n > n_i"] += degrees[-2] == n + 1 and 0 <= degrees[-1] < n
+    assert seen["full rank"] >= 500 and seen["rank deficient"] >= 5
+    assert seen["jump"] >= 250 and seen["zero remainder"] >= 100
+    assert seen["n_(i-1) = n + 1 > n > n_i"] >= 100
+
+
+def _no_elimination(*args):
+    raise AssertionError("exact_nullspace reached")
+
+
+def test_gammel_n38_is_proved_by_the_multiprime_euclidean_stage(monkeypatch):
+    s = _gammel_series()
+    pair = build_pair(s, 38, exact=True)
+    b = exact_nullspace(pair.B)
+    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    r = classical_pade(s, 38, exact=True)
+    assert r.b == b and r.a == pair.A.matvec(b)
+    assert max(x.re.denominator.bit_length() for x in r.b) > 3000
+
+
+def _elimination_route(monkeypatch, series, n):
+    with monkeypatch.context() as patch:
+        patch.setattr(pade, "_eea_pade", lambda c, n: None)
+        patch.setattr(pade, "_multiprime_pade", lambda c, n: None)
+        return classical_pade(series, n, exact=True)
+
+
+def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch):
+    # c_2n, the leading coefficient of g, is a multiple of the first listed
+    # prime, so g has a lower degree mod that prime alone
+    p0 = int(_word_primes()[0])
+    rnd = random.Random(6)
+    n = 6
+    c = [Fraction(_big(rnd)) for _ in range(2 * n + 1)]
+    c[2 * n] = Fraction(p0 * _big(rnd, 40, 60))
+    series = PowerSeries.from_coefficients(c)
+    expected = _elimination_route(monkeypatch, series, n)
+    assert _eea_pade(c, n) is None
+    seen = _spy_chunks(monkeypatch, "_chunk_euclid")
+    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    assert classical_pade(series, n, exact=True) == expected
+    first_primes, first_alive = seen[0]
+    assert first_primes[0] == p0 and first_alive[0] is False
+    assert all(alive for _, flags in seen for alive in flags[1:])
+
+
+def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch):
+    # random real series whose outputs the one-prime stage cannot lift:
+    # 60-100-bit numerators over 1-20-bit denominators, dense or sparse,
+    # or with c_1..c_(2n-1) on a recurrence of order n - 1 with 40-bit
+    # rational weights, so that det(B without column 0) = 0 forces b_0 = 0
+    rnd = random.Random(20261020)
+    seen = {"series": 0, "proved": 0, "b0 = 0": 0}
+    real = pade._multiprime_pade
+    results = []
+    monkeypatch.setattr(pade, "_multiprime_pade",
+                        lambda c, n: results.append(real(c, n)) or results[-1])
+    while seen["series"] < 300:
+        n = rnd.randint(1, 8)
+        c = [Fraction(rnd.getrandbits(rnd.randint(60, 100)) - 2 ** 59,
+                      rnd.getrandbits(rnd.randint(1, 20)) | 1) for _ in range(2 * n + 1)]
+        if seen["series"] % 3 == 1:
+            c = [x if rnd.random() < 0.6 else Fraction(0) for x in c]
+        elif seen["series"] % 3 == 2 and n > 1:
+            d = [Fraction(rnd.getrandbits(40) - 2 ** 39, rnd.getrandbits(40) | 1)
+                 for _ in range(n - 1)]
+            for j in range(n, 2 * n):
+                c[j] = sum(w * c[j - 1 - k] for k, w in enumerate(d))
+        if _eea_pade(c, n) is not None:
+            continue
+        series = PowerSeries.from_coefficients(c)
+        route = classical_pade(series, n, exact=True)
+        reference = _elimination_route(monkeypatch, series, n)
+        assert route.a == reference.a and route.b == reference.b
+        assert route.diagnostics.nullspace_dim == reference.diagnostics.nullspace_dim
+        assert route.diagnostics.b0_degenerate == reference.diagnostics.b0_degenerate
+        assert route == reference
+        seen["series"] += 1
+        seen["proved"] += results[-1] is not None
+        seen["b0 = 0"] += route.diagnostics.b0_degenerate
+    assert seen["proved"] >= 250 and seen["b0 = 0"] >= 50
