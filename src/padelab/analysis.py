@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._jsonfmt import format_float, num
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 from .linalg import ORACLE_MAX_ROWS, exact_sigma_ratio_bounds, svd
 from .pade import PadeApproximant, classical_pade
 from .rational import QC, horner, poly_derivative, qc, to_complex
@@ -132,8 +132,11 @@ def find_poles(r: PadeApproximant, radius_hint: float = 1.0,
     numerator values at the poles are far below the coefficient scale.
     """
     check_positive(radius_hint=radius_hint, delta_doublet=delta_doublet, tol_spurious=tol_spurious)
-    a_eff = [to_complex(x) for x in r.a_effective]
-    b_eff = [to_complex(x) for x in r.b_effective]
+    try:
+        a_eff = [to_complex(x) for x in r.a_effective]
+        b_eff = [to_complex(x) for x in r.b_effective]
+    except OverflowError:
+        raise NumericalError("an approximant coefficient lies beyond the double range") from None
     pole_locs = _sorted_roots(b_eff)
     zero_locs = _sorted_roots(a_eff)
     a_scale = max((abs(x) for x in a_eff), default=0.0)

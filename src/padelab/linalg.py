@@ -380,9 +380,9 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     elimination (:func:`_bareiss_nullspace`).  Complex matrices, other
     shapes and rank-deficient systems go to Bareiss directly or after
     the multi-prime stage declines.  Both stages return the same
-    vector.  (`classical_pade` proves full-rank real Toeplitz systems
-    without B, by the Euclidean stages of ``pade``; it calls this
-    function for complex series and when both stages decline.)
+    vector.  (`classical_pade` proves its Toeplitz systems, real or
+    complex, full rank or not, without B by the Euclidean stages of
+    ``pade``; it calls this function only when both stages decline.)
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)

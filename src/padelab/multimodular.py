@@ -4,9 +4,10 @@ The multi-modular method (Cabay, *Exact solution of linear equations*,
 1971): the integral vector of maximal minors is found modulo enough
 word-size primes to cover its Hadamard bound, by an int64 kernel
 vectorized over a chunk of primes, and joined by the CRT (:func:`_crt`,
-one prime loop for both kernels): O(n^3) elimination of general rows in
-:func:`nullspace`, for `linalg.exact_nullspace`, and the O(n^2) extended
-Euclidean algorithm on a power series in :func:`pade_minors`, for
+one prime loop and product tree for both kernels): O(n^3) elimination
+of general real rows in :func:`nullspace`, for `linalg.exact_nullspace`,
+and the O(n^2) extended Euclidean algorithm on a real or Gaussian power
+series, full rank or not, in :func:`pade_minors`, for
 `pade.classical_pade`.  The CRT and the check B y = 0 are the only
 big-integer work.
 """
@@ -70,23 +71,66 @@ def nullspace(rows: list) -> tuple | None:
     n = len(rows)
     residues = _residues([v for row in rows for v in row])
     y = _crt(2 * _hadamard_bound(sum(v * v for v in row) for row in rows),
-             lambda p: _chunk_minors(residues(p).reshape(n, n + 1, -1), p), _PRIME_CHUNK)
+             lambda p: _chunk_minors(residues(p).reshape(n, n + 1, -1), p),
+             _PRIME_CHUNK, _word_primes())
     if y is None or any(sum(map(operator.mul, row, y)) for row in rows):
         return None
     return scaled_to_first(y)
 
 
 def pade_minors(c: list, n: int) -> list | None:
-    """Integral minor vector y of the Toeplitz B_n of ints c_0..c_2n, unproved, or None.
+    """Integral minor vector y of a full-rank Toeplitz B_m, as (re, im) pairs, unproved, or None.
 
-    B_n (entry (i, j) = c_(n+1+i-j)) is never built: :func:`_crt` joins
-    images of y from :func:`_chunk_euclid`.  Row i holds c_(i+1)..c_(i+n+1),
-    so window sums of c_j^2 give the Hadamard bound in O(n).
+    c holds c_0..c_2n as (re, im) int pairs.  B_n (entry (i, j) =
+    c_(n+1+i-j)) is never built: :func:`_crt` joins images of y from
+    :func:`_chunk_euclid`, with the Hadamard bound from window sums of
+    |c_j|^2.  m = n unless the first chunk reads nullity n + 1 - m > 1.
+    A complex series runs both images of i (+-iota mod p = 1 mod 4) as
+    columns of one chunk, drops a prime unless both follow the chunk's
+    degree sequence, and joins (y+ + y-)/2 and (y+ - y-)/(2 iota) as rows.
     """
-    sums = list(accumulate((v * v for v in c[1:]), initial=0))
-    bound = 2 * _hadamard_bound(sums[i + n + 1] - sums[i] for i in range(n))
-    residues = _residues([0] + c[1:])
-    return _crt(bound, lambda p: _chunk_euclid(residues(p), n, p), _EUCLID_CHUNK)
+    gaussian = any(im for _, im in c)
+    sums = list(accumulate((re * re + im * im for re, im in c[1:]), initial=0))
+    residues = _residues([0] + [re for re, _ in c[1:]]
+                         + ([0] + [im for _, im in c[1:]] if gaussian else []))
+    primes = _word_primes()[_word_primes() % 4 == 1] if gaussian else _word_primes()
+    orders = []
+
+    def images(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        g, q = residues(p), p
+        if gaussian:
+            iota = _sqrt_minus_one(p)
+            re, im, q = g[:2 * n + 1], g[2 * n + 1:] * iota, np.concatenate([p, p])
+            g = np.fmod(np.concatenate([re + im, re - im], axis=1), q)
+        y, alive, order = _chunk_euclid(g[:2 * m + 1], m, q)
+        orders.append(order)
+        if not gaussian:
+            return y, alive
+        plus, minus, half = y[:, :len(p)], y[:, len(p):], (p + 1) >> 1     # 1/2 mod p
+        return (np.concatenate([(plus + minus) * half % p,
+                                (plus - minus) % p * (half * (p - iota) % p) % p]),
+                alive[:len(p)] & alive[len(p):])
+
+    def solve(m: int) -> list | None:
+        bound = 2 * _hadamard_bound(sums[i + m + 1] - sums[i] for i in range(m))
+        return _crt(bound, lambda p: images(p, m), _EUCLID_CHUNK, primes)
+
+    y = solve(n)
+    if y is None and orders and orders[0] < n:                      # rank deficient
+        y = solve(orders[0])
+    if y is None:
+        return None
+    return list(zip(y[:len(y) // 2], y[len(y) // 2:])) if gaussian else [(v, 0) for v in y]
+
+
+def _sqrt_minus_one(p: np.ndarray) -> np.ndarray:
+    """A square root of -1 modulo each prime p = 1 mod 4: a^((p-1)/4) for a non-residue a."""
+    iota, a = np.zeros_like(p), 2
+    while not iota.all():
+        root = _power_mod(np.full_like(p, a), (p - 1) >> 2, p)
+        found = (iota == 0) & (root * root % p == p - 1)
+        iota[found], a = root[found], a + 1
+    return iota
 
 
 def _residues(values: list):
@@ -111,15 +155,14 @@ def _residues(values: list):
     return reduce
 
 
-def _crt(bound: int, images, chunk: int) -> list | None:
+def _crt(bound: int, images, chunk: int, primes: np.ndarray) -> list | None:
     """The int vector y, |y_j| < bound / 2, from `images(p)`: ((m, P) residues, P flags).
 
-    Primes come from a fixed list, at most `chunk` per call, until those
-    kept (flagged True) exceed the bound; the CRT in the symmetric range
-    gives y exactly.  None when the bound is 0 or outgrows the list, a
-    chunk drops more primes than it keeps, or y is 0.
+    Primes come from `primes` in order, at most `chunk` per call, until
+    those kept (flagged True) exceed the bound; the CRT in the symmetric
+    range gives y exactly.  None when the bound is 0 or outgrows the
+    list, a chunk drops more primes than it keeps, or y is 0.
     """
-    primes = _word_primes()
     # every prime exceeds 2^30; the bound also caps the entries, so fewer
     # than 2^16 limbs each and the limb sums in _residues fit in int64
     if not bound or bound.bit_length() >= 30 * len(primes):
@@ -140,12 +183,19 @@ def _crt(bound: int, images, chunk: int) -> list | None:
         if stop - len(moduli) > len(moduli):    # more primes dropped than kept
             return None
         start = stop
-    half = modulus >> 1
-    weights = [modulus // q * pow(modulus // q % q, -1, q) for q in moduli]
-    y = []
-    for residues in np.concatenate(parts, axis=1):
-        v = sum(map(operator.mul, weights, residues.tolist())) % modulus
-        y.append(v - modulus if v > half else v)
+    # y = sum_q s_q M/q mod M, s_q = r_q (M/q)^-1 mod q, up a balanced product tree
+    # T(S u S') = T(S) M(S') + T(S') M(S), whose first level fits in int64 (s, q < 2^31)
+    level = np.array(moduli, dtype=np.int64)
+    cofactors = np.array([modulus % (v * v) // v for v in moduli], dtype=np.int64)
+    sums = np.concatenate(parts, axis=1) % level * _power_mod(cofactors, level - 2, level) % level
+    while sums.shape[1] > 1:
+        if sums.shape[1] % 2:                   # an odd node pairs with (T, M) = (0, 1)
+            sums, level = np.concatenate([sums, sums[:, :1] * 0], axis=1), np.append(level, 1)
+        sums = sums[:, ::2] * level[1::2] + sums[:, 1::2] * level[::2]
+        level = level[::2] * level[1::2]
+        if sums.dtype != object:                # Python ints from the second level on
+            sums, level = sums.astype(object), np.array(level, dtype=object)
+    y = [v - modulus if 2 * v > modulus else v for v in (int(t) % modulus for t in sums[:, 0])]
     return y if any(y) else None
 
 
@@ -230,8 +280,8 @@ def _choose_pivots(w: np.ndarray, c: int, sign: np.ndarray, spare: np.ndarray,
     sign[moved] = -sign[moved]
 
 
-def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minor vector y of B_n mod each prime of `p`, from residues of g_0 = 0, g_1..g_2n.
+def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(y, flags, m): minor vector y of B_n mod each prime of `p`, from g_0 = 0, g_1..g_2n.
 
     The extended Euclidean algorithm on (z^(2n+1), g) (Brent, Gustavson
     & Yun 1980) stops at the first remainder r_i of degree n_i <= n, and
@@ -242,8 +292,9 @@ def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.
     Computer Algebra*, ch. 6).  No step divides: pseudo-remainders
     R_j = mu_j r_j, T_j = mu_j t_j (mu_j = lc R_j) give rho_j = mu_j / kappa_j,
     kappa_j = mu_(j-2) mu_(j-1)^(quotient steps), and one inversion ends
-    the run.  Flags are False where a remainder degree falls below the
-    chunk's, and everywhere if the nullspace is not a line.
+    the run.  B mod p has nullity n + 1 - m, m = max(n_i, deg t_i) of the
+    chunk; flags are False where a remainder degree falls below the
+    chunk's, and everywhere if m < n.
     """
     alive = np.ones(len(p), dtype=bool)
     old, new = np.zeros((2, 2, 2 * n + 2, len(p)), dtype=np.int64)      # (R, T) pairs
@@ -270,8 +321,9 @@ def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.
             np.fmod(w, p, out=w)
             kappa = kappa * mu % p
         old, new, n0 = new, old, n1
-    alive &= max(n1, 2 * n + 1 - n0) == n                          # the nullspace is a line
-    return new[1, :n + 1] * (snum * _power_mod(sden * mu % p, p - 2, p) % p) % p, alive
+    m = max(n1, 2 * n + 1 - n0)
+    alive &= m == n                                                 # the nullspace is a line
+    return new[1, :n + 1] * (snum * _power_mod(sden * mu % p, p - 2, p) % p) % p, alive, m
 
 
 def _power_mod(base: np.ndarray, exps: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Classical and SVD-robust Pade approximants.
 
 Both construct r = p/q of type (n, n) from c_0..c_{2n}: a denominator b
-in the nullspace of the Toeplitz matrix B_n, then a = A_n b.  For a
-real series the exact route finds both by the extended Euclidean
+in the nullspace of the Toeplitz matrix B_n, then a = A_n b.  The exact
+route finds both for any exact series by the extended Euclidean
 algorithm, modulo one prime or many, without building B_n.  The robust
 variant additionally treats singular values at or below
 tol_rel * sigma_1 as a rank deficiency, shrinks the order by that
@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, RankDeficiencyError
 from .linalg import exact_nullspace, svd
-from .rational import from_gaussian, horner, is_exact_scalar, qc, to_complex
+from .rational import (QC_ZERO, from_gaussian, gaussian_integers, horner, is_exact_scalar,
+                       qc, to_complex)
 from .series import PowerSeries
 from .toeplitz import build_pair
 
@@ -132,16 +133,16 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
     """Type-(n, n) Pade approximant from the full-order system.
 
     With `exact=True` (rational series required) every quantity is
-    exact.  For a real series the denominator comes from the extended
-    Euclidean algorithm modulo 2^61 - 1 (:func:`_eea_pade`), or, for
-    outputs beyond that prime, modulo many word-size primes
-    (:func:`_multiprime_pade`); a complex series, or a real one both
-    stages decline, solves B b = 0 with :func:`linalg.exact_nullspace`.
-    Either way b is proved by exact substitution.  A rank deficient
-    system yields the minimal-degree denominator, with the nullspace
-    dimension recorded in the diagnostics rather than an error, since
-    all choices represent the same rational function.  The float route
-    takes the designated SVD nullspace direction.
+    exact.  The denominator comes from the extended Euclidean algorithm
+    modulo 2^61 - 31 (:func:`_eea_pade`), or, for outputs beyond that
+    prime, modulo many word-size primes (:func:`_multiprime_pade`); a
+    series both stages decline solves B b = 0 with
+    :func:`linalg.exact_nullspace`.  Either way b is proved by exact
+    substitution.  A rank deficient system yields the minimal-degree
+    denominator, with the nullspace dimension recorded in the
+    diagnostics rather than an error, since all choices represent the
+    same rational function.  The float route takes the designated SVD
+    nullspace direction.
 
     `trim_tol` controls trailing-coefficient trimming on the float
     route (relative to the largest magnitude); the default 0.0 trims
@@ -160,18 +161,15 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
     if not exact:
         return _float_pade(s, n, trim_tol)
     c = [s.coeff(j) for j in range(2 * n + 1)]
-    re = [x.re for x in c]
-    solved = all(x.is_real for x in c) and (_eea_pade(re, n) or _multiprime_pade(re, n))
-    nullspace_dim = 1
+    solved = _eea_pade(c, n) or _multiprime_pade(c, n)
     if solved:
-        a, b = solved
+        a, b, nullspace_dim = solved
     else:
         pair = build_pair(s, n, exact=True)
         try:
-            b = exact_nullspace(pair.B)
+            b, nullspace_dim = exact_nullspace(pair.B), 1
         except RankDeficiencyError as deficiency:
-            b = deficiency.basis[0]
-            nullspace_dim = len(deficiency.basis)
+            b, nullspace_dim = deficiency.basis[0], len(deficiency.basis)
         a = pair.A.matvec(b)
     diag = Diagnostics(b0_degenerate=not b[0], nullspace_dim=nullspace_dim)
     effective = (_trim_degree(a, True, 0.0), _trim_degree(b, True, 0.0))
@@ -180,32 +178,55 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
                            exact=True, diagnostics=diag)
 
 
-_MODULUS = (1 << 61) - 1                # Mersenne prime of the Euclidean stage
+_MODULUS = 2305843009213693921          # 2^61 - 31, the largest prime below 2^61 that is 1 mod 4
+_IOTA = 583529827753931384              # a square root of -1 mod _MODULUS
 _RECON_BOUND = math.isqrt(_MODULUS // 2)
 
 
 def _eea_pade(c: list, n: int) -> tuple | None:
-    """Proved (a, b) of type (n, n) from real c_0..c_2n (Fractions), or None.
+    """Proved (a, b, d) of type (n, n) from c_0..c_2n (Fractions or QC values), or None.
 
     b spans the nullspace of B_n exactly when q g = r mod z^(2n+1) with
     deg r <= n, where g = f - c_0 (c_0 does not enter B).  Modulo
-    p = 2^61 - 1 the extended Euclidean algorithm on (z^(2n+1), g)
-    stops at the first remainder r_j = s_j z^(2n+1) + t_j g with
-    deg r_j <= n.  Every solution is a polynomial multiple of
-    (r_j, t_j), so the nullspace of B mod p has dimension
-    1 + min(n - deg r_j, n - deg t_j) (Brent, Gustavson & Yun 1980).
-    Dimension 1 mod p implies rank n over Q, so the nullspace over Q is
-    a line.  t_j, scaled so its first nonzero entry is 1, is lifted by
-    Wang's rational reconstruction and proved by :func:`_proved`.
-    Returns None when p divides a denominator of c_1..c_2n, the
-    dimension is not 1, an entry does not reconstruct or the proof
-    fails; the caller then solves B b = 0 by elimination.
+    p = 2^61 - 31, :func:`_euclid` gives the minimal-degree null vector
+    t_j of B mod p and its dimension d (Brent, Gustavson & Yun 1980),
+    once per image of i (i -> +-iota, iota^2 = -1 mod p) for a complex
+    series: half the sum of the two t_j is Re b mod p, their difference
+    over 2 iota is Im b.  Each part is lifted by Wang's rational
+    reconstruction, and :func:`_proved` proves b and d.  None when p
+    divides a denominator of c_1..c_2n, the images differ in d or in
+    their first nonzero index, an entry does not reconstruct or the
+    proof fails.
     """
     p = _MODULUS
+    c = [qc(x) for x in c]
     try:
-        g = [0] + [x.numerator * pow(x.denominator, -1, p) % p for x in c[1:]]
+        re = [x.re.numerator * pow(x.re.denominator, -1, p) % p for x in c[1:]]
+        im = [x.im.numerator * pow(x.im.denominator, -1, p) % p if x.im else 0 for x in c[1:]]
     except ValueError:                      # p divides a denominator
         return None
+    plus = minus = _euclid([0] + [(u + _IOTA * v) % p for u, v in zip(re, im)], n)
+    if any(im):                             # a complex series: the image i -> -iota too
+        minus = _euclid([0] + [(u - _IOTA * v) % p for u, v in zip(re, im)], n)
+    if minus[1] != plus[1] or minus[0].index(1) != plus[0].index(1):
+        return None
+    images, half = list(zip(plus[0], minus[0])), (p + 1) // 2    # Re b, then Im b, mod p
+    parts = plus[0] if minus is plus else ([(u + w) * half % p for u, w in images]
+                                           + [(w - u) * _IOTA * half % p for u, w in images])
+    fracs = [_rational_reconstruction(v) if v else (0, 1) for v in parts]
+    if None in fracs:
+        return None
+    den = math.lcm(*(d for _, d in fracs))
+    nums = [num * (den // d) for num, d in fracs]
+    return _proved(c, list(zip(nums[:n + 1], nums[n + 1:] or [0] * (n + 1))), den, n + 1 - plus[1])
+
+
+def _euclid(g: list, n: int) -> tuple[list, int]:
+    """(t_j, max(deg r_j, deg t_j)) at the first remainder r_j = s_j z^(2n+1) + t_j g, deg <= n.
+
+    g: residues of g_0 = 0, g_1..g_2n.  t_j, padded to n + 1 entries with its first nonzero entry
+    1, divides every null vector of B mod p as a polynomial."""
+    p = _MODULUS
     # ascending coefficients, no trailing zeros: [] is the zero polynomial
     r0, r1 = [0] * (2 * n + 1) + [1], _trimmed(g)
     t0, t1 = [], [1]
@@ -219,35 +240,52 @@ def _eea_pade(c: list, n: int) -> tuple | None:
                 r0[i:i + top] = [(u - f * v) % p for u, v in zip(r0[i:i + top], r1)]
                 t[i:i + len(t1)] = [(u - f * v) % p for u, v in zip(t[i:i + len(t1)], t1)]
         r0, r1, t0, t1 = r1, _trimmed(r0[:top]), t1, t
-    if max(len(r1), len(t1)) != n + 1:      # the nullspace of B mod p is not a line
-        return None
     scale = pow(next(v for v in t1 if v), -1, p)
-    fracs = [_rational_reconstruction(v * scale % p) for v in t1 + [0] * (n + 1 - len(t1))]
-    if None in fracs:
-        return None
-    den = math.lcm(*(d for _, d in fracs))
-    return _proved(c, [num * (den // d) for num, d in fracs], den)
+    return [v * scale % p for v in t1] + [0] * (n + 1 - len(t1)), max(len(r1), len(t1)) - 1
 
 
 def _multiprime_pade(c: list, n: int) -> tuple | None:
     """:func:`_eea_pade` for outputs beyond one prime, by Euclid mod many primes on dc c_j."""
     from .multimodular import pade_minors   # imported on first use: most runs never need it
-    dc = math.lcm(*(x.denominator for x in c))
-    y = pade_minors([x.numerator * (dc // x.denominator) for x in c], n)
-    return None if y is None else _proved(c, y, next(v for v in y if v))
-
-
-def _proved(c: list, y: list, den: int) -> tuple | None:
-    """(A b, b) for b = y / den if the convolution of C_j = dc c_j with y proves B y = 0."""
-    n = len(y) - 1
-    dc = math.lcm(*(x.denominator for x in c))
-    ints = [x.numerator * (dc // x.denominator) for x in c]
-    live = [(j, v) for j, v in enumerate(y) if v]
-    conv = [sum(ints[i - j] * v for j, v in live if j <= i) for i in range(2 * n + 1)]
-    if any(conv[n + 1:]):                   # dc B y
+    c = [qc(x) for x in c]
+    y = pade_minors(gaussian_integers(c)[0], n)
+    if y is None:
         return None
-    return (tuple(from_gaussian(v, 0, dc * den) for v in conv[:n + 1]),
-            tuple(from_gaussian(v, 0, den) for v in y))
+    fr, fi = next(v for v in y if any(v))
+    if fi:                                  # b = y conj(f) / |f|^2, f the first nonzero y_j
+        y, fr = [(vr * fr + vi * fi, vi * fr - vr * fi) for vr, vi in y], fr * fr + fi * fi
+    d = n + 2 - len(y)                      # y solves the full-rank order n + 1 - d
+    return _proved(c, y + [(0, 0)] * (d - 1), fr, d)
+
+
+def _proved(c: list, y: list, den: int, d: int) -> tuple | None:
+    """(A b, b, d) for b = y / den, y in (re, im) int pairs, if B_n has nullity d, else None.
+
+    With C_j = dc c_j: when deg y <= n + 1 - d and coefficients
+    n + 2 - d..2n of C y vanish, the shifts z^k y, k < d, are d
+    independent null vectors, so a nullity d read modulo a prime (which
+    can only raise it) holds over Q(i), and y is the minimal-degree one.
+    """
+    n, top = len(y) - 1, len(y) - d        # top = n + 1 - d
+    gaussian = any(x.im for x in c)
+    dc = math.lcm(*(q.denominator for x in c for q in ((x.re, x.im) if gaussian else (x.re,))))
+    cr = [x.re.numerator * (dc // x.re.denominator) for x in c]
+    yr, yi = zip(*y)
+    re, im = _convolve(cr, yr), _convolve(cr, yi)
+    if gaussian:                            # (C_r + i C_i)(y_r + i y_i)
+        ci = [x.im.numerator * (dc // x.im.denominator) for x in c]
+        re = [u - v for u, v in zip(re, _convolve(ci, yi))]
+        im = [u + v for u, v in zip(im, _convolve(ci, yr))]
+    if any(any(v) for v in y[top + 1:]) or any(re[top + 1:]) or any(im[top + 1:]):
+        return None                         # deg y, or dc B y and its shifts
+    return (tuple(from_gaussian(u, v, dc * den) for u, v in zip(re, im[:n + 1])),
+            tuple(from_gaussian(u, v, den) if u or v else QC_ZERO for u, v in y), d)
+
+
+def _convolve(u: tuple, v: tuple) -> list:
+    """Coefficients 0..len(u)-1 of the product of the int polynomials u and v."""
+    live = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(u[i - j] * x for j, x in live if j <= i) for i in range(len(u))] if live else [0] * len(u)
 
 
 def _trimmed(poly: list) -> list:

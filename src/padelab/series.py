@@ -32,6 +32,7 @@ from . import _jsonfmt
 from .errors import (
     DomainError,
     InvalidParameterError,
+    NumericalError,
     OutOfRangeError,
     SeriesFormatError,
 )
@@ -212,7 +213,10 @@ class PowerSeries:
         if count is None:
             count = len(self.coeffs)
         self.require_terms(count)
-        return np.array([to_complex(self.coeff(j)) for j in range(count)], dtype=complex)
+        try:
+            return np.array([to_complex(self.coeff(j)) for j in range(count)], dtype=complex)
+        except OverflowError:
+            raise NumericalError("a coefficient lies beyond the double range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +417,10 @@ def _scalar_from_json(entry, where: str, exact: bool):
         if not all(isinstance(p, (Fraction, int)) for p in parts):
             raise SeriesFormatError(f"{where}: exact file requires rational string entries")
         return QC(as_fraction(parts[0]), as_fraction(parts[1]))
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        raise SeriesFormatError(f"{where}: component beyond the double range") from None
 
 
 def save_series(s: PowerSeries, path) -> None:

@@ -504,3 +504,33 @@ def test_overflowed_spectrum_maps_to_exit_3(capsys):
     assert run("approximate", "--series", "big.json", "--n", "3", "--out", "a.json") == 3
     assert "numerical failure: sigma_1 = inf" in capsys.readouterr().err
     assert not Path("a.json").exists()
+
+
+def _write_huge_component_series(path, exact):
+    coeffs = [["1", "0"], ["1e400", "0"], ["1", "0"]]
+    Path(path).write_text(json.dumps({"c": coeffs, "exact": exact, "radius_hint": 1.0}))
+
+
+def test_float_file_component_beyond_double_range_exits_2(capsys):
+    _write_huge_component_series("f.json", exact=False)
+    assert run("approximate", "--series", "f.json", "--n", "1", "--out", "a.json") == 2
+    assert "c[1]: component beyond the double range" in capsys.readouterr().err
+    assert not Path("a.json").exists()
+
+
+def test_exact_file_on_the_float_route_beyond_double_range_exits_3(capsys):
+    _write_huge_component_series("e.json", exact=True)
+    assert run("approximate", "--series", "e.json", "--n", "1", "--out", "a.json") == 3
+    assert "numerical failure: a coefficient lies beyond the double range" in capsys.readouterr().err
+    assert not Path("a.json").exists()
+
+
+def test_exact_pole_analysis_beyond_double_range_exits_3(capsys):
+    _write_huge_component_series("e.json", exact=True)
+    assert run("approximate", "--series", "e.json", "--n", "1", "--exact",
+               "--out", "a.json") == 0
+    assert run("approximate", "--series", "e.json", "--n", "1", "--exact", "--analyze",
+               "--out", "b.json") == 3
+    assert ("numerical failure: an approximant coefficient lies beyond the double range"
+            in capsys.readouterr().err)
+    assert not Path("b.json").exists()

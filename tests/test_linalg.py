@@ -27,7 +27,7 @@ from padelab.linalg import (
     singular_value_perturbation_check,
     svd,
 )
-from padelab.pade import _eea_pade, _rational_reconstruction, classical_pade
+from padelab.pade import _MODULUS, _eea_pade, _rational_reconstruction, classical_pade
 from padelab.rational import QC, qc
 from padelab.series import build_counterexample_series, PoleSequence, PowerSeries
 from padelab.toeplitz import build_pair, build_structured
@@ -289,19 +289,19 @@ def _bareiss_only(m):
     return _bareiss_nullspace(_strip_to_field(m))
 
 
-P61 = 2 ** 61 - 1        # modulus of the Euclidean Pade stage
+P = _MODULUS           # modulus of the Euclidean Pade stage
 
 
 def _series_and_reference(c):
-    """The exact series of c and its (a, b) by Bareiss and A.matvec (None if rank deficient)."""
+    """The exact series of c and its (a, b, nullspace dimension) by Bareiss and A.matvec."""
     n = (len(c) - 1) // 2
     series = PowerSeries.from_coefficients(c)
     pair = build_pair(series, n, exact=True)
     try:
-        b = _bareiss_only(pair.B)
-    except RankDeficiencyError:
-        return series, None
-    return series, (pair.A.matvec(b), b)
+        b, d = _bareiss_only(pair.B), 1
+    except RankDeficiencyError as deficiency:
+        b, d = deficiency.basis[0], len(deficiency.basis)
+    return series, (pair.A.matvec(b), b, d)
 
 
 def test_modular_route_matches_bareiss_on_random_full_rank():
@@ -323,9 +323,6 @@ def test_modular_route_matches_bareiss_on_random_full_rank():
         c = [Fraction(int(a), int(d)) for a, d in
              zip(rng.integers(-5, 6, size=2 * n + 1), rng.integers(1, 4, size=2 * n + 1))]
         _, reference = _series_and_reference(c)
-        if reference is None:
-            assert _eea_pade(c, n) is None
-            continue
         eea = _eea_pade(c, n)
         if eea is not None:                 # None: an output beyond one prime
             assert eea == reference
@@ -335,37 +332,38 @@ def test_modular_route_matches_bareiss_on_random_full_rank():
 
 def test_modular_rank_drop_falls_back_to_exact_vector():
     # the rows agree mod p, so the rank drops mod p but not over Q
-    m = RationalMatrix.from_rows([[1, 2, 3], [1 + P61, 2, 3]])
+    m = RationalMatrix.from_rows([[1, 2, 3], [1 + P, 2, 3]])
     assert exact_nullspace(m) == (qc(0), qc(1), qc(Fraction(-2, 3)))
     # B_2 = [[1, 1, 1], [1 + p, 1, 1]]: mod p the series is z / (1 - z),
-    # of type (1, 1), so the nullspace mod p is a plane
-    c = [Fraction(v) for v in (1, 1, 1, 1, 1 + P61)]
+    # of type (1, 1), so the nullspace mod p is a plane; its minimal
+    # vector (1, -1, 0) fails the proof of dimension 2 (C b has z^4 term p)
+    c = [Fraction(v) for v in (1, 1, 1, 1, 1 + P)]
     series, reference = _series_and_reference(c)
     assert _eea_pade(c, 2) is None
     r = classical_pade(series, 2, exact=True)
-    assert (r.a, r.b) == reference == ((qc(0), qc(1), qc(0)), (qc(0), qc(1), qc(-1)))
+    assert (r.a, r.b, 1) == reference == ((qc(0), qc(1), qc(0)), (qc(0), qc(1), qc(-1)), 1)
     assert r.diagnostics.nullspace_dim == 1 and r.diagnostics.b0_degenerate
 
 
 def test_modular_failed_substitution_falls_back():
     # the entry p vanishes mod p, so the modular vector (1, 0) fails B b = 0
-    m = RationalMatrix.from_rows([[P61, 1]])
-    assert exact_nullspace(m) == (qc(1), qc(-P61))
+    m = RationalMatrix.from_rows([[P, 1]])
+    assert exact_nullspace(m) == (qc(1), qc(-P))
     # B_1 = [c_2, c_1] = [p, 1]: the same vector, from the Euclidean stage
-    c = [Fraction(v) for v in (1, 1, P61)]
+    c = [Fraction(v) for v in (1, 1, P)]
     series, reference = _series_and_reference(c)
     assert _eea_pade(c, 1) is None
     r = classical_pade(series, 1, exact=True)
-    assert (r.a, r.b) == reference == ((qc(1), qc(1 - P61)), (qc(1), qc(-P61)))
+    assert (r.a, r.b, 1) == reference == ((qc(1), qc(1 - P)), (qc(1), qc(-P)), 1)
 
 
 def test_modular_reconstruction_failure_still_exact():
     # both entries lie beyond the sqrt(p/2) bound: the first does not
     # reconstruct at all, the second reconstructs to a wrong small
     # fraction that the substitution check rejects
-    t, b = 10 ** 12, 2 ** 40
-    assert _rational_reconstruction((t + 5) * pow(t + 1, -1, P61) % P61) is None
-    assert _rational_reconstruction((b + 3) * pow(b + 1, -1, P61) % P61) is not None
+    t, b = 10 ** 12 + 2, 2 ** 40
+    assert _rational_reconstruction((t + 5) * pow(t + 1, -1, P) % P) is None
+    assert _rational_reconstruction((b + 3) * pow(b + 1, -1, P) % P) is not None
     for num, den in ((t + 5, t + 1), (b + 3, b + 1)):
         m = RationalMatrix.from_rows([[num, -den, 0], [0, 0, 1]])
         assert exact_nullspace(m) == (qc(1), qc(Fraction(num, den)), qc(0))
@@ -374,20 +372,20 @@ def test_modular_reconstruction_failure_still_exact():
         series, reference = _series_and_reference(c)
         assert _eea_pade(c, 1) is None
         r = classical_pade(series, 1, exact=True)
-        assert (r.a, r.b) == reference
+        assert (r.a, r.b, 1) == reference
         assert r.b == (qc(1), qc(Fraction(num, den)))
 
 
 def test_modular_denominator_divisible_by_p_falls_back():
     # c_1 = 1/p has no image mod p, so the Euclidean stage declines;
     # c_0 does not enter B, so a denominator p there is no obstacle
-    c = [Fraction(1), Fraction(1, P61), Fraction(1)]
+    c = [Fraction(1), Fraction(1, P), Fraction(1)]
     series, reference = _series_and_reference(c)
     assert _eea_pade(c, 1) is None
     r = classical_pade(series, 1, exact=True)
-    assert (r.a, r.b) == reference
-    assert r.b == (qc(1), qc(-P61))
-    c = [Fraction(1, P61), Fraction(1), Fraction(2)]
+    assert (r.a, r.b, 1) == reference
+    assert r.b == (qc(1), qc(-P))
+    c = [Fraction(1, P), Fraction(1), Fraction(2)]
     assert _eea_pade(c, 1) == _series_and_reference(c)[1]
 
 

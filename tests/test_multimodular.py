@@ -18,6 +18,7 @@ from padelab.multimodular import (
     _chunk_minors,
     _hadamard_bound,
     _residues,
+    _sqrt_minus_one,
     _word_primes,
 )
 from padelab.pade import _eea_pade, _multiprime_pade, classical_pade
@@ -63,9 +64,9 @@ def _spy_chunks(monkeypatch, kernel="_chunk_minors"):
     real = getattr(multimodular, kernel)
 
     def spy(*args):                         # the chunk of primes is the last argument
-        minors, alive = real(*args)
-        seen.append((args[-1].tolist(), alive.tolist()))
-        return minors, alive
+        out = real(*args)                   # (minors, flags), and the order from _chunk_euclid
+        seen.append((args[-1].tolist(), out[1].tolist()))
+        return out
 
     monkeypatch.setattr(multimodular, kernel, spy)
     return seen
@@ -263,7 +264,7 @@ def test_multimodular_declines_a_bound_beyond_the_prime_list(monkeypatch):
     monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: huge)
     assert multimodular.nullspace(rows) is None
     assert exact_nullspace(RationalMatrix.from_rows(rows)) == expected
-    assert multimodular.pade_minors([x.numerator for x in c], 3) is None
+    assert multimodular.pade_minors([(x.numerator, 0) for x in c], 3) is None
     assert classical_pade(series, 3, exact=True) == reference
 
 
@@ -328,7 +329,7 @@ def test_euclidean_minors_match_elimination_mod_one_prime():
             c = _rational_coefficients(rnd, n)
         rows = _residues([v for row in _toeplitz_rows(c, n) for v in row])(q)
         minors, rank_n = _chunk_minors(rows.reshape(n, n + 1, -1), q)
-        y, alive = _chunk_euclid(_residues([0] + c[1:])(q), n, q)
+        y, alive, _ = _chunk_euclid(_residues([0] + c[1:])(q), n, q)
         assert alive.tolist() == rank_n.tolist()
         if not rank_n[0]:
             seen["rank deficient"] += 1
@@ -422,3 +423,93 @@ def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch):
         seen["proved"] += results[-1] is not None
         seen["b0 = 0"] += route.diagnostics.b0_degenerate
     assert seen["proved"] >= 250 and seen["b0 = 0"] >= 50
+
+
+# ---------------------------------------------------------------------------
+# complex and rank-deficient series in the multi-prime Euclidean stage
+
+
+def _gaussian_primes():
+    primes = _word_primes()
+    return primes[primes % 4 == 1]
+
+
+def test_square_roots_of_minus_one_for_every_prime_1_mod_4():
+    primes = _gaussian_primes()
+    assert len(primes) == 1507
+    iota = _sqrt_minus_one(primes)
+    assert all(v * v % q == q - 1 for v, q in zip(iota.tolist(), primes.tolist()))
+
+
+def _big_gaussian(rnd, lo_bits=60, hi_bits=90):
+    return qc(Fraction(_big(rnd, lo_bits, hi_bits), rnd.getrandbits(16) | 1),
+              Fraction(_big(rnd, lo_bits, hi_bits), rnd.getrandbits(16) | 1))
+
+
+def test_complex_output_beyond_one_prime_is_proved_by_the_multiprime_stage(monkeypatch):
+    rnd = random.Random(8)
+    n = 7
+    c = [_big_gaussian(rnd) for _ in range(2 * n + 1)]
+    series = PowerSeries.from_coefficients(c)
+    expected = _elimination_route(monkeypatch, series, n)
+    assert _eea_pade(c, n) is None and _multiprime_pade(c, n) is not None
+    seen = _spy_chunks(monkeypatch, "_chunk_euclid")
+    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    r = classical_pade(series, n, exact=True)
+    assert r == expected and not r.b[1].is_real
+    assert max(x.re.denominator.bit_length() for x in r.b) > 61
+    primes, _ = seen[0]                     # each prime runs twice, once per image of i
+    assert primes[:len(primes) // 2] == primes[len(primes) // 2:]
+    assert all(q % 4 == 1 for q in primes)
+
+
+def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch):
+    # c_2n = -iota + i mod the first prime p0 = 1 mod 4: its image under
+    # i -> iota vanishes, so only that column has a lower degree mod p0
+    p0 = int(_gaussian_primes()[0])
+    iota = int(_sqrt_minus_one(_gaussian_primes()[:1])[0])
+    rnd = random.Random(9)
+    n = 6
+    c = [_big_gaussian(rnd) for _ in range(2 * n + 1)]
+    c[2 * n] = qc(p0 * _big(rnd, 40, 60) - iota, p0 * _big(rnd, 40, 60) + 1)
+    series = PowerSeries.from_coefficients(c)
+    expected = _elimination_route(monkeypatch, series, n)
+    assert _eea_pade(c, n) is None
+    seen = _spy_chunks(monkeypatch, "_chunk_euclid")
+    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    assert classical_pade(series, n, exact=True) == expected
+    primes, alive = seen[0]
+    half = len(primes) // 2
+    assert primes[0] == primes[half] == p0
+    assert alive[0] is False and alive[half] is True    # the images disagree
+    assert all(alive[1:half]) and all(alive[half + 1:])
+    assert all(all(flags) for _, flags in seen[1:])
+
+
+def test_rank_deficient_output_beyond_one_prime_is_solved_at_the_full_rank_order(monkeypatch):
+    # a type-(2, 2) rational function of z scaled by a 50-bit Gaussian
+    # rational: B_9 has nullity 8, and B_2 is full rank
+    rnd = random.Random(10)
+    n, m = 9, 2
+    q = [qc(1), qc(Fraction(3, 7), 2), qc(-5, Fraction(1, 3))]
+    p = [qc(2), qc(-1, 1), qc(Fraction(4, 5))]
+    s = qc(Fraction(_big(rnd, 50, 50), _big(rnd, 30, 30)), Fraction(_big(rnd, 50, 50), 7))
+    c = []
+    for j in range(2 * n + 1):
+        c.append((p[j] if j <= m else qc(0)) - sum((q[k] * c[j - k] for k in range(1, min(j, m) + 1)), qc(0)))
+    c = [x * s ** j for j, x in enumerate(c)]
+    series = PowerSeries.from_coefficients(c)
+    expected = _elimination_route(monkeypatch, series, n)
+    assert expected.diagnostics.nullspace_dim == n - m + 1
+    assert _eea_pade(c, n) is None
+    orders = []
+    real = multimodular._chunk_euclid
+
+    def spy(g, order, primes):
+        orders.append(order)
+        return real(g, order, primes)
+
+    monkeypatch.setattr(multimodular, "_chunk_euclid", spy)
+    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    assert classical_pade(series, n, exact=True) == expected
+    assert orders[0] == n and set(orders[1:]) == {m}

@@ -170,6 +170,12 @@ def _random_real_coefficients(rnd, n, kind):
         return [Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) for _ in range(2 * n + 1)]
     if kind == "signs":                     # often rank deficient or b_0 = 0
         return [Fraction(rnd.choice((-1, 0, 0, 1))) for _ in range(2 * n + 1)]
+    if kind == "b0":                        # c_1..c_(2n-1) on a recurrence of order n - 1: b_0 = 0
+        c = [_gaussian(rnd) for _ in range(n)] + [QC(0)] * n + [_gaussian(rnd)]
+        weights = [_gaussian(rnd, bits=1, dbits=1) for _ in range(n - 1)]
+        for j in range(n, 2 * n):
+            c[j] = sum((w * c[j - 1 - k] for k, w in enumerate(weights)), QC(0))
+        return c
     if kind == "wide":                      # outputs beyond one prime
         return [Fraction(rnd.getrandbits(100) - 2 ** 99, rnd.getrandbits(20) + 1)
                 for _ in range(2 * n + 1)]
@@ -213,6 +219,146 @@ def test_harmonic_block8_is_proved_by_the_euclidean_stage(monkeypatch):
     assert r.b == (qc(1), qc(-10)) + (qc(0),) * 253
     assert r.diagnostics.nullspace_dim == 1 and not r.diagnostics.b0_degenerate
     assert r.a[0] == 1 and r.a[254] == s.coeff(254) - 10 * s.coeff(253)
+
+
+def _gaussian(rnd, bits=3, dbits=2, real=False):
+    def frac():
+        return Fraction(rnd.randint(-2 ** bits, 2 ** bits), rnd.randint(1, 2 ** dbits))
+    return QC(frac(), 0 if real else frac())
+
+
+def _rational_function_coefficients(rnd, m, n, scale):
+    """c_0..c_2n of P(sz)/Q(sz), deg P, deg Q <= m, Q(0) = 1: B_n has nullity >= n - m + 1."""
+    q = [QC(1)] + [_gaussian(rnd) for _ in range(m)]
+    p = [_gaussian(rnd) for _ in range(m + 1)]
+    c = []
+    for j in range(2 * n + 1):
+        acc = p[j] if j <= m else QC(0)
+        for k in range(1, min(j, m) + 1):
+            acc = acc - q[k] * c[j - k]
+        c.append(acc)
+    return [x * scale ** j for j, x in enumerate(c)]
+
+
+def _random_complex_coefficients(rnd, n, kind):
+    if kind == "small":
+        return [_gaussian(rnd) for _ in range(2 * n + 1)]
+    if kind == "mixed":                     # zero imaginary parts mixed in, or real throughout
+        share = rnd.choice((0.5, 1.0))
+        return [_gaussian(rnd, real=rnd.random() < share) for _ in range(2 * n + 1)]
+    if kind == "padded":                    # type (m, m), so B_n is rank deficient
+        m = rnd.randint(0, n - 1)
+        return [_gaussian(rnd) for _ in range(2 * m + 1)] + [QC(0)] * (2 * (n - m))
+    if kind == "signs":                     # often b_0 = 0 or rank deficient
+        return [QC(rnd.choice((-1, 0, 0, 1)), rnd.choice((-1, 0, 0, 1))) for _ in range(2 * n + 1)]
+    if kind == "b0":                        # c_1..c_(2n-1) on a recurrence of order n - 1: b_0 = 0
+        c = [_gaussian(rnd) for _ in range(n)] + [QC(0)] * n + [_gaussian(rnd)]
+        weights = [_gaussian(rnd, bits=1, dbits=1) for _ in range(n - 1)]
+        for j in range(n, 2 * n):
+            c[j] = sum((w * c[j - 1 - k] for k, w in enumerate(weights)), QC(0))
+        return c
+    if kind == "wide":                      # outputs beyond one prime
+        return [QC(Fraction(rnd.getrandbits(80) - 2 ** 79, rnd.getrandbits(16) + 1),
+                   Fraction(rnd.getrandbits(80) - 2 ** 79, rnd.getrandbits(16) + 1))
+                for _ in range(2 * n + 1)]
+    # a rational function with the variable scaled by a 40-bit Gaussian
+    # rational: rank deficient, and its outputs beyond one prime
+    scale = QC(Fraction(rnd.getrandbits(40) + 1, rnd.getrandbits(30) + 1),
+               Fraction(rnd.getrandbits(40), rnd.getrandbits(30) + 1))
+    return _rational_function_coefficients(rnd, rnd.randint(0, n - 1), n, scale)
+
+
+def test_euclidean_route_matches_elimination_on_random_complex_series(monkeypatch):
+    rnd = random.Random(20261021)
+    stages = []
+    for name in ("_eea_pade", "_multiprime_pade"):
+        real = getattr(pade, name)
+        monkeypatch.setattr(pade, name, lambda c, n, real=real, name=name:
+                            stages.append((name, real(c, n))) or stages[-1][1])
+    seen = {"one prime": 0, "many primes": 0, "declined": 0, "rank deficient": 0,
+            "rank deficient beyond one prime": 0, "b0 = 0": 0, "real parts only": 0}
+    for trial in range(336):
+        n = rnd.randint(1, 12)
+        kind = ("small", "mixed", "padded", "signs", "b0", "wide", "scaled")[trial % 7]
+        series = PowerSeries.from_coefficients(_random_complex_coefficients(rnd, n, kind))
+        stages.clear()
+        route = classical_pade(series, n, exact=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(pade, "_eea_pade", lambda c, n: None)
+            patch.setattr(pade, "_multiprime_pade", lambda c, n: None)
+            fallback = classical_pade(series, n, exact=True)
+        assert route.b == fallback.b and route.a == fallback.a
+        assert route.diagnostics.nullspace_dim == fallback.diagnostics.nullspace_dim
+        assert route.diagnostics.b0_degenerate == fallback.diagnostics.b0_degenerate
+        assert route == fallback
+        proved = [name for name, result in stages if result is not None]
+        stage = {"_eea_pade": "one prime", "_multiprime_pade": "many primes"}.get(
+            proved[0] if proved else None, "declined")
+        seen[stage] += 1
+        deficient = route.diagnostics.nullspace_dim > 1
+        seen["rank deficient"] += deficient
+        seen["rank deficient beyond one prime"] += deficient and stage == "many primes"
+        seen["b0 = 0"] += route.diagnostics.b0_degenerate and stage != "declined"
+        seen["real parts only"] += all(series.coeff(j).is_real for j in range(2 * n + 1))
+    assert seen["one prime"] >= 100 and seen["many primes"] >= 100
+    assert seen["rank deficient"] >= 60 and seen["rank deficient beyond one prime"] >= 20
+    assert seen["b0 = 0"] >= 20 and seen["real parts only"] >= 10
+
+
+def _raise_if_called(*args):
+    raise AssertionError("B was built or eliminated")
+
+
+def test_complex_and_rank_deficient_benchmark_series_build_no_b(monkeypatch):
+    # the benchmark's cx (complex poles, n = 14) and rf (1/(1 - z/w), n = 62)
+    # and the real series c_j = (10/9)^j (1 + [3 | j]) at n = 62
+    poles = PoleSequence.explicit([QC(Fraction(1, 8), Fraction(-1, 8)),
+                                   QC(Fraction(-1, 9), Fraction(1, 9)),
+                                   QC(Fraction(1, 10), Fraction(1, 10))])
+    cx = build_counterexample_series(4, poles)
+    w = QC(Fraction(27, 50), Fraction(36, 50))
+    rf = PowerSeries.from_coefficients([(1 / w) ** j for j in range(127)], radius_hint=0.9)
+    x = Fraction(10, 9)
+    found = PowerSeries.from_coefficients([x ** j * (1 + (j % 3 == 0)) for j in range(125)])
+    cases = [(cx, 14, 1), (rf, 62, 62), (found, 62, 60)]
+    references = [classical_pade(s, n, exact=True) for s, n, _ in cases]
+    monkeypatch.setattr(pade, "build_pair", _raise_if_called)
+    monkeypatch.setattr(pade, "exact_nullspace", _raise_if_called)
+    for (s, n, d), reference in zip(cases, references):
+        r = classical_pade(s, n, exact=True)
+        assert r == reference and r.diagnostics.nullspace_dim == d
+    assert references[0].b == (qc(1), -1 / poles.z(4)) + (qc(0),) * 13
+    assert references[1].b == (qc(1), -1 / w) + (qc(0),) * 61
+    assert references[2].effective_degrees[1] == 3
+
+
+def test_rank_deficient_series_solved_at_a_shifted_block_corner(monkeypatch):
+    # c = z^5 (x + y z): the minimal null vector of B_3 is z^2, of
+    # nullity 2, yet B_2 = 0 has nullity 3, so the multi-prime stage
+    # (which solves the full-rank order below) declines and the
+    # one-prime stage, which lifts t_j directly, proves it
+    x, y = Fraction(2 ** 70 + 1, 3), Fraction(-(2 ** 65) + 7, 5)
+    c = [Fraction(0)] * 5 + [x, y]
+    series = PowerSeries.from_coefficients(c)
+    with monkeypatch.context() as patch:
+        patch.setattr(pade, "_eea_pade", lambda c, n: None)
+        patch.setattr(pade, "_multiprime_pade", lambda c, n: None)
+        reference = classical_pade(series, 3, exact=True)
+    assert reference.b == (qc(0), qc(0), qc(1), qc(0))
+    assert reference.diagnostics.nullspace_dim == 2
+    assert pade._multiprime_pade(c, 3) is None
+    assert pade._eea_pade(c, 3) == (reference.a, reference.b, 2)
+    assert classical_pade(series, 3, exact=True) == reference
+
+
+def test_proof_rejects_a_null_vector_above_the_minimal_degree():
+    # f = 0: B_2 = 0 has nullity 3, and z is a null vector, but the
+    # minimal-degree one is 1; only deg y <= n + 1 - d tells them apart
+    zero = [qc(0)] * 5
+    assert pade._proved(zero, [(0, 0), (1, 0), (0, 0)], 1, 3) is None
+    assert pade._proved(zero, [(1, 0), (0, 0), (0, 0)], 1, 3) == ((qc(0),) * 3, (qc(1), qc(0), qc(0)), 3)
+    r = classical_pade(PowerSeries.from_coefficients(zero), 2, exact=True)
+    assert r.b == (qc(1), qc(0), qc(0)) and r.diagnostics.nullspace_dim == 3
 
 
 def test_classical_float_block2(k2_float):
