@@ -36,7 +36,7 @@ from .errors import (
     OutOfRangeError,
     SeriesFormatError,
 )
-from .rational import QC, as_fraction, horner, is_exact_scalar, qc, to_complex
+from .rational import QC, horner, is_exact_scalar, qc, to_complex
 
 _ONE_THIRD_SQ = Fraction(1, 9)
 
@@ -181,8 +181,8 @@ class PowerSeries:
     def __post_init__(self):
         if self.coeffs is None:
             raise InvalidParameterError("a series needs its coefficients")
-        if not (self.radius_hint > 0):
-            raise InvalidParameterError("radius_hint must be positive")
+        if not 0 < self.radius_hint < math.inf:      # false for NaN too
+            raise InvalidParameterError("radius_hint must be finite and positive")
         coerced = tuple(_coerce_scalar(c) for c in self.coeffs)
         if self.exact and not all(isinstance(c, QC) for c in coerced):
             raise InvalidParameterError("exact series requires rational coefficients")
@@ -323,8 +323,8 @@ class GammelParams:
         object.__setattr__(self, "alphas", tuple(_coerce_scalar(a) for a in self.alphas))
         if self.poles.start_index != 1:
             raise InvalidParameterError("gammel poles are indexed from k = 1")
-        if not (self.radius_hint > 0):
-            raise InvalidParameterError("radius_hint must be positive")
+        if not 0 < self.radius_hint < math.inf:      # false for NaN too
+            raise InvalidParameterError("radius_hint must be finite and positive")
 
     @property
     def exact(self) -> bool:
@@ -395,32 +395,66 @@ def eval_series(s: PowerSeries, z):
 # file round trip
 
 
-def _scalar_from_json(entry, where: str, exact: bool):
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise SeriesFormatError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    parts = []
-    for component in entry:
-        if isinstance(component, str):
-            try:
-                parts.append(as_fraction(component))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise SeriesFormatError(f"{where}: bad rational literal {component!r}") from exc
-        elif isinstance(component, bool):
-            raise SeriesFormatError(f"{where}: booleans are not numbers")
-        elif isinstance(component, (int, float)):
-            if not math.isfinite(component):
-                raise SeriesFormatError(f"{where}: non-finite component {component!r}")
-            parts.append(component)
+def _literal(text: str, memo: dict) -> Fraction:
+    """The Fraction of the rational literal `text`, parsed once per file.
+
+    A plain ASCII [-]digits[/digits] literal is read by int() and
+    normalized by the Fraction constructor; every other form (a sign
+    '+', decimals, exponents, underscores, whitespace, other digits)
+    goes to Fraction(text).  So the accepted literals, their values and
+    the errors raised are those of Fraction(text).  `memo` maps each
+    string already read to its (immutable) value.
+    """
+    value = memo.get(text)
+    if value is None:
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
         else:
-            raise SeriesFormatError(f"{where}: unsupported component {component!r}")
-    if exact:
-        if not all(isinstance(p, (Fraction, int)) for p in parts):
-            raise SeriesFormatError(f"{where}: exact file requires rational string entries")
-        return QC(as_fraction(parts[0]), as_fraction(parts[1]))
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except OverflowError:
-        raise SeriesFormatError(f"{where}: component beyond the double range") from None
+            value = Fraction(text)
+        memo[text] = value
+    return value
+
+
+def _component(x, where: str, i: int, memo: dict):
+    """One part of an [re, im] pair: a Fraction from a string or an int, else a float."""
+    if isinstance(x, str):
+        try:
+            return _literal(x, memo)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SeriesFormatError(f"{where}[{i}]: bad rational literal {x!r}") from exc
+    if isinstance(x, bool):
+        raise SeriesFormatError(f"{where}[{i}]: booleans are not numbers")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SeriesFormatError(f"{where}[{i}]: non-finite component {x!r}")
+        return x
+    raise SeriesFormatError(f"{where}[{i}]: unsupported component {x!r}")
+
+
+def _scalars_from_json(entries: list, where: str, exact: bool, memo: dict) -> tuple:
+    """The values of the [re, im] pairs `entries`, the list `where` names in errors."""
+    values = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise SeriesFormatError(f"{where}[{i}]: expected an [re, im] pair, got {entry!r}")
+        re = _component(entry[0], where, i, memo)
+        im = _component(entry[1], where, i, memo)
+        if exact:
+            if not (isinstance(re, Fraction) and isinstance(im, Fraction)):
+                raise SeriesFormatError(
+                    f"{where}[{i}]: exact file requires rational string entries")
+            values.append(QC._mk(re, im))
+            continue
+        try:
+            values.append(complex(float(re), float(im)))
+        except OverflowError:
+            raise SeriesFormatError(
+                f"{where}[{i}]: component beyond the double range") from None
+    return tuple(values)
 
 
 def save_series(s: PowerSeries, path) -> None:
@@ -468,11 +502,15 @@ def load_series(path) -> PowerSeries:
     raw = doc["c"]
     if not isinstance(raw, list):
         raise SeriesFormatError(f"{p}: field 'c' must be a list")
-    coeffs = tuple(_scalar_from_json(entry, f"{p}: c[{i}]", exact)
-                   for i, entry in enumerate(raw))
+    memo: dict = {}
+    coeffs = _scalars_from_json(raw, f"{p}: c", exact, memo)
     radius = doc["radius_hint"]
-    if isinstance(radius, bool) or not isinstance(radius, (int, float)) or not radius > 0:
-        raise SeriesFormatError(f"{p}: field 'radius_hint' must be a positive number")
+    try:
+        radius = float(radius) if type(radius) in (int, float) else math.nan  # a bool is NaN
+    except OverflowError:                   # an int beyond the double range
+        radius = math.inf
+    if not 0 < radius < math.inf:
+        raise SeriesFormatError(f"{p}: field 'radius_hint' must be a finite positive number")
     meta_doc = doc.get("meta") or {}
     if not isinstance(meta_doc, dict):
         raise SeriesFormatError(f"{p}: field 'meta' must be an object")
@@ -489,8 +527,7 @@ def load_series(path) -> PowerSeries:
             raise SeriesFormatError(f"{p}: meta.poles must be a nonempty list or null")
         pole_exact = all(isinstance(pair, (list, tuple)) and len(pair) == 2
                          and all(isinstance(c, str) for c in pair) for pair in raw_poles)
-        pts = tuple(_scalar_from_json(pair, f"{p}: meta.poles[{i}]", pole_exact)
-                    for i, pair in enumerate(raw_poles))
+        pts = _scalars_from_json(raw_poles, f"{p}: meta.poles", pole_exact, memo)
         tag = meta_doc.get("pole_scheme", "explicit_list")
         start = meta_doc.get("pole_start_index", 2)
         if isinstance(start, bool) or not isinstance(start, int):
@@ -504,10 +541,9 @@ def load_series(path) -> PowerSeries:
     if raw_alphas is not None:
         if not isinstance(raw_alphas, list):
             raise SeriesFormatError(f"{p}: meta.alphas must be a list")
-        alphas = tuple(_scalar_from_json(pair, f"{p}: meta.alphas[{i}]", exact)
-                       for i, pair in enumerate(raw_alphas))
+        alphas = _scalars_from_json(raw_alphas, f"{p}: meta.alphas", exact, memo)
     meta = SeriesMeta(family=family, k_max=k_max, poles=poles, alphas=alphas)
     try:
-        return PowerSeries(coeffs, exact, float(radius), meta)
+        return PowerSeries(coeffs, exact, radius, meta)
     except InvalidParameterError as exc:
         raise SeriesFormatError(f"{p}: {exc}") from exc

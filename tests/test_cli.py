@@ -196,6 +196,18 @@ def test_approximate_usage_errors_stop_before_any_approximant(capsys, monkeypatc
     assert not Path("r.json").exists()
 
 
+def test_approximate_rejects_an_infinite_radius_hint(capsys):
+    # 1/(1 - z/2): with radius_hint 1e999 (read as inf) the pole at z = 2
+    # would lie "inside" and be reported as spurious
+    coeffs = ", ".join(f'["1/{2 ** j}", "0"]' for j in range(5))
+    Path("g.json").write_text('{"c": [%s], "exact": true, "radius_hint": 1e999}' % coeffs)
+    assert run("approximate", "--series", "g.json", "--n", "2", "--mode", "robust",
+               "--analyze", "--out", "r.json") == 2
+    assert "g.json: field 'radius_hint' must be a finite positive number" in \
+        capsys.readouterr().err
+    assert not Path("r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

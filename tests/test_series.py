@@ -1,6 +1,8 @@
 """Pole sequences, the two series families, evaluation, file round trips."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from padelab.series import (
     GammelParams,
     PoleSequence,
     PowerSeries,
+    _literal,
     block_end,
     block_of_index,
     block_order,
@@ -223,6 +226,15 @@ def test_series_construction_guards():
         PowerSeries((1,), True, radius_hint=0.0)
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
+def test_radius_hint_must_be_finite_and_positive(radius):
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        PowerSeries((1,), True, radius_hint=radius)
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        GammelParams(alphas=(1,), radius_hint=radius,
+                     poles=PoleSequence.explicit([Fraction(1, 2)], start_index=1))
+
+
 def test_from_coefficients_detects_exactness():
     assert PowerSeries.from_coefficients([1, Fraction(1, 2)]).exact
     assert not PowerSeries.from_coefficients([1, 0.5]).exact
@@ -368,3 +380,130 @@ def test_float_round_trip_property(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("rt") / "s.json"
     save_series(s, path)
     assert load_series(path).coeffs == s.coeffs
+
+
+@pytest.mark.parametrize("token", ["1e999", "-1e999", str(10 ** 400), "0", "true", '"1"'])
+def test_radius_hint_outside_the_finite_positive_doubles_rejected(tmp_path, token):
+    path = tmp_path / "r.json"
+    path.write_text('{"c": [["1", "0"]], "exact": true, "radius_hint": %s}' % token)
+    with pytest.raises(SeriesFormatError, match="radius_hint' must be a finite positive"):
+        load_series(path)
+
+
+def test_integer_components_beyond_the_double_range(tmp_path):
+    # JSON ints are exact: kept in an exact file, refused by a float one
+    big = 10 ** 400
+    exact = load_series(_write(tmp_path, {"c": [[big, 0]], "exact": True, "radius_hint": 1.0}))
+    assert exact.coeffs == (qc(big),)
+    with pytest.raises(SeriesFormatError, match="beyond the double range"):
+        load_series(_write(tmp_path, {"c": [[big, 0]], "exact": False, "radius_hint": 1.0}))
+
+
+# ---------------------------------------------------------------------------
+# rational literals: `_literal` against Fraction(str)
+
+_LITERALS = [
+    "0", "-0", "007", "-4/6", "0/5", "+3", " 3/4 ", "3 / 4", "0.25", "1e3", "1_000",
+    "٣",  # ARABIC-INDIC DIGIT THREE
+    "", "-", "/3", "3/", "1/-3", "--1", "1/0",
+    "1" * 4301, "1/" + "3" * 4301,  # beyond int()'s digit limit
+    "-" + "1" * 4300,  # at the limit: the sign is not a digit
+]
+
+
+def _random_literals(count: int) -> list:
+    rng = random.Random(20261018)
+
+    def digits():
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 300)))
+
+    return [rng.choice(("", "-")) + digits() + (f"/{digits()}" if rng.random() < 0.8 else "")
+            for _ in range(count)]
+
+
+def _outcome(parse, text):
+    """(numerator, denominator) of the parsed value, or the exception class."""
+    try:
+        value = parse(text)
+    except Exception as exc:                  # noqa: BLE001 - the class is compared
+        return type(exc)
+    assert type(value) is Fraction
+    return value.numerator, value.denominator
+
+
+def _literal_id(text: str) -> str:
+    return repr(text) if len(text) < 20 else f"{len(text)}-digits"
+
+
+@pytest.mark.parametrize("text", _LITERALS, ids=_literal_id)
+def test_literal_matches_fraction_parser(text):
+    memo: dict = {}
+    assert _outcome(lambda t: _literal(t, memo), text) == _outcome(Fraction, text)
+    assert _outcome(lambda t: _literal(t, memo), text) == _outcome(Fraction, text)   # memo hit
+
+
+def test_literal_matches_fraction_parser_on_random_literals():
+    memo: dict = {}
+    for text in _random_literals(2000):
+        assert _outcome(lambda t: _literal(t, memo), text) == _outcome(Fraction, text), text
+
+
+def _bad_literals() -> list:
+    return [t for t in _LITERALS if isinstance(_outcome(Fraction, t), type)]
+
+
+@pytest.mark.parametrize("text", _bad_literals(), ids=_literal_id)
+def test_bad_literal_names_entry_and_literal(tmp_path, text):
+    path = _write(tmp_path, {"c": [["1", "0"], ["2", text]], "exact": True, "radius_hint": 1.0})
+    with pytest.raises(SeriesFormatError) as exc:
+        load_series(path)
+    assert str(exc.value) == f"{path}: c[1]: bad rational literal {text!r}"
+
+
+def _reference_load(path) -> tuple:
+    """Coefficients and metadata of an exact series file, read with Fraction(str) only."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+
+    def pairs(entries):
+        return [(Fraction(re), Fraction(im)) for re, im in entries]
+
+    meta = doc["meta"]
+    return (pairs(doc["c"]), doc["radius_hint"], meta["family"], meta["k_max"],
+            pairs(meta["poles"]) if meta["poles"] is not None else None,
+            meta.get("pole_scheme"), meta.get("pole_start_index"),
+            pairs(meta["alphas"]) if "alphas" in meta else None)
+
+
+def _loaded(s: PowerSeries) -> tuple:
+    def pairs(values):
+        return [(v.re, v.im) for v in values]
+
+    poles = s.meta.poles
+    return (pairs(s.coeffs), s.radius_hint, s.meta.family, s.meta.k_max,
+            pairs(poles.points) if poles is not None else None,
+            poles.generator_tag if poles is not None else None,
+            poles.start_index if poles is not None else None,
+            pairs(s.meta.alphas) if s.meta.alphas is not None else None)
+
+
+def _geometric_series():
+    w = qc(Fraction(27, 50), Fraction(36, 50))        # 1/(1 - z/w), |w| = 9/10
+    return PowerSeries.from_coefficients([(1 / w) ** j for j in range(127)], radius_hint=0.9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_counterexample_series(7, PoleSequence.harmonic(7)),
+    lambda: build_gammel_series(
+        GammelParams(alphas=tuple(default_gammel_alpha(k) for k in range(1, 6)),
+                     poles=PoleSequence.explicit(
+                         [Fraction((-1) ** k, k + 1) for k in range(1, 6)], start_index=1)),
+        2 ** 6 - 2),
+    _geometric_series,
+], ids=["counterexample-k7", "gammel", "geometric-rank-one"])
+def test_round_trip_matches_reference_parse(tmp_path, build):
+    s = build()
+    path = tmp_path / "s.json"
+    save_series(s, path)
+    loaded = load_series(path)
+    assert _loaded(loaded) == _reference_load(path)
+    assert loaded.coeffs == s.coeffs
