@@ -113,10 +113,10 @@ def _sorted_roots(coeffs) -> tuple:
 
 
 def check_positive(**settings) -> None:
-    """Raise InvalidParameterError for the first setting that is not > 0 (NaN included)."""
+    """Raise InvalidParameterError for the first setting that is not finite and > 0 (NaN included)."""
     for name, value in settings.items():
-        if not value > 0:
-            raise InvalidParameterError(f"{name} must be positive")
+        if not 0 < value < math.inf:
+            raise InvalidParameterError(f"{name} must be positive and finite")
 
 
 def find_poles(r: PadeApproximant, radius_hint: float = 1.0,
@@ -280,8 +280,9 @@ def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
     stays below 5, the head/tail coefficient sums respect their limits,
     and 16^k -/+ S sandwiches the extreme singular values.
 
-    `exact=True` routes the approximant through rational elimination so
-    the q and p comparisons are equalities.  On the float route p_ok is
+    `exact=True` routes the approximant through the exact route of
+    `classical_pade` (the extended Euclidean algorithm, proved by
+    substitution) so the q and p comparisons are equalities.  On the float route p_ok is
     None when |16^k z_k^(2 n_k)| does not exceed the rounding bound of
     the computed p(z_k): the float numerator cannot tell that value
     from 0, and only the exact route can certify it.  `with_oracle` adds a

@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     app.add_argument("--tol", type=float, default=1e-12,
                      help="robust threshold tol_rel in (0, 1)")
     app.add_argument("--exact", action="store_true",
-                     help="rational elimination instead of SVD (classical only)")
+                     help="exact rationals instead of SVD: the extended Euclidean algorithm, "
+                          "proved by substitution (classical only)")
     app.add_argument("--analyze", action="store_true",
                      help="append a pole/doublet/spurious report to the output")
     app.add_argument("--radius", type=float, default=None,

@@ -5,18 +5,12 @@ Three independent routes live here on purpose:
 * :func:`svd` -- the LAPACK SVD in doubles (``np.linalg.svd``), with
   negligible singular values set to exactly 0 and a designated
   nullspace direction;
-* :func:`exact_nullspace` -- the exact nullspace vector, in up to
-  two stages.  For a real n x (n+1) system the vector of maximal
-  minors is found modulo many word-size primes at once (int64 arrays)
-  and recombined by the CRT (:mod:`padelab.multimodular`); it is
-  returned only when exact substitution proves it (B b = 0).
-  Gaussian-rational entries, other shapes, rank deficiency and any
-  unproved vector fall back to fraction-free (Bareiss) elimination.
-  Each exact kernel runs on one integer type: the multi-prime stage on
-  Python ints (the rows of a real system), Bareiss elimination and its
-  fraction-free back substitution on Gaussian integers as (re, im) int
-  pairs, a real row entering as (v, 0), so Fractions appear only in
-  the returned entries;
+* :func:`exact_nullspace` -- the exact nullspace vector by
+  fraction-free (Bareiss) elimination and fraction-free back
+  substitution on Gaussian integers as (re, im) int pairs, a real row
+  entering as (v, 0), so Fractions appear only in the returned entries.
+  It is the elimination reference for the exact Pade route of
+  ``pade``, which never calls it;
 * :func:`exact_sigma_ratio_bounds` -- certified brackets of the
   extreme singular values: Sylvester's law of inertia applied to an
   exact LDL^T factorization of the integer Gram matrix, shifted by mu,
@@ -277,7 +271,7 @@ def singular_value_perturbation_check(mat, delta, slack: float = 1e-10) -> Pertu
 
 
 # ---------------------------------------------------------------------------
-# exact nullspace (multi-prime solve proved by substitution, Bareiss fallback)
+# exact nullspace (Bareiss elimination)
 
 
 def _strip_to_field(mat: RationalMatrix) -> list:
@@ -373,26 +367,15 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     :class:`RankDeficiencyError` carrying the exact rank and a full
     basis of basic solutions, minimal degree first.
 
-    A real n x (n+1) matrix goes through up to two stages: a solve
-    modulo many word-size primes at once, recombined by the CRT and
-    proved by exact substitution B b = 0 (:func:`multimodular.nullspace`,
-    on the real parts of the stripped rows as ints), then fraction-free
-    elimination (:func:`_bareiss_nullspace`).  Complex matrices, other
-    shapes and rank-deficient systems go to Bareiss directly or after
-    the multi-prime stage declines.  Both stages return the same
-    vector.  (`classical_pade` proves its Toeplitz systems, real or
-    complex, full rank or not, without B by the Euclidean stages of
-    ``pade``; it calls this function only when both stages decline.)
+    Fraction-free (Bareiss) elimination of the stripped rows
+    (:func:`_bareiss_nullspace`), for real and Gaussian-rational
+    entries alike.  (`classical_pade` proves its Toeplitz systems
+    without B by the Euclidean stages of ``pade``; this function is
+    their elimination reference.)
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
-    rows = _strip_to_field(mat)
-    if mat.is_real and mat.cols == mat.rows + 1:
-        from . import multimodular          # imported on first use: most runs never need it
-        vec = multimodular.nullspace([[re for re, _ in row] for row in rows])
-        if vec is not None:
-            return vec
-    return _bareiss_nullspace(rows)
+    return _bareiss_nullspace(_strip_to_field(mat))
 
 
 def _bareiss_nullspace(rows: list) -> tuple:

@@ -1,45 +1,39 @@
-"""Exact integral minor vectors of large n x (n+1) systems, many primes at once.
+"""Exact integral minor vectors of Toeplitz Pade systems, many primes at once.
 
 The multi-modular method (Cabay, *Exact solution of linear equations*,
-1971): the integral vector of maximal minors is found modulo enough
-word-size primes to cover its Hadamard bound, by an int64 kernel
-vectorized over a chunk of primes, and joined by the CRT (:func:`_crt`,
-one prime loop and product tree for both kernels): O(n^3) elimination
-of general real rows in :func:`nullspace`, for `linalg.exact_nullspace`,
-and the O(n^2) extended Euclidean algorithm on a real or Gaussian power
-series, full rank or not, in :func:`pade_minors`, for
-`pade.classical_pade`.  The CRT and the check B y = 0 are the only
-big-integer work.
+1971): the integral vector of maximal minors of the Toeplitz B_n of a
+real or Gaussian power series, full rank or not, is found modulo
+enough word-size primes to cover its Hadamard bound, by the O(n^2)
+extended Euclidean algorithm vectorized in int64 over a chunk of
+primes, and joined by the CRT, for `pade.classical_pade`
+(:func:`pade_minors`).  B_n is never built; the CRT and the exact proof
+in ``pade`` are the only big-integer work.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import cache
 from itertools import accumulate
 
 import numpy as np
 
-from .rational import scaled_to_first
-
 _WORD_PRIME_TOP = 1 << 31     # products of two residues stay below 2^62: int64-safe
-_WORD_PRIME_SPAN = 1 << 16    # the list holds every prime in [2^31 - span, 2^31)
-_PRIME_CHUNK = 16             # primes eliminated together: 0.2 MB of residues at n = 38
-_ROW_BLOCK = 8                # rows updated per elimination call: bounds the temporary array
+_WORD_PRIME_SPAN = 1 << 16    # one window of the list: every prime in [2^31 - span, 2^31)
+_LIMB_BLOCK = (1 << 63) // ((1 << 16) * _WORD_PRIME_TOP)    # 16-bit limbs whose int64 sum is safe
 _EUCLID_CHUNK = 256           # primes in one Euclidean run: 0.5 MB per (R, T) pair at n = 62
 
 
 @cache
-def _word_primes() -> np.ndarray:
-    """Every prime in [2^31 - span, 2^31), largest first (a segmented sieve)."""
-    lo = _WORD_PRIME_TOP - _WORD_PRIME_SPAN
+def _word_primes(windows: int = 1) -> np.ndarray:
+    """Every prime in [2^31 - windows span, 2^31), largest first (a segmented sieve)."""
+    lo = _WORD_PRIME_TOP - windows * _WORD_PRIME_SPAN
     small = np.ones(math.isqrt(_WORD_PRIME_TOP) + 1, dtype=bool)
     small[:2] = False
     for q in range(2, math.isqrt(len(small) - 1) + 1):
         if small[q]:
             small[q * q::q] = False
-    window = np.ones(_WORD_PRIME_SPAN, dtype=bool)
+    window = np.ones(windows * _WORD_PRIME_SPAN, dtype=bool)
     for q in np.flatnonzero(small):
         window[-lo % q::q] = False
     primes = (lo + np.flatnonzero(window)[::-1]).astype(np.int64, copy=False)
@@ -57,34 +51,18 @@ def _hadamard_bound(squares) -> int:
     return bound
 
 
-def nullspace(rows: list) -> tuple | None:
-    """Proved nullspace vector of integral n x (n+1) rows, or None.
-
-    The integral vector of maximal minors, y_j = (-1)^j det(B without
-    column j), spans the nullspace when the rank is n, and each |y_j|
-    is at most H, the Hadamard bound.  :func:`_crt` joins its images
-    mod primes that exceed 2H, each chunk from one elimination
-    (:func:`_chunk_minors`).  The vector is returned, scaled so its
-    first nonzero entry is 1, only if the exact check B y = 0 holds;
-    else None, and the caller falls back to Bareiss.
-    """
-    n = len(rows)
-    residues = _residues([v for row in rows for v in row])
-    y = _crt(2 * _hadamard_bound(sum(v * v for v in row) for row in rows),
-             lambda p: _chunk_minors(residues(p).reshape(n, n + 1, -1), p),
-             _PRIME_CHUNK, _word_primes())
-    if y is None or any(sum(map(operator.mul, row, y)) for row in rows):
-        return None
-    return scaled_to_first(y)
-
-
-def pade_minors(c: list, n: int) -> list | None:
-    """Integral minor vector y of a full-rank Toeplitz B_m, as (re, im) pairs, unproved, or None.
+def pade_minors(c: list, n: int) -> tuple[list, int] | None:
+    """(y, d): an integral minor vector y as (re, im) pairs, unproved, and the nullity d of B_n, or None.
 
     c holds c_0..c_2n as (re, im) int pairs.  B_n (entry (i, j) =
     c_(n+1+i-j)) is never built: :func:`_crt` joins images of y from
     :func:`_chunk_euclid`, with the Hadamard bound from window sums of
-    |c_j|^2.  m = n unless the first chunk reads nullity n + 1 - m > 1.
+    |c_j|^2.  The first chunk reads deg r and M' = deg t at the first
+    remainder of degree <= n, so d = n + 1 - max(deg r, M').  When
+    d = 1, y is the minor vector of B_n.  Otherwise y is that of the
+    (2n - M', M') entry of the Pade table, the last M' rows of B_n over
+    its first M' + 1 columns, of nullity 1, whose null vector is t:
+    B_M' of the series shifted down by 2n - 2M' (y = 1 when M' = 0).
     A complex series runs both images of i (+-iota mod p = 1 mod 4) as
     columns of one chunk, drops a prime unless both follow the chunk's
     degree sequence, and joins (y+ + y-)/2 and (y+ - y-)/(2 iota) as rows.
@@ -93,17 +71,22 @@ def pade_minors(c: list, n: int) -> list | None:
     sums = list(accumulate((re * re + im * im for re, im in c[1:]), initial=0))
     residues = _residues([0] + [re for re, _ in c[1:]]
                          + ([0] + [im for _, im in c[1:]] if gaussian else []))
-    primes = _word_primes()[_word_primes() % 4 == 1] if gaussian else _word_primes()
-    orders = []
+    degrees = []                                                    # (deg r, deg t) of a chunk
 
-    def images(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def primes(windows: int) -> np.ndarray:
+        listed = _word_primes(windows)
+        return listed[listed % 4 == 1] if gaussian else listed
+
+    def images(p: np.ndarray, m: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
         g, q = residues(p), p
         if gaussian:
             iota = _sqrt_minus_one(p)
             re, im, q = g[:2 * n + 1], g[2 * n + 1:] * iota, np.concatenate([p, p])
             g = np.fmod(np.concatenate([re + im, re - im], axis=1), q)
-        y, alive, order = _chunk_euclid(g[:2 * m + 1], m, q)
-        orders.append(order)
+        y, alive, found = _chunk_euclid(g[shift:shift + 2 * m + 1], m, q)
+        if alive.any():
+            degrees.append(found)
+        alive &= max(found) == m                                    # the nullspace is a line
         if not gaussian:
             return y, alive
         plus, minus, half = y[:, :len(p)], y[:, len(p):], (p + 1) >> 1     # 1/2 mod p
@@ -111,16 +94,20 @@ def pade_minors(c: list, n: int) -> list | None:
                                 (plus - minus) % p * (half * (p - iota) % p) % p]),
                 alive[:len(p)] & alive[len(p):])
 
-    def solve(m: int) -> list | None:
-        bound = 2 * _hadamard_bound(sums[i + m + 1] - sums[i] for i in range(m))
-        return _crt(bound, lambda p: images(p, m), _EUCLID_CHUNK, primes)
+    def solve(m: int, shift: int) -> list | None:
+        rows = (sums[shift + i + m + 1] - sums[shift + i] for i in range(m))
+        return _crt(2 * _hadamard_bound(rows), lambda p: images(p, m, shift), _EUCLID_CHUNK, primes)
 
-    y = solve(n)
-    if y is None and orders and orders[0] < n:                      # rank deficient
-        y = solve(orders[0])
+    y = solve(n, 0)
+    if y is None and not degrees:                                   # a zero row: no chunk ran
+        images(primes(1)[:_EUCLID_CHUNK], n, 0)
+    if y is None and degrees and max(degrees[0]) < n:               # rank deficient
+        top = degrees[0][1]
+        y = solve(top, 2 * (n - top)) if top else [1] + [0] * gaussian
     if y is None:
         return None
-    return list(zip(y[:len(y) // 2], y[len(y) // 2:])) if gaussian else [(v, 0) for v in y]
+    d = n + 1 - max(degrees[0])
+    return (list(zip(y[:len(y) // 2], y[len(y) // 2:])) if gaussian else [(v, 0) for v in y]), d
 
 
 def _sqrt_minus_one(p: np.ndarray) -> np.ndarray:
@@ -145,38 +132,41 @@ def _residues(values: list):
         powers[0] = 1
         for k in range(1, width):
             np.fmod(powers[k - 1] << 16, p, out=powers[k])
-        w = np.empty((len(values), len(p)), dtype=np.int64)
-        for i in range(0, len(values), 64):     # 64 at a time: bounds the int64 copy of the limbs
-            np.matmul(limbs[i:i + 64], powers, out=w[i:i + 64])
-        np.fmod(w, p, out=w)
+        w = np.zeros((len(values), len(p)), dtype=np.int64)
+        for k in range(0, width, _LIMB_BLOCK):
+            for i in range(0, len(values), 64):     # 64 at a time: bounds the int64 copy of the limbs
+                w[i:i + 64] += np.fmod(limbs[i:i + 64, k:k + _LIMB_BLOCK] @ powers[k:k + _LIMB_BLOCK], p)
+            np.fmod(w, p, out=w)
         w *= signs
         return w
 
     return reduce
 
 
-def _crt(bound: int, images, chunk: int, primes: np.ndarray) -> list | None:
+def _crt(bound: int, images, chunk: int, primes) -> list | None:
     """The int vector y, |y_j| < bound / 2, from `images(p)`: ((m, P) residues, P flags).
 
-    Primes come from `primes` in order, at most `chunk` per call, until
-    those kept (flagged True) exceed the bound; the CRT in the symmetric
-    range gives y exactly.  None when the bound is 0 or outgrows the
-    list, a chunk drops more primes than it keeps, or y is 0.
+    Primes come in order from `primes(w)`, the list of the first w
+    windows (a prefix of the next one), at most `chunk` per call, one
+    window more whenever the list runs out, until those kept (flagged
+    True) exceed the bound; the CRT in the symmetric range gives y
+    exactly.  None when the bound is 0, a chunk drops more primes than
+    it keeps, or y is 0.
     """
-    # every prime exceeds 2^30; the bound also caps the entries, so fewer
-    # than 2^16 limbs each and the limb sums in _residues fit in int64
-    if not bound or bound.bit_length() >= 30 * len(primes):
+    if not bound:
         return None
+    windows, listed = 1, primes(1)
     moduli, parts, modulus, start = [], [], 1, 0
     while modulus <= bound:
         stop, grown = start, modulus
-        while grown <= bound and stop - start < chunk and stop < len(primes):
-            grown *= int(primes[stop])
+        while grown <= bound and stop - start < chunk:
+            if stop == len(listed):
+                windows += 1
+                listed = primes(windows)
+            grown *= int(listed[stop])
             stop += 1
-        if stop == start:
-            return None
-        residues, alive = images(primes[start:stop])
-        kept = primes[start:stop][alive].tolist()
+        residues, alive = images(listed[start:stop])
+        kept = listed[start:stop][alive].tolist()
         moduli += kept
         modulus *= math.prod(kept)
         parts.append(residues[:, alive])
@@ -199,107 +189,27 @@ def _crt(bound: int, images, chunk: int, primes: np.ndarray) -> list | None:
     return y if any(y) else None
 
 
-def _chunk_minors(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minor vector y mod each prime of `p`: ((n+1, P) residues, P rank-n flags).
+def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(y, flags, (n_i, deg t_i)): t_i, scaled to the minor vector y of B_n, mod each prime of `p`.
 
-    The work array `w` is (row, column, prime) with signed residues,
-    |r| < p, updated in place.  Each prime picks its own pivot row
-    (:func:`_choose_pivots`); the pivot row is never normalized
-    (r_i <- s r_i - f r_c, one fmod per step).  A column without a
-    pivot is traded for the spare column n.  The spare then holds a
-    column that is zero from that row down, so a second trade finds no
-    pivot either: rank < n mod p.  After one batched inversion of the
-    pivots, back substitution gives the null vector with its spare entry
-    scaled to det of the square part, which is y up to one sign shared
-    by every prime.
-    """
-    n, m = w.shape[:2]
-    nprimes = len(p)
-    sign = np.ones(nprimes, dtype=np.int64)
-    spare = np.full(nprimes, n)             # the input column held in column n
-    alive = np.ones(nprimes, dtype=bool)
-    pivots = np.empty((n, nprimes), dtype=np.int64)
-    scaled = np.empty(_ROW_BLOCK * n * nprimes, dtype=np.int64)
-    for c in range(n):
-        if not w[c, c].all():
-            _choose_pivots(w, c, sign, spare, alive)
-        s = w[c, c]
-        pivots[c] = s
-        for r in range(c + 1, n, _ROW_BLOCK):
-            below = w[r:r + _ROW_BLOCK, c + 1:]
-            t = scaled[:below.size].reshape(below.shape)
-            np.multiply(below, s, out=t)
-            np.multiply(w[r:r + _ROW_BLOCK, c, None], w[c, None, c + 1:], out=below)
-            np.subtract(t, below, out=t)
-            np.fmod(t, p, out=below)
-    inv = _power_mod(pivots, p - 2, p)      # Fermat; a dead prime's 0 stays 0
-    # each step scaled the rows below by its pivot: det = sign d_(n-1) prod_c inv_c^(n-2-c)
-    det = sign * pivots[n - 1]
-    prefix = np.ones(nprimes, dtype=np.int64)
-    for c in range(n - 2):
-        prefix = np.fmod(prefix * inv[c], p)
-        det = np.fmod(det * prefix, p)
-    y = np.zeros((m, nprimes), dtype=np.int64)
-    y[n] = det
-    for i in reversed(range(n)):
-        acc = np.fmod(w[i, i + 1:] * y[i + 1:], p).sum(axis=0)
-        y[i] = np.fmod(np.fmod(-acc, p) * inv[i], p)
-    cols = np.arange(nprimes)
-    held = y[spare, cols]
-    y[spare, cols] = y[n]
-    y[n] = held
-    return y, alive
-
-
-def _choose_pivots(w: np.ndarray, c: int, sign: np.ndarray, spare: np.ndarray,
-                   alive: np.ndarray) -> None:
-    """Bring a nonzero residue to (c, c) for every prime, in place.
-
-    Each prime takes its first row at or below c that is nonzero in
-    column c.  A prime with no such row trades column c for the spare
-    column n, and one with none after that is marked dead (rank < n).
-    Every row or column swap flips that prime's sign.
-    """
-    n = w.shape[0]
-    live = w[c:, c] != 0
-    found = live.any(axis=0)
-    if not found.all():
-        lost = ~found
-        held = w[:, c, lost]
-        w[:, c, lost] = w[:, n, lost]
-        w[:, n, lost] = held
-        spare[lost] = c
-        sign[lost] = -sign[lost]
-        live = w[c:, c] != 0
-        alive &= live.any(axis=0)
-    top = live.argmax(axis=0) + c
-    moved = np.flatnonzero(top != c)
-    held = w[c, :, moved]
-    w[c, :, moved] = w[top[moved], :, moved]
-    w[top[moved], :, moved] = held
-    sign[moved] = -sign[moved]
-
-
-def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(y, flags, m): minor vector y of B_n mod each prime of `p`, from g_0 = 0, g_1..g_2n.
-
-    The extended Euclidean algorithm on (z^(2n+1), g) (Brent, Gustavson
-    & Yun 1980) stops at the first remainder r_i of degree n_i <= n, and
-    the nullspace of B mod p is a line exactly when max(n_i, deg t_i) = n.
-    With r_j monic, rho_j its divided-out leading coefficient (rho_i = 1
-    if r_i = 0) and t_j its cofactor of g, y = +-prod_j rho_j^(n_(j-1) - n) t_i,
-    one sign per degree sequence (von zur Gathen & Gerhard, *Modern
-    Computer Algebra*, ch. 6).  No step divides: pseudo-remainders
-    R_j = mu_j r_j, T_j = mu_j t_j (mu_j = lc R_j) give rho_j = mu_j / kappa_j,
-    kappa_j = mu_(j-2) mu_(j-1)^(quotient steps), and one inversion ends
-    the run.  B mod p has nullity n + 1 - m, m = max(n_i, deg t_i) of the
-    chunk; flags are False where a remainder degree falls below the
-    chunk's, and everywhere if m < n.
+    g holds g_0..g_2n; g_0 is not read.  The extended Euclidean
+    algorithm on (z^(2n+1), g) (Brent, Gustavson & Yun 1980) stops at
+    the first remainder r_i of degree n_i <= n, and the nullspace of B
+    mod p, of dimension n + 1 - max(n_i, deg t_i), is a line exactly when
+    that maximum is n.  Then, with r_j monic, rho_j its divided-out
+    leading coefficient (rho_i = 1 if r_i = 0) and t_j its cofactor of
+    g, y = +-prod_j rho_j^(n_(j-1) - n) t_i, one sign per degree sequence
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  No
+    step divides: pseudo-remainders R_j = mu_j r_j, T_j = mu_j t_j
+    (mu_j = lc R_j) give rho_j = mu_j / kappa_j, kappa_j =
+    mu_(j-2) mu_(j-1)^(quotient steps), and one inversion ends the run.
+    The degrees are the chunk's; flags are False where a remainder
+    degree falls below them.
     """
     alive = np.ones(len(p), dtype=bool)
     old, new = np.zeros((2, 2, 2 * n + 2, len(p)), dtype=np.int64)      # (R, T) pairs
     old[0, -1] = new[1, 0] = 1
-    new[0, :-1] = g
+    new[0, 1:-1] = g[1:]
     n0 = 2 * n + 1
     kappa = num = den = snum = sden = np.ones(len(p), dtype=np.int64)
     while True:
@@ -321,9 +231,8 @@ def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.
             np.fmod(w, p, out=w)
             kappa = kappa * mu % p
         old, new, n0 = new, old, n1
-    m = max(n1, 2 * n + 1 - n0)
-    alive &= m == n                                                 # the nullspace is a line
-    return new[1, :n + 1] * (snum * _power_mod(sden * mu % p, p - 2, p) % p) % p, alive, m
+    y = new[1, :n + 1] * (snum * _power_mod(sden * mu % p, p - 2, p) % p) % p
+    return y, alive, (n1, 2 * n + 1 - n0)
 
 
 def _power_mod(base: np.ndarray, exps: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, RankDeficiencyError
-from .linalg import exact_nullspace, svd
+from .errors import InvalidParameterError, NumericalError
+from .linalg import svd
 from .rational import (QC_ZERO, from_gaussian, gaussian_integers, horner, is_exact_scalar,
                        qc, to_complex)
 from .series import PowerSeries
@@ -49,8 +49,9 @@ class Diagnostics:
 
     `sigmas`/`ratio` describe the final denominator system (float route
     only).  `reductions` records every robust degree drop.
-    `nullspace_dim` is the exact nullspace dimension when the exact
-    route found the system rank deficient (denominator not unique).
+    `nullspace_dim` is the exact nullspace dimension of B_n (exact
+    route only): 1 at full rank, above 1 when the denominator is not
+    unique.
     """
 
     sigmas: tuple | None = None
@@ -135,14 +136,13 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
     With `exact=True` (rational series required) every quantity is
     exact.  The denominator comes from the extended Euclidean algorithm
     modulo 2^61 - 31 (:func:`_eea_pade`), or, for outputs beyond that
-    prime, modulo many word-size primes (:func:`_multiprime_pade`); a
-    series both stages decline solves B b = 0 with
-    :func:`linalg.exact_nullspace`.  Either way b is proved by exact
-    substitution.  A rank deficient system yields the minimal-degree
-    denominator, with the nullspace dimension recorded in the
-    diagnostics rather than an error, since all choices represent the
-    same rational function.  The float route takes the designated SVD
-    nullspace direction.
+    prime, modulo many word-size primes (:func:`_multiprime_pade`), and
+    is proved by exact substitution; a series both stages decline
+    raises :class:`NumericalError`.  A rank deficient system yields the
+    minimal-degree denominator, with the nullspace dimension recorded
+    in the diagnostics rather than an error, since all choices
+    represent the same rational function.  The float route takes the
+    designated SVD nullspace direction.
 
     `trim_tol` controls trailing-coefficient trimming on the float
     route (relative to the largest magnitude); the default 0.0 trims
@@ -162,15 +162,12 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
         return _float_pade(s, n, trim_tol)
     c = [s.coeff(j) for j in range(2 * n + 1)]
     solved = _eea_pade(c, n) or _multiprime_pade(c, n)
-    if solved:
-        a, b, nullspace_dim = solved
-    else:
-        pair = build_pair(s, n, exact=True)
-        try:
-            b, nullspace_dim = exact_nullspace(pair.B), 1
-        except RankDeficiencyError as deficiency:
-            b, nullspace_dim = deficiency.basis[0], len(deficiency.basis)
-        a = pair.A.matvec(b)
+    if solved is None:
+        raise NumericalError(
+            f"no exact order-{n} Pade denominator: the one-prime stage (mod 2^61 - 31) declined "
+            "(an output beyond that prime, a denominator it divides, or a failed proof), and so "
+            "did the multi-prime stage (more primes dropped than kept, or a failed proof)")
+    a, b, nullspace_dim = solved
     diag = Diagnostics(b0_degenerate=not b[0], nullspace_dim=nullspace_dim)
     effective = (_trim_degree(a, True, 0.0), _trim_degree(b, True, 0.0))
     return PadeApproximant(a=tuple(a), b=tuple(b), requested_n=n,
@@ -248,14 +245,14 @@ def _multiprime_pade(c: list, n: int) -> tuple | None:
     """:func:`_eea_pade` for outputs beyond one prime, by Euclid mod many primes on dc c_j."""
     from .multimodular import pade_minors   # imported on first use: most runs never need it
     c = [qc(x) for x in c]
-    y = pade_minors(gaussian_integers(c)[0], n)
-    if y is None:
+    solved = pade_minors(gaussian_integers(c)[0], n)
+    if solved is None:
         return None
+    y, d = solved
     fr, fi = next(v for v in y if any(v))
     if fi:                                  # b = y conj(f) / |f|^2, f the first nonzero y_j
         y, fr = [(vr * fr + vi * fi, vi * fr - vr * fi) for vr, vi in y], fr * fr + fi * fi
-    d = n + 2 - len(y)                      # y solves the full-rank order n + 1 - d
-    return _proved(c, y + [(0, 0)] * (d - 1), fr, d)
+    return _proved(c, y + [(0, 0)] * (n + 1 - len(y)), fr, d)
 
 
 def _proved(c: list, y: list, den: int, d: int) -> tuple | None:

@@ -212,12 +212,6 @@ def from_gaussian(re: int, im: int, d: int) -> QC:
 QC_ZERO = QC._mk(_F0, _F0)     # one shared zero for exact vectors (QC values are immutable)
 
 
-def scaled_to_first(y: list) -> tuple:
-    """The nonzero int vector y as QC values divided by its first nonzero entry."""
-    first = next(v for v in y if v)
-    return tuple(from_gaussian(v, 0, first) if v else QC_ZERO for v in y)
-
-
 def horner(coeffs: Iterable, z):
     """Evaluate sum(coeffs[j] * z**j) by Horner's rule.
 

@@ -2,6 +2,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from padelab import PoleSequence, build_counterexample_series
+from padelab.errors import RankDeficiencyError
+from padelab.linalg import exact_nullspace
+from padelab.pade import Diagnostics, PadeApproximant
+from padelab.toeplitz import build_pair
 
 settings.register_profile(
     "suite",
@@ -26,3 +30,28 @@ def k2_series():
 @pytest.fixture(scope="session")
 def k3_series():
     return build_counterexample_series(3, PoleSequence.harmonic(3))
+
+
+def _last_nonzero(v):
+    return max((j for j, x in enumerate(v) if x), default=0)
+
+
+def _exact_reference(series, n):
+    """The exact type-(n, n) approximant by elimination: B_n b = 0 by
+    Bareiss (`exact_nullspace`, its minimal-degree vector when rank
+    deficient), then a = A_n b, as the PadeApproximant of the exact
+    route, so `route == reference` compares every field."""
+    pair = build_pair(series, n, exact=True)
+    try:
+        b, d = exact_nullspace(pair.B), 1
+    except RankDeficiencyError as deficiency:
+        b, d = deficiency.basis[0], len(deficiency.basis)
+    a = pair.A.matvec(b)
+    return PadeApproximant(a=tuple(a), b=tuple(b), mode="classical", requested_n=n,
+                           effective_degrees=(_last_nonzero(a), _last_nonzero(b)), exact=True,
+                           diagnostics=Diagnostics(b0_degenerate=not b[0], nullspace_dim=d))
+
+
+@pytest.fixture(scope="session")
+def exact_reference():
+    return _exact_reference

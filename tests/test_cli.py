@@ -208,6 +208,18 @@ def test_approximate_rejects_an_infinite_radius_hint(capsys):
     assert not Path("r.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--radius", "--delta-doublet", "--tol-spurious"])
+def test_approximate_rejects_an_infinite_analysis_setting(capsys, flag):
+    # 1/(1 - z/2) with a finite file radius_hint: --radius inf would put
+    # the pole at z = 2 "inside" and report it as spurious
+    coeffs = ", ".join(f'["1/{2 ** j}", "0"]' for j in range(5))
+    Path("g.json").write_text('{"c": [%s], "exact": true, "radius_hint": 1.0}' % coeffs)
+    assert run("approximate", "--series", "g.json", "--n", "2", "--mode", "robust",
+               "--analyze", flag, "inf", "--out", "r.json") == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not Path("r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -292,19 +292,17 @@ def _bareiss_only(m):
 P = _MODULUS           # modulus of the Euclidean Pade stage
 
 
-def _series_and_reference(c):
-    """The exact series of c and its (a, b, nullspace dimension) by Bareiss and A.matvec."""
-    n = (len(c) - 1) // 2
+def _series_and_reference(exact_reference, c):
+    """The exact series of c and its approximant by elimination."""
     series = PowerSeries.from_coefficients(c)
-    pair = build_pair(series, n, exact=True)
-    try:
-        b, d = _bareiss_only(pair.B), 1
-    except RankDeficiencyError as deficiency:
-        b, d = deficiency.basis[0], len(deficiency.basis)
-    return series, (pair.A.matvec(b), b, d)
+    return series, exact_reference(series, (len(c) - 1) // 2)
 
 
-def test_modular_route_matches_bareiss_on_random_full_rank():
+def _stage_result(r):
+    return r.a, r.b, r.diagnostics.nullspace_dim
+
+
+def test_modular_route_matches_bareiss_on_random_full_rank(exact_reference):
     rng = _rng()
     proved = 0
     for trial in range(80):
@@ -322,15 +320,15 @@ def test_modular_route_matches_bareiss_on_random_full_rank():
         # the same kind of entries as a random real series for the Euclidean stage
         c = [Fraction(int(a), int(d)) for a, d in
              zip(rng.integers(-5, 6, size=2 * n + 1), rng.integers(1, 4, size=2 * n + 1))]
-        _, reference = _series_and_reference(c)
+        _, reference = _series_and_reference(exact_reference, c)
         eea = _eea_pade(c, n)
         if eea is not None:                 # None: an output beyond one prime
-            assert eea == reference
+            assert eea == _stage_result(reference)
             proved += 1
     assert proved >= 60
 
 
-def test_modular_rank_drop_falls_back_to_exact_vector():
+def test_modular_rank_drop_falls_back_to_exact_vector(exact_reference):
     # the rows agree mod p, so the rank drops mod p but not over Q
     m = RationalMatrix.from_rows([[1, 2, 3], [1 + P, 2, 3]])
     assert exact_nullspace(m) == (qc(0), qc(1), qc(Fraction(-2, 3)))
@@ -338,26 +336,28 @@ def test_modular_rank_drop_falls_back_to_exact_vector():
     # of type (1, 1), so the nullspace mod p is a plane; its minimal
     # vector (1, -1, 0) fails the proof of dimension 2 (C b has z^4 term p)
     c = [Fraction(v) for v in (1, 1, 1, 1, 1 + P)]
-    series, reference = _series_and_reference(c)
+    series, reference = _series_and_reference(exact_reference, c)
     assert _eea_pade(c, 2) is None
     r = classical_pade(series, 2, exact=True)
-    assert (r.a, r.b, 1) == reference == ((qc(0), qc(1), qc(0)), (qc(0), qc(1), qc(-1)), 1)
-    assert r.diagnostics.nullspace_dim == 1 and r.diagnostics.b0_degenerate
+    assert r == reference
+    assert _stage_result(r) == ((qc(0), qc(1), qc(0)), (qc(0), qc(1), qc(-1)), 1)
+    assert r.diagnostics.b0_degenerate
 
 
-def test_modular_failed_substitution_falls_back():
+def test_modular_failed_substitution_falls_back(exact_reference):
     # the entry p vanishes mod p, so the modular vector (1, 0) fails B b = 0
     m = RationalMatrix.from_rows([[P, 1]])
     assert exact_nullspace(m) == (qc(1), qc(-P))
     # B_1 = [c_2, c_1] = [p, 1]: the same vector, from the Euclidean stage
     c = [Fraction(v) for v in (1, 1, P)]
-    series, reference = _series_and_reference(c)
+    series, reference = _series_and_reference(exact_reference, c)
     assert _eea_pade(c, 1) is None
     r = classical_pade(series, 1, exact=True)
-    assert (r.a, r.b, 1) == reference == ((qc(1), qc(1 - P)), (qc(1), qc(-P)), 1)
+    assert r == reference
+    assert _stage_result(r) == ((qc(1), qc(1 - P)), (qc(1), qc(-P)), 1)
 
 
-def test_modular_reconstruction_failure_still_exact():
+def test_modular_reconstruction_failure_still_exact(exact_reference):
     # both entries lie beyond the sqrt(p/2) bound: the first does not
     # reconstruct at all, the second reconstructs to a wrong small
     # fraction that the substitution check rejects
@@ -369,24 +369,24 @@ def test_modular_reconstruction_failure_still_exact():
         assert exact_nullspace(m) == (qc(1), qc(Fraction(num, den)), qc(0))
         # B_1 = [c_2, c_1] = [num, -den] has the same null vector
         c = [Fraction(1), Fraction(-den), Fraction(num)]
-        series, reference = _series_and_reference(c)
+        series, reference = _series_and_reference(exact_reference, c)
         assert _eea_pade(c, 1) is None
         r = classical_pade(series, 1, exact=True)
-        assert (r.a, r.b, 1) == reference
+        assert r == reference and r.diagnostics.nullspace_dim == 1
         assert r.b == (qc(1), qc(Fraction(num, den)))
 
 
-def test_modular_denominator_divisible_by_p_falls_back():
+def test_modular_denominator_divisible_by_p_falls_back(exact_reference):
     # c_1 = 1/p has no image mod p, so the Euclidean stage declines;
     # c_0 does not enter B, so a denominator p there is no obstacle
     c = [Fraction(1), Fraction(1, P), Fraction(1)]
-    series, reference = _series_and_reference(c)
+    series, reference = _series_and_reference(exact_reference, c)
     assert _eea_pade(c, 1) is None
     r = classical_pade(series, 1, exact=True)
-    assert (r.a, r.b, 1) == reference
+    assert r == reference and r.diagnostics.nullspace_dim == 1
     assert r.b == (qc(1), qc(-P))
     c = [Fraction(1, P), Fraction(1), Fraction(2)]
-    assert _eea_pade(c, 1) == _series_and_reference(c)[1]
+    assert _eea_pade(c, 1) == _stage_result(_series_and_reference(exact_reference, c)[1])
 
 
 def test_rank_deficiency_error_unchanged_by_modular_attempt():

@@ -1,4 +1,4 @@
-"""Multi-modular nullspace stage: many word-size primes, the CRT, proved by B y = 0."""
+"""Multi-prime Euclidean Pade stage: many word-size primes, the CRT, proved by substitution."""
 
 import random
 from fractions import Fraction
@@ -6,23 +6,17 @@ from fractions import Fraction
 import pytest
 
 from padelab import linalg, multimodular, pade
-from padelab.errors import RankDeficiencyError
-from padelab.linalg import (
-    RationalMatrix,
-    _bareiss_nullspace,
-    _strip_to_field,
-    exact_nullspace,
-)
+from padelab.errors import NumericalError, RankDeficiencyError
+from padelab.linalg import RationalMatrix, exact_nullspace
 from padelab.multimodular import (
     _chunk_euclid,
-    _chunk_minors,
     _hadamard_bound,
     _residues,
     _sqrt_minus_one,
     _word_primes,
 )
 from padelab.pade import _eea_pade, _multiprime_pade, classical_pade
-from padelab.rational import qc
+from padelab.rational import QC, qc
 from padelab.series import GammelParams, PoleSequence, PowerSeries, build_gammel_series
 from padelab.toeplitz import build_pair
 
@@ -30,10 +24,6 @@ from padelab.toeplitz import build_pair
 def _big(rnd, lo_bits=150, hi_bits=220):
     """A random nonzero integer of lo_bits..hi_bits bits and random sign."""
     return rnd.choice((1, -1)) * (rnd.getrandbits(rnd.randint(lo_bits, hi_bits)) | 1)
-
-
-def _big_rows(rnd, n):
-    return [[_big(rnd) for _ in range(n + 1)] for _ in range(n)]
 
 
 def _det(rows):
@@ -54,21 +44,17 @@ def _det(rows):
     return int(det)
 
 
-def _bareiss_rows(rows):
-    return _bareiss_nullspace([[(v, 0) for v in row] for row in rows])
-
-
-def _spy_chunks(monkeypatch, kernel="_chunk_minors"):
-    """Record the primes and flags of every chunk a multi-modular kernel runs."""
+def _spy_chunks(monkeypatch):
+    """Record the primes and flags of every chunk the Euclidean kernel runs."""
     seen = []
-    real = getattr(multimodular, kernel)
+    real = multimodular._chunk_euclid
 
-    def spy(*args):                         # the chunk of primes is the last argument
-        out = real(*args)                   # (minors, flags), and the order from _chunk_euclid
-        seen.append((args[-1].tolist(), out[1].tolist()))
+    def spy(g, n, primes):
+        out = real(g, n, primes)            # (minors, flags, degrees)
+        seen.append((primes.tolist(), out[1].tolist()))
         return out
 
-    monkeypatch.setattr(multimodular, kernel, spy)
+    monkeypatch.setattr(multimodular, "_chunk_euclid", spy)
     return seen
 
 
@@ -118,123 +104,6 @@ def test_hadamard_bound_covers_every_maximal_minor():
     assert _row_bound([[3, 4, 1], [0, 0, 0]]) == 0
 
 
-def test_multimodular_matches_bareiss_on_large_random_systems():
-    # entries of 150-220 bits and both signs; some systems have vanishing
-    # leading minors (row pivoting), a singular leading n x n block (the
-    # spare column trades in) or rank below n (the stage declines)
-    rnd = random.Random(20261018)
-    seen = set()
-    for trial in range(36):
-        n = rnd.randint(1, 8)
-        rows = _big_rows(rnd, n)
-        kind = ("plain", "leading zero", "leading minor", "singular block",
-                "rank deficient")[trial % 5]
-        if kind == "leading zero":
-            rows[0][0] = 0
-        elif kind == "leading minor" and n > 1:
-            rows[1][:2] = [3 * rows[0][0], 3 * rows[0][1]]
-        elif kind == "singular block" and n > 1:
-            for row in rows:
-                row[n - 1] = -5 * row[0]
-        elif kind == "rank deficient" and n > 1:
-            rows[-1] = [-7 * v for v in rows[0]]
-        mat = RationalMatrix.from_rows(rows)
-        try:
-            expected = _bareiss_rows(rows)
-        except RankDeficiencyError as ref:
-            assert multimodular.nullspace(rows) is None
-            with pytest.raises(RankDeficiencyError) as exc:
-                exact_nullspace(mat)
-            assert (exc.value.rank, exc.value.basis) == (ref.rank, ref.basis)
-            seen.add("rank deficient")
-            continue
-        assert multimodular.nullspace(rows) == expected
-        assert exact_nullspace(mat) == expected
-        if n > 1:
-            seen.add(kind)
-    assert seen == {"plain", "leading zero", "leading minor", "singular block",
-                    "rank deficient"}
-
-
-def _gammel_series():
-    poles = PoleSequence.explicit([qc(Fraction((-1) ** k, k + 1)) for k in range(1, 7)],
-                                  start_index=1)
-    alphas = tuple(Fraction(1, 4 ** (k * k)) for k in range(1, 7))
-    return build_gammel_series(GammelParams(alphas=alphas, poles=poles), 2 ** 7 - 2)
-
-
-def test_gammel_n38_is_proved_without_bareiss(monkeypatch):
-    s = _gammel_series()
-    # too big for one prime: the Euclidean Pade stage declines
-    assert _eea_pade([s.coeff(j).re for j in range(2 * 38 + 1)], 38) is None
-    B = build_pair(s, 38, exact=True).B
-    rows = [[re for re, _ in row] for row in _strip_to_field(B)]
-    expected = _bareiss_rows(rows)
-
-    def no_bareiss(*args):
-        raise AssertionError("Bareiss fallback reached")
-
-    monkeypatch.setattr(linalg, "_bareiss_nullspace", no_bareiss)
-    v = exact_nullspace(B)
-    assert v == expected and v[0] == qc(1)
-    assert all(x == 0 for x in B.matvec(v))
-    assert max(x.re.denominator.bit_length() for x in v) > 3000
-
-
-def test_multimodular_drops_a_prime_whose_rank_drops(monkeypatch):
-    # every entry of row 2 is a multiple of the first listed prime, so
-    # that prime sees a zero row; the others still prove the vector
-    p0 = int(_word_primes()[0])
-    rnd = random.Random(5)
-    rows = _big_rows(rnd, 6)
-    rows[2] = [p0 * _big(rnd, 40, 60) for _ in range(7)]
-    seen = _spy_chunks(monkeypatch)
-    assert multimodular.nullspace(rows) == _bareiss_rows(rows)
-    first_primes, first_alive = seen[0]
-    assert first_primes[0] == p0 and first_alive[0] is False
-    assert all(alive for _, flags in seen for alive in flags[1:])
-
-
-def test_multimodular_gives_up_on_rank_deficiency_after_one_chunk(monkeypatch):
-    # rank < n over Q drops every prime, so the first chunk decides
-    rows = _big_rows(random.Random(9), 6)
-    rows[4] = [3 * v for v in rows[1]]
-    seen = _spy_chunks(monkeypatch)
-    assert multimodular.nullspace(rows) is None
-    assert len(seen) == 1 and not any(seen[0][1])
-
-
-def test_multimodular_pivots_per_prime(monkeypatch):
-    # the leading entry is a multiple of the first prime only, so that
-    # prime alone swaps rows at the first step
-    p0 = int(_word_primes()[0])
-    rnd = random.Random(11)
-    rows = _big_rows(rnd, 5)
-    rows[0][0] = p0 * _big(rnd)
-    seen = _spy_chunks(monkeypatch)
-    assert multimodular.nullspace(rows) == _bareiss_rows(rows)
-    assert all(all(flags) for _, flags in seen)
-
-
-def test_multimodular_trades_the_spare_column_per_prime(monkeypatch):
-    # det of the leading 5 x 5 block is a nonzero multiple of the first
-    # prime, so that prime alone trades a column for the spare one
-    p0 = int(_word_primes()[0])
-    rnd = random.Random(13)
-    n = 5
-    rows = _big_rows(rnd, n)
-    rows[0][0] = 0
-    rest = _det([row[:n] for row in rows])
-    rows[0][0] = 1
-    cofactor = _det([row[:n] for row in rows]) - rest
-    rows[0][0] = -rest * pow(cofactor, -1, p0) % p0 + p0 * _big(rnd)
-    block = _det([row[:n] for row in rows])
-    assert block and block % p0 == 0
-    seen = _spy_chunks(monkeypatch)
-    assert multimodular.nullspace(rows) == _bareiss_rows(rows)
-    assert all(all(flags) for _, flags in seen)
-
-
 def _big_series(rnd, n):
     c = [Fraction(_big(rnd)) for _ in range(2 * n + 1)]
     return c, PowerSeries.from_coefficients(c)
@@ -242,30 +111,43 @@ def _big_series(rnd, n):
 
 def test_multimodular_rejects_a_vector_the_check_refutes(monkeypatch):
     # with the bound faked to 1, one prime is taken and the CRT cannot
-    # give the true minors; the exact check B y = 0 must refuse them,
-    # for general rows and for the Euclidean stage alike
-    rows = _big_rows(random.Random(3), 4)
-    expected = _bareiss_rows(rows)
+    # give the true minors; the exact proof must refuse them, and with
+    # the one-prime stage declining too, classical_pade must raise
     c, series = _big_series(random.Random(3), 4)
-    reference = _elimination_route(monkeypatch, series, 4)
+    assert _eea_pade(c, 4) is None
     monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: 1)
-    assert multimodular.nullspace(rows) is None
-    assert exact_nullspace(RationalMatrix.from_rows(rows)) == expected
     assert _multiprime_pade(c, 4) is None
-    assert classical_pade(series, 4, exact=True) == reference
+    with pytest.raises(NumericalError):
+        classical_pade(series, 4, exact=True)
 
 
-def test_multimodular_declines_a_bound_beyond_the_prime_list(monkeypatch):
-    rows = _big_rows(random.Random(4), 3)
-    expected = _bareiss_rows(rows)
+def test_multimodular_sieves_another_window_for_a_bound_beyond_one_window(monkeypatch, exact_reference):
+    # a bound just past the product of the first window's primes: the
+    # stage sieves the next window of primes below 2^31 - 2^16 and
+    # still proves the true vector
     c, series = _big_series(random.Random(4), 3)
-    reference = _elimination_route(monkeypatch, series, 3)
-    huge = 1 << (30 * len(_word_primes()))
-    monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: huge)
-    assert multimodular.nullspace(rows) is None
-    assert exact_nullspace(RationalMatrix.from_rows(rows)) == expected
-    assert multimodular.pade_minors([(x.numerator, 0) for x in c], 3) is None
+    reference = exact_reference(series, 3)
+    past = 1
+    for q in _word_primes().tolist():
+        past *= q
+    monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: past)
+    seen = _spy_chunks(monkeypatch)
+    assert _multiprime_pade(c, 3) == (reference.a, reference.b, 1)
+    monkeypatch.setattr(pade, "_eea_pade", lambda c, n: None)
     assert classical_pade(series, 3, exact=True) == reference
+    below = [q for primes, _ in seen for q in primes if q < 2 ** 31 - 2 ** 16]
+    assert below and all(_is_prime(q) for q in below[:50])
+    assert _word_primes(2)[:len(_word_primes())].tolist() == _word_primes().tolist()
+
+
+def test_residues_of_entries_beyond_2_16_limbs():
+    # 2^18 limbs of 16 bits: one int64 dot product over all of them
+    # would overflow, so the limb sums are reduced in blocks
+    rnd = random.Random(12)
+    values = [rnd.getrandbits(1 << 22) - (1 << 21), -(1 << (1 << 22)) + 1, 5]
+    primes = _word_primes()[:3]
+    got = _residues(values)(primes).tolist()
+    assert got == [[int(v % q if v >= 0 else -(-v % q)) for q in primes.tolist()] for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +192,27 @@ def _rational_coefficients(rnd, n):
     return c
 
 
+def _bareiss_minors(c, n):
+    """The minor vector y_j = (-1)^j det(B_n without column j) of a full-rank
+    B_n, as its Bareiss null vector (first nonzero entry 1) times one minor,
+    or the nullity of B_n when it is rank deficient."""
+    rows = _toeplitz_rows(c, n)
+    try:
+        b = exact_nullspace(RationalMatrix.from_rows(rows))
+    except RankDeficiencyError as deficiency:
+        return len(deficiency.basis)
+    f = next(j for j, v in enumerate(b) if v)
+    first = (-1) ** f * _det([row[:f] + row[f + 1:] for row in rows])
+    return [int(v.re * first) for v in b]
+
+
 def test_euclidean_minors_match_elimination_mod_one_prime():
     # y = +-prod rho_j^(n_(j-1) - n) t_i against the elimination's minor
     # vector, one prime at a time, on small integer series; zeros give
     # degree jumps, c_1 = .. = c_n = 0 < |c_(n+1)| a zero remainder
     rnd = random.Random(20261019)
     q = _word_primes()[:1]
+    p = int(q[0])
     seen = {"full rank": 0, "rank deficient": 0, "jump": 0, "zero remainder": 0,
             "n_(i-1) = n + 1 > n > n_i": 0}
     for trial in range(600):
@@ -327,22 +224,23 @@ def test_euclidean_minors_match_elimination_mod_one_prime():
             c[1:n + 2] = [0] * n + [rnd.choice((-3, -1, 1, 2))]
         elif trial % 4 == 3 and n > 1:
             c = _rational_coefficients(rnd, n)
-        rows = _residues([v for row in _toeplitz_rows(c, n) for v in row])(q)
-        minors, rank_n = _chunk_minors(rows.reshape(n, n + 1, -1), q)
-        y, alive, _ = _chunk_euclid(_residues([0] + c[1:])(q), n, q)
-        assert alive.tolist() == rank_n.tolist()
-        if not rank_n[0]:
+        minors = _bareiss_minors(c, n)
+        y, alive, degrees = _chunk_euclid(_residues([0] + c[1:])(q), n, q)
+        assert alive.tolist() == [True]
+        if isinstance(minors, int):         # the nullity of B_n
+            assert n + 1 - max(degrees) == minors > 1
             seen["rank deficient"] += 1
             continue
-        p = int(q[0])
-        expected = [int(v) % p for v in minors[:, 0]]
+        assert max(degrees) == n
+        expected = [v % p for v in minors]
         got = [int(v) % p for v in y[:, 0]]
         assert got in (expected, [-v % p for v in expected])
-        degrees = _remainder_degrees(c, n, p)
+        remainders = _remainder_degrees(c, n, p)
+        assert degrees[0] == remainders[-1]
         seen["full rank"] += 1
-        seen["jump"] += any(a - b > 1 for a, b in zip(degrees[1:], degrees[2:]))
-        seen["zero remainder"] += degrees[-1] == -1
-        seen["n_(i-1) = n + 1 > n > n_i"] += degrees[-2] == n + 1 and 0 <= degrees[-1] < n
+        seen["jump"] += any(a - b > 1 for a, b in zip(remainders[1:], remainders[2:]))
+        seen["zero remainder"] += remainders[-1] == -1
+        seen["n_(i-1) = n + 1 > n > n_i"] += remainders[-2] == n + 1 and 0 <= remainders[-1] < n
     assert seen["full rank"] >= 500 and seen["rank deficient"] >= 5
     assert seen["jump"] >= 250 and seen["zero remainder"] >= 100
     assert seen["n_(i-1) = n + 1 > n > n_i"] >= 100
@@ -352,24 +250,24 @@ def _no_elimination(*args):
     raise AssertionError("exact_nullspace reached")
 
 
+def _gammel_series():
+    poles = PoleSequence.explicit([qc(Fraction((-1) ** k, k + 1)) for k in range(1, 7)],
+                                  start_index=1)
+    alphas = tuple(Fraction(1, 4 ** (k * k)) for k in range(1, 7))
+    return build_gammel_series(GammelParams(alphas=alphas, poles=poles), 2 ** 7 - 2)
+
+
 def test_gammel_n38_is_proved_by_the_multiprime_euclidean_stage(monkeypatch):
     s = _gammel_series()
     pair = build_pair(s, 38, exact=True)
     b = exact_nullspace(pair.B)
-    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     r = classical_pade(s, 38, exact=True)
     assert r.b == b and r.a == pair.A.matvec(b)
     assert max(x.re.denominator.bit_length() for x in r.b) > 3000
 
 
-def _elimination_route(monkeypatch, series, n):
-    with monkeypatch.context() as patch:
-        patch.setattr(pade, "_eea_pade", lambda c, n: None)
-        patch.setattr(pade, "_multiprime_pade", lambda c, n: None)
-        return classical_pade(series, n, exact=True)
-
-
-def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch):
+def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch, exact_reference):
     # c_2n, the leading coefficient of g, is a multiple of the first listed
     # prime, so g has a lower degree mod that prime alone
     p0 = int(_word_primes()[0])
@@ -378,17 +276,17 @@ def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch)
     c = [Fraction(_big(rnd)) for _ in range(2 * n + 1)]
     c[2 * n] = Fraction(p0 * _big(rnd, 40, 60))
     series = PowerSeries.from_coefficients(c)
-    expected = _elimination_route(monkeypatch, series, n)
+    expected = exact_reference(series, n)
     assert _eea_pade(c, n) is None
-    seen = _spy_chunks(monkeypatch, "_chunk_euclid")
-    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    seen = _spy_chunks(monkeypatch)
+    monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     assert classical_pade(series, n, exact=True) == expected
     first_primes, first_alive = seen[0]
     assert first_primes[0] == p0 and first_alive[0] is False
     assert all(alive for _, flags in seen for alive in flags[1:])
 
 
-def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch):
+def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch, exact_reference):
     # random real series whose outputs the one-prime stage cannot lift:
     # 60-100-bit numerators over 1-20-bit denominators, dense or sparse,
     # or with c_1..c_(2n-1) on a recurrence of order n - 1 with 40-bit
@@ -414,7 +312,7 @@ def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch):
             continue
         series = PowerSeries.from_coefficients(c)
         route = classical_pade(series, n, exact=True)
-        reference = _elimination_route(monkeypatch, series, n)
+        reference = exact_reference(series, n)
         assert route.a == reference.a and route.b == reference.b
         assert route.diagnostics.nullspace_dim == reference.diagnostics.nullspace_dim
         assert route.diagnostics.b0_degenerate == reference.diagnostics.b0_degenerate
@@ -422,7 +320,7 @@ def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch):
         seen["series"] += 1
         seen["proved"] += results[-1] is not None
         seen["b0 = 0"] += route.diagnostics.b0_degenerate
-    assert seen["proved"] >= 250 and seen["b0 = 0"] >= 50
+    assert seen["proved"] == 300 and seen["b0 = 0"] >= 50
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +344,15 @@ def _big_gaussian(rnd, lo_bits=60, hi_bits=90):
               Fraction(_big(rnd, lo_bits, hi_bits), rnd.getrandbits(16) | 1))
 
 
-def test_complex_output_beyond_one_prime_is_proved_by_the_multiprime_stage(monkeypatch):
+def test_complex_output_beyond_one_prime_is_proved_by_the_multiprime_stage(monkeypatch, exact_reference):
     rnd = random.Random(8)
     n = 7
     c = [_big_gaussian(rnd) for _ in range(2 * n + 1)]
     series = PowerSeries.from_coefficients(c)
-    expected = _elimination_route(monkeypatch, series, n)
+    expected = exact_reference(series, n)
     assert _eea_pade(c, n) is None and _multiprime_pade(c, n) is not None
-    seen = _spy_chunks(monkeypatch, "_chunk_euclid")
-    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    seen = _spy_chunks(monkeypatch)
+    monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     r = classical_pade(series, n, exact=True)
     assert r == expected and not r.b[1].is_real
     assert max(x.re.denominator.bit_length() for x in r.b) > 61
@@ -463,7 +361,7 @@ def test_complex_output_beyond_one_prime_is_proved_by_the_multiprime_stage(monke
     assert all(q % 4 == 1 for q in primes)
 
 
-def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch):
+def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch, exact_reference):
     # c_2n = -iota + i mod the first prime p0 = 1 mod 4: its image under
     # i -> iota vanishes, so only that column has a lower degree mod p0
     p0 = int(_gaussian_primes()[0])
@@ -473,10 +371,10 @@ def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch):
     c = [_big_gaussian(rnd) for _ in range(2 * n + 1)]
     c[2 * n] = qc(p0 * _big(rnd, 40, 60) - iota, p0 * _big(rnd, 40, 60) + 1)
     series = PowerSeries.from_coefficients(c)
-    expected = _elimination_route(monkeypatch, series, n)
+    expected = exact_reference(series, n)
     assert _eea_pade(c, n) is None
-    seen = _spy_chunks(monkeypatch, "_chunk_euclid")
-    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    seen = _spy_chunks(monkeypatch)
+    monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     assert classical_pade(series, n, exact=True) == expected
     primes, alive = seen[0]
     half = len(primes) // 2
@@ -486,7 +384,8 @@ def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch):
     assert all(all(flags) for _, flags in seen[1:])
 
 
-def test_rank_deficient_output_beyond_one_prime_is_solved_at_the_full_rank_order(monkeypatch):
+def test_rank_deficient_output_beyond_one_prime_is_solved_at_the_full_rank_order(monkeypatch,
+                                                                                 exact_reference):
     # a type-(2, 2) rational function of z scaled by a 50-bit Gaussian
     # rational: B_9 has nullity 8, and B_2 is full rank
     rnd = random.Random(10)
@@ -499,7 +398,7 @@ def test_rank_deficient_output_beyond_one_prime_is_solved_at_the_full_rank_order
         c.append((p[j] if j <= m else qc(0)) - sum((q[k] * c[j - k] for k in range(1, min(j, m) + 1)), qc(0)))
     c = [x * s ** j for j, x in enumerate(c)]
     series = PowerSeries.from_coefficients(c)
-    expected = _elimination_route(monkeypatch, series, n)
+    expected = exact_reference(series, n)
     assert expected.diagnostics.nullspace_dim == n - m + 1
     assert _eea_pade(c, n) is None
     orders = []
@@ -510,6 +409,48 @@ def test_rank_deficient_output_beyond_one_prime_is_solved_at_the_full_rank_order
         return real(g, order, primes)
 
     monkeypatch.setattr(multimodular, "_chunk_euclid", spy)
-    monkeypatch.setattr(pade, "exact_nullspace", _no_elimination)
+    monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     assert classical_pade(series, n, exact=True) == expected
     assert orders[0] == n and set(orders[1:]) == {m}
+
+
+def _shifted_corner_coefficients(rnd, n, a, gaussian):
+    """c_0..c_2n whose minimal null vector of B_n is z^a q, of nullity >= 2:
+    c_1..c_(2n-a) are those of r'/q, q_0 = 1, deg q, deg r' <= n - a - 1,
+    and c_0 and c_(2n-a+1)..c_2n are random; q has 8-48-bit numerators,
+    so some outputs lie beyond one prime."""
+    def entry(bits):
+        def part():
+            return Fraction(rnd.getrandbits(bits) - 2 ** (bits - 1), rnd.getrandbits(12) | 1)
+        return QC(part(), part() if gaussian else 0)
+
+    top, bits = n - a - 1, rnd.randint(8, 48)
+    q = [QC(1)] + [entry(bits) for _ in range(top)]
+    r = [entry(bits) for _ in range(top + 1)]
+    c = [entry(40)]
+    for j in range(1, 2 * n - a + 1):       # c_j = (r'_j - sum_k q_k c_(j-k)) over j >= 1 only
+        acc = r[j] if j <= top else QC(0)
+        for k in range(1, min(j - 1, top) + 1):
+            acc = acc - q[k] * c[j - k]
+        c.append(acc)
+    return c + [entry(40) for _ in range(a)]
+
+
+def test_multiprime_stage_solves_the_shifted_block_corner(monkeypatch, exact_reference):
+    # b = z^a q, a > 0: B_n and the square systems below it are rank
+    # deficient, but the (2n - M', M') system, M' = deg b, is not
+    rnd = random.Random(3)
+    seen = {"real": 0, "gaussian": 0, "b0 = 0, d >= 2": 0, "beyond one prime": 0}
+    for trial in range(100):
+        n = rnd.randint(3, 9)
+        a = rnd.randint(1, n - 1)
+        gaussian = trial % 2 == 1
+        c = _shifted_corner_coefficients(rnd, n, a, gaussian)
+        reference = exact_reference(PowerSeries.from_coefficients(c), n)
+        d = reference.diagnostics.nullspace_dim
+        assert _multiprime_pade(c, n) == (reference.a, reference.b, d)
+        seen["gaussian" if gaussian else "real"] += 1
+        seen["b0 = 0, d >= 2"] += not reference.b[0] and d >= 2
+        seen["beyond one prime"] += _eea_pade(c, n) is None
+    assert seen["real"] == seen["gaussian"] == 50 and seen["b0 = 0, d >= 2"] == 100
+    assert seen["beyond one prime"] >= 30

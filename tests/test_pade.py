@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padelab import pade
+from padelab import linalg, pade
 from padelab._jsonfmt import record
-from padelab.errors import InvalidParameterError, OutOfRangeError
+from padelab.errors import InvalidParameterError, NumericalError, OutOfRangeError
 from padelab.linalg import exact_nullspace
 from padelab.pade import (
     Diagnostics,
@@ -184,7 +184,7 @@ def _random_real_coefficients(rnd, n, kind):
     return head + [Fraction(0)] * (2 * (n - m))
 
 
-def test_euclidean_route_matches_elimination_on_random_real_series(monkeypatch):
+def test_euclidean_route_matches_elimination_on_random_real_series(exact_reference):
     rnd = random.Random(20261018)
     seen = {"proved": 0, "declined": 0, "rank deficient": 0, "proved with b0 = 0": 0}
     for trial in range(320):
@@ -192,14 +192,11 @@ def test_euclidean_route_matches_elimination_on_random_real_series(monkeypatch):
         kind = ("small", "signs", "wide", "padded")[trial % 4]
         series = PowerSeries.from_coefficients(_random_real_coefficients(rnd, n, kind))
         route = classical_pade(series, n, exact=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(pade, "_eea_pade", lambda c, n: None)
-            patch.setattr(pade, "_multiprime_pade", lambda c, n: None)
-            fallback = classical_pade(series, n, exact=True)
-        assert route.b == fallback.b and route.a == fallback.a
-        assert route.diagnostics.nullspace_dim == fallback.diagnostics.nullspace_dim
-        assert route.diagnostics.b0_degenerate == fallback.diagnostics.b0_degenerate
-        assert route == fallback
+        reference = exact_reference(series, n)
+        assert route.b == reference.b and route.a == reference.a
+        assert route.diagnostics.nullspace_dim == reference.diagnostics.nullspace_dim
+        assert route.diagnostics.b0_degenerate == reference.diagnostics.b0_degenerate
+        assert route == reference
         c = [series.coeff(j).re for j in range(2 * n + 1)]
         proved = pade._eea_pade(c, n) is not None
         seen["proved" if proved else "declined"] += 1
@@ -213,7 +210,7 @@ def test_harmonic_block8_is_proved_by_the_euclidean_stage(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("exact_nullspace reached")
 
-    monkeypatch.setattr(pade, "exact_nullspace", no_elimination)
+    monkeypatch.setattr(linalg, "exact_nullspace", no_elimination)
     s = build_counterexample_series(8, PoleSequence.harmonic(8))
     r = classical_pade(s, 254, exact=True)
     assert r.b == (qc(1), qc(-10)) + (qc(0),) * 253
@@ -268,7 +265,7 @@ def _random_complex_coefficients(rnd, n, kind):
     return _rational_function_coefficients(rnd, rnd.randint(0, n - 1), n, scale)
 
 
-def test_euclidean_route_matches_elimination_on_random_complex_series(monkeypatch):
+def test_euclidean_route_matches_elimination_on_random_complex_series(monkeypatch, exact_reference):
     rnd = random.Random(20261021)
     stages = []
     for name in ("_eea_pade", "_multiprime_pade"):
@@ -283,14 +280,11 @@ def test_euclidean_route_matches_elimination_on_random_complex_series(monkeypatc
         series = PowerSeries.from_coefficients(_random_complex_coefficients(rnd, n, kind))
         stages.clear()
         route = classical_pade(series, n, exact=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(pade, "_eea_pade", lambda c, n: None)
-            patch.setattr(pade, "_multiprime_pade", lambda c, n: None)
-            fallback = classical_pade(series, n, exact=True)
-        assert route.b == fallback.b and route.a == fallback.a
-        assert route.diagnostics.nullspace_dim == fallback.diagnostics.nullspace_dim
-        assert route.diagnostics.b0_degenerate == fallback.diagnostics.b0_degenerate
-        assert route == fallback
+        reference = exact_reference(series, n)
+        assert route.b == reference.b and route.a == reference.a
+        assert route.diagnostics.nullspace_dim == reference.diagnostics.nullspace_dim
+        assert route.diagnostics.b0_degenerate == reference.diagnostics.b0_degenerate
+        assert route == reference
         proved = [name for name, result in stages if result is not None]
         stage = {"_eea_pade": "one prime", "_multiprime_pade": "many primes"}.get(
             proved[0] if proved else None, "declined")
@@ -323,7 +317,7 @@ def test_complex_and_rank_deficient_benchmark_series_build_no_b(monkeypatch):
     cases = [(cx, 14, 1), (rf, 62, 62), (found, 62, 60)]
     references = [classical_pade(s, n, exact=True) for s, n, _ in cases]
     monkeypatch.setattr(pade, "build_pair", _raise_if_called)
-    monkeypatch.setattr(pade, "exact_nullspace", _raise_if_called)
+    monkeypatch.setattr(linalg, "exact_nullspace", _raise_if_called)
     for (s, n, d), reference in zip(cases, references):
         r = classical_pade(s, n, exact=True)
         assert r == reference and r.diagnostics.nullspace_dim == d
@@ -332,23 +326,27 @@ def test_complex_and_rank_deficient_benchmark_series_build_no_b(monkeypatch):
     assert references[2].effective_degrees[1] == 3
 
 
-def test_rank_deficient_series_solved_at_a_shifted_block_corner(monkeypatch):
+def test_rank_deficient_series_solved_at_a_shifted_block_corner(exact_reference):
     # c = z^5 (x + y z): the minimal null vector of B_3 is z^2, of
     # nullity 2, yet B_2 = 0 has nullity 3, so the multi-prime stage
-    # (which solves the full-rank order below) declines and the
-    # one-prime stage, which lifts t_j directly, proves it
+    # solves the (2n - M', M') = (4, 2) system of the last two rows
+    # instead, and the one-prime stage, which lifts t_j directly, agrees
     x, y = Fraction(2 ** 70 + 1, 3), Fraction(-(2 ** 65) + 7, 5)
     c = [Fraction(0)] * 5 + [x, y]
     series = PowerSeries.from_coefficients(c)
-    with monkeypatch.context() as patch:
-        patch.setattr(pade, "_eea_pade", lambda c, n: None)
-        patch.setattr(pade, "_multiprime_pade", lambda c, n: None)
-        reference = classical_pade(series, 3, exact=True)
+    reference = exact_reference(series, 3)
     assert reference.b == (qc(0), qc(0), qc(1), qc(0))
     assert reference.diagnostics.nullspace_dim == 2
-    assert pade._multiprime_pade(c, 3) is None
+    assert pade._multiprime_pade(c, 3) == (reference.a, reference.b, 2)
     assert pade._eea_pade(c, 3) == (reference.a, reference.b, 2)
     assert classical_pade(series, 3, exact=True) == reference
+
+
+def test_both_stages_declining_raises_numerical_error(monkeypatch, k2_exact):
+    monkeypatch.setattr(pade, "_eea_pade", lambda c, n: None)
+    monkeypatch.setattr(pade, "_multiprime_pade", lambda c, n: None)
+    with pytest.raises(NumericalError, match="one-prime stage .* multi-prime stage"):
+        classical_pade(k2_exact, 2, exact=True)
 
 
 def test_proof_rejects_a_null_vector_above_the_minimal_degree():
