@@ -35,6 +35,7 @@ from .series import (
     block_order,
     build_counterexample_series,
     eval_series,
+    truncation_length,
 )
 from .toeplitz import build_pair, check_sum_bounds
 
@@ -402,6 +403,8 @@ class PointError:
     point: complex
     abs_q: float
     error: float        # inf when the denominator vanishes at the point
+    tail_bound: float | None    # bound on what the truncated f omits here, None if unbounded
+    error_undetermined: bool    # error <= tail_bound: |f - r_n| may be 0 for all we know
 
 
 @dataclass(frozen=True)
@@ -441,6 +444,35 @@ def _probe(f, approx, z, exact: bool, tol_hit: float) -> tuple:
     return abs_q, abs(f(zc) - r_val)
 
 
+def _tail_bound(point, j0: int) -> float | None:
+    """T(r) = sum_(j >= j0) (j+3)^4 r^j at r = |point|, rounded up.
+
+    Every coefficient of the family obeys |c_j| <= (j+3)^4: block k's
+    spike 16^k sits at j = 2^k - 3, and its geometric part is smaller as
+    |z_k| < 1.  So T bounds f minus its truncation before index j0.  The
+    ratio of consecutive terms falls with j, so T is at most the first
+    term over 1 - (the ratio at j0); None when that ratio is not below 1.
+    """
+    if isinstance(point, QC):
+        r2 = point.abs2()
+    else:
+        r2 = Fraction(point.real) ** 2 + Fraction(point.imag) ** 2
+    # r = |point| rounded up, from the integer square root with 64 extra bits
+    scaled = r2.numerator * r2.denominator << 128
+    root = math.isqrt(scaled)
+    r = Fraction(root + (root * root < scaled), r2.denominator << 64)
+    m = j0 + 3
+    ratio = Fraction(m + 1, m) ** GROWTH_EXPONENT * r
+    if ratio >= 1:
+        return None
+    bound = m ** GROWTH_EXPONENT * r ** j0 / (1 - ratio)
+    try:
+        t = float(bound)
+    except OverflowError:
+        return math.inf
+    return t if t >= bound else math.nextafter(t, math.inf)
+
+
 def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
                     exact: bool = True, points: tuple = (),
                     poles: PoleSequence | None = None) -> ScanTable:
@@ -451,8 +483,12 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     along a subsequence: the approximants cannot converge there even
     though every B_(n_k) is well conditioned.  `f` is the k_max
     truncation of the series; probe points must satisfy |z| <
-    radius_hint.  Exact mode detects denominator zeros exactly; float
-    mode treats |q(z)| below 1e-10 * (1 + |z|/min_k |z_k|) as a hit.
+    radius_hint.  Each probe error comes with `tail_bound`, a bound on
+    the terms that truncation omits, and `error_undetermined`, true when
+    a finite error does not exceed that bound (or no bound exists): such
+    an error says nothing about |f - r_n| for the whole f.  Exact mode
+    detects denominator zeros exactly; float mode treats |q(z)| below
+    1e-10 * (1 + |z|/min_k |z_k|) as a hit.
     """
     if k_max < 2:
         raise InvalidParameterError("scan needs k_max >= 2")
@@ -480,6 +516,7 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     else:
         probe_points = tuple(to_complex(p) for p in points)
     min_abs = min(abs(z) for z in poles.as_complex())
+    tails = [_tail_bound(p, truncation_length(k_max)) for p in probe_points]
     f_values = {}
 
     def f(z):
@@ -497,11 +534,13 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
         tol_hit = 1e-10 * (1.0 + abs(zc) / min_abs)
         abs_q, err = _probe(f, approx, z if exact else zc, exact, tol_hit)
         extras = []
-        for p in probe_points:
+        for p, tail in zip(probe_points, tails):
             pc = to_complex(p)
             tol_p = 1e-10 * (1.0 + abs(pc) / min_abs)
             pa, pe = _probe(f, approx, p, exact, tol_p)
-            extras.append(PointError(point=pc, abs_q=pa, error=pe))
+            undetermined = pe != math.inf and (tail is None or pe <= tail)
+            extras.append(PointError(point=pc, abs_q=pa, error=pe, tail_bound=tail,
+                                     error_undetermined=undetermined))
         rows.append(ScanRow(k=k, n=n, z_k=zc, abs_q_at_zk=abs_q,
                             error_at_zk=err, extras=tuple(extras)))
     return ScanTable(scheme=scheme, k_max=k_max, exact=exact,

@@ -6,7 +6,9 @@ summary to stdout.  Exit codes: 0 success, 2 validation or usage
 problem, 3 numerical failure.  The environment variable PADE_LAB_MAX_N
 (default 512) caps the linear system order any subcommand may build.
 Rational literals like 1/4 are accepted anywhere a number is expected,
-so exact-mode runs work from the shell.
+so exact-mode runs work from the shell.  The solver modules (and numpy)
+are imported by the subcommands that solve, so `generate` runs without
+them.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ import sys
 from pathlib import Path
 
 from . import _jsonfmt
-from .analysis import (
-    CounterexampleReport,
-    check_positive,
-    divergence_scan,
-    find_poles,
-    verify_counterexample,
-)
 from .errors import NumericalError, UsageError
-from .pade import classical_pade, robust_pade
 from .rational import as_fraction
 from .series import (
     GammelParams,
@@ -156,6 +150,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _approximant_payload(args: argparse.Namespace, s, n: int) -> dict:
+    from .analysis import find_poles
+    from .pade import classical_pade, robust_pade
+
     if args.mode == "classical":
         r = classical_pade(s, n, exact=args.exact)
     else:
@@ -171,6 +168,8 @@ def _approximant_payload(args: argparse.Namespace, s, n: int) -> dict:
 
 
 def cmd_approximate(args: argparse.Namespace) -> int:
+    from .analysis import check_positive
+
     max_n = _max_n_from_env()
     if args.n is not None:
         if args.n < 0:
@@ -200,6 +199,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .analysis import CounterexampleReport, verify_counterexample
+
     max_n = _max_n_from_env()
     lo, hi = _parse_range(args.k_range, "--k-range")
     out = args.out if args.out is not None else Path(f"verify.{args.fmt}")
@@ -223,6 +224,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .analysis import divergence_scan
+
     max_n = _max_n_from_env()
     points = _parse_number_list(args.points) if args.points else ()
     if args.k_max < 2:

@@ -26,8 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import _jsonfmt
 from .errors import (
     DomainError,
@@ -209,7 +207,11 @@ class PowerSeries:
             raise OutOfRangeError(
                 f"need {count} coefficients, series provides {len(self.coeffs)}")
 
-    def as_complex_array(self, count: int | None = None) -> np.ndarray:
+    def as_complex_array(self, count: int | None = None):
+        """c_0..c_(count-1) as a numpy complex array (numpy loads here, so
+        the rest of the series layer runs without it)."""
+        import numpy as np
+
         if count is None:
             count = len(self.coeffs)
         self.require_terms(count)

@@ -8,6 +8,7 @@ import pytest
 from padelab._jsonfmt import record
 from padelab.analysis import (
     CounterexampleReport,
+    _tail_bound,
     divergence_scan,
     find_poles,
     verify_counterexample,
@@ -302,3 +303,22 @@ def test_scan_dict_serializes_infinities():
     assert row["error_at_zk"] == "inf"
     assert row["abs_q_at_zk"] == 0.0
     assert row["extras"][0]["error"] == "inf"
+
+
+def test_tail_bound_is_a_tight_upper_bound_rounded_up():
+    # T(1/4) from j = 253 on, the first index the k_max = 7 truncation omits
+    partial = sum(Fraction((j + 3) ** 4, 4 ** j) for j in range(253, 653))
+    bound = _tail_bound(qc(Fraction(1, 4)), 253)
+    assert partial <= Fraction(bound) <= partial * Fraction(10001, 10000)
+    # |3/10 + 2i/5| = 1/2 exactly; the float point 0.3 + 0.4j is off by rounding
+    half = _tail_bound(qc(Fraction(1, 2)), 13)
+    assert _tail_bound(qc(Fraction(3, 10), Fraction(2, 5)), 13) == half
+    assert math.isclose(_tail_bound(0.3 + 0.4j, 13), half, rel_tol=1e-12)
+    # irrational |p| = sqrt(2)/3 is rounded up, so the bound covers it
+    assert _tail_bound(qc(Fraction(1, 3), Fraction(1, 3)), 13) >= \
+        _tail_bound(qc(Fraction(4714, 10000)), 13)
+    # a bound below the double range rounds up to the least positive double
+    assert _tail_bound(qc(Fraction(1, 100)), 1021) == 5e-324
+    # the term ratio ((j0+4)/(j0+3))^4 r reaches 1: no bound
+    assert _tail_bound(qc(Fraction(99, 100)), 253) is None
+    assert _tail_bound(qc(Fraction(9, 10)), 13) is None

@@ -189,7 +189,7 @@ def test_approximate_usage_errors_stop_before_any_approximant(capsys, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("an approximant was computed")
 
-    monkeypatch.setattr(cli, "classical_pade", no_work)
+    monkeypatch.setattr(padelab.pade, "classical_pade", no_work)
     assert run("approximate", "--series", path, *argv, "--out", "r.json") == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
@@ -270,6 +270,24 @@ def test_scan_writes_table(capsys):
     assert all(row["error_at_zk"] == "inf" for row in doc["rows"])
 
 
+def test_scan_probe_errors_say_when_the_tail_of_f_could_hide_them():
+    # against f itself, |f - r_n| is only known up to the tail the k_max = 7
+    # truncation omits: T(1/4) ~ 2.7e-143, T(9/10) ~ 0.13, none at 99/100
+    assert run("scan", "--k-max", "7", "--points", "1/4,9/10,99/100",
+               "--out", "t.json") == 0
+    rows = {row["k"]: row["extras"] for row in json.loads(Path("t.json").read_text())["rows"]}
+    quarter, outer, edge = rows[7]
+    assert outer["error"] < 1e-3 < 0.13 < outer["tail_bound"] < 0.14
+    assert outer["error_undetermined"] is True
+    assert quarter["error"] < quarter["tail_bound"] < 2.8e-143
+    assert quarter["error_undetermined"] is True
+    assert edge["tail_bound"] is None and edge["error_undetermined"] is True
+    k4_quarter = rows[4][0]
+    assert 8e-12 < k4_quarter["error"] < 8.3e-12
+    assert k4_quarter["error_undetermined"] is False
+    assert rows[2][0]["error"] == "inf" and rows[2][0]["error_undetermined"] is False
+
+
 def test_scan_float_mode():
     assert run("scan", "--k-max", "2", "--float", "--out", "t.json") == 0
     doc = json.loads(open("t.json").read())
@@ -329,12 +347,16 @@ EXACT_SCAN_K3 = """\
         {
           "point": [0.25, 0],
           "abs_q": 0,
-          "error": "inf"
+          "error": "inf",
+          "tail_bound": 0.001433186095855517,
+          "error_undetermined": false
         },
         {
           "point": [0.90000000000000002, 0],
           "abs_q": 2.6000000000000001,
-          "error": 4252.771383128551
+          "error": 4252.771383128551,
+          "tail_bound": null,
+          "error_undetermined": true
         }
       ]
     },
@@ -348,12 +370,16 @@ EXACT_SCAN_K3 = """\
         {
           "point": [0.25, 0],
           "abs_q": 0,
-          "error": "inf"
+          "error": "inf",
+          "tail_bound": 0.001433186095855517,
+          "error_undetermined": false
         },
         {
           "point": [0.90000000000000002, 0],
           "abs_q": 2.6000000000000001,
-          "error": 1601.7665281285513
+          "error": 1601.7665281285513,
+          "tail_bound": null,
+          "error_undetermined": true
         }
       ]
     }
@@ -431,16 +457,76 @@ def test_json_outputs_end_in_one_newline():
         json.loads(data)
 
 
-def test_verify_leaves_mpmath_unimported(tmp_path):
+def _fresh_process(code: str, cwd: Path) -> str:
     src = Path(padelab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_verify_leaves_mpmath_unimported(tmp_path):
     code = ("import sys, padelab\n"
             "from padelab.cli import main\n"
             "assert main(['verify', '--k-range', '2..3', '--out', 'v.json']) == 0\n"
             "print('mpmath' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert _fresh_process(code, tmp_path).splitlines()[-1] == "False"
+
+
+def test_series_layer_leaves_numpy_unimported(tmp_path):
+    code = ("import sys, padelab.series\n"
+            "print('numpy' in sys.modules)\n")
+    assert _fresh_process(code, tmp_path).splitlines()[-1] == "False"
+
+
+# series I/O and both generate families; run once with numpy blocked
+NUMPY_FREE_WORK = """\
+import padelab, padelab.rational, padelab.series
+from padelab.cli import main
+from padelab.series import load_series, save_series
+assert main(["generate", "--k-max", "5", "--out", "ce.json"]) == 0
+assert main(["generate", "--family", "gammel", "--alphas", "1/4,1/16,0,0",
+             "--poles", "1/2,1/3,1/4,1/5", "--out", "gz.json"]) == 0
+save_series(load_series("ce.json"), "ce2.json")
+save_series(load_series("gz.json"), "gz2.json")
+print(sys.modules.get("numpy") is not None)    # numpy loaded
+"""
+
+
+def test_series_io_and_generate_run_with_numpy_blocked(tmp_path):
+    results = []
+    for blocked in (True, False):
+        work = tmp_path / ("blocked" if blocked else "open")
+        work.mkdir()
+        block = "sys.modules['numpy'] = None\n" if blocked else ""
+        out = _fresh_process("import sys\n" + block + NUMPY_FREE_WORK, work)
+        results.append((out, {f.name: f.read_bytes() for f in sorted(work.iterdir())}))
+    (out_blocked, files_blocked), (out_open, files_open) = results
+    assert out_open.splitlines()[-1] == "False"
+    assert out_blocked == out_open
+    assert files_blocked == files_open
+    assert sorted(files_open) == ["ce.json", "ce2.json", "gz.json", "gz2.json"]
+
+
+def test_import_loads_no_module_and_dir_lists_the_public_names(tmp_path):
+    code = ("import sys, padelab\n"
+            "print(sorted(m for m in sys.modules if m.startswith('padelab')))\n"
+            "print(set(padelab.__all__) <= set(dir(padelab)))\n")
+    assert _fresh_process(code, tmp_path).splitlines() == ["['padelab']", "True"]
+
+
+def test_public_names_are_their_home_modules_objects():
+    names = [n for n in padelab.__all__ if n != "__version__"]
+    for name in names:
+        obj = getattr(padelab, name)
+        assert obj.__module__.startswith("padelab."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from padelab import *", namespace)
+    assert all(namespace[name] is getattr(padelab, name) for name in padelab.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        padelab.nope
 
 
 def test_module_run_writes_output(tmp_path):
