@@ -451,7 +451,9 @@ def _tail_bound(point, j0: int) -> float | None:
     spike 16^k sits at j = 2^k - 3, and its geometric part is smaller as
     |z_k| < 1.  So T bounds f minus its truncation before index j0.  The
     ratio of consecutive terms falls with j, so T is at most the first
-    term over 1 - (the ratio at j0); None when that ratio is not below 1.
+    term over 1 - (the ratio at j0) when that ratio is below 1.  Else T
+    is summed exactly: with P(i) = (j0+3+i)^4, sum_i P(i) r^i equals
+    sum_q (Delta^q P)(0) r^q / (1-r)^(q+1).  None when r rounds up to 1.
     """
     if isinstance(point, QC):
         r2 = point.abs2()
@@ -461,11 +463,18 @@ def _tail_bound(point, j0: int) -> float | None:
     scaled = r2.numerator * r2.denominator << 128
     root = math.isqrt(scaled)
     r = Fraction(root + (root * root < scaled), r2.denominator << 64)
+    if r >= 1:
+        return None
     m = j0 + 3
     ratio = Fraction(m + 1, m) ** GROWTH_EXPONENT * r
-    if ratio >= 1:
-        return None
-    bound = m ** GROWTH_EXPONENT * r ** j0 / (1 - ratio)
+    if ratio < 1:
+        bound = m ** GROWTH_EXPONENT * r ** j0 / (1 - ratio)
+    else:
+        diffs = [(m + i) ** GROWTH_EXPONENT for i in range(GROWTH_EXPONENT + 1)]
+        bound = 0
+        for q in range(GROWTH_EXPONENT + 1):
+            bound += diffs[0] * r ** (j0 + q) / (1 - r) ** (q + 1)
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     try:
         t = float(bound)
     except OverflowError:

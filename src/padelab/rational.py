@@ -13,7 +13,6 @@ from numbers import Rational
 from typing import Iterable, Union
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 ExactScalar = Union[int, Fraction, "QC"]
 
@@ -130,18 +129,22 @@ class QC:
         return o.__truediv__(self)
 
     def __pow__(self, e: int):
+        """self**e for an int e, by square-and-multiply on the Gaussian
+        integer (re, im) = d * self, normalized once: (re + i im)^e / d^e.
+        A negative e inverts self first (ZeroDivisionError at zero)."""
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             return (1 / self) ** (-e)
-        result = QC._mk(_F1, _F0)
-        base = self
+        [(br, bi)], d = gaussian_integers((self,))
+        pr, pi, den = 1, 0, d ** e
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                pr, pi = pr * br - pi * bi, pr * bi + pi * br
             e >>= 1
-        return result
+            if e:
+                br, bi = br * br - bi * bi, 2 * br * bi
+        return from_gaussian(pr, pi, den)
 
     # -- comparison ----------------------------------------------------
 

@@ -34,7 +34,7 @@ from .errors import (
     OutOfRangeError,
     SeriesFormatError,
 )
-from .rational import QC, horner, is_exact_scalar, qc, to_complex
+from .rational import QC, from_gaussian, gaussian_integers, horner, is_exact_scalar, qc, to_complex
 
 _ONE_THIRD_SQ = Fraction(1, 9)
 
@@ -275,11 +275,26 @@ def counterexample_coeff(k_max: int, poles: PoleSequence, j: int):
     return spike * z ** (block_end(k) - j)
 
 
+def _geometric_run(start: QC, ratio: QC, count: int) -> list:
+    """start * ratio^m for m = 0..count-1, walked on Gaussian integers
+    over one growing denominator and normalized once per value."""
+    [(pr, pi)], den = gaussian_integers((start,))
+    [(rr, ri)], dr = gaussian_integers((ratio,))
+    run = []
+    for _ in range(count):
+        run.append(from_gaussian(pr, pi, den))
+        pr, pi, den = pr * rr - pi * ri, pr * ri + pi * rr, den * dr
+    return run
+
+
 def build_counterexample_series(k_max: int, poles: PoleSequence) -> PowerSeries:
     """Materialize the counterexample series through block k_max.
 
     The truncation always ends on a complete block boundary, giving
-    2^(k_max+1) - 3 coefficients c_0..c_{2^(k_max+1)-4}.
+    2^(k_max+1) - 3 coefficients c_0..c_{2^(k_max+1)-4}.  A block with a
+    rational z_k walks 16^k z_k^e up from e = 0 on Gaussian integers (one
+    normalization per coefficient) and writes e = n_k..0; a float z_k's
+    block runs in complex doubles.
     """
     if k_max < 2:
         raise InvalidParameterError("counterexample family needs k_max >= 2")
@@ -289,9 +304,11 @@ def build_counterexample_series(k_max: int, poles: PoleSequence) -> PowerSeries:
     coeffs: list = [one]
     for k in range(2, k_max + 1):
         spike = 16 ** k
-        spike_val = qc(spike) if exact else complex(spike)
-        coeffs.append(spike_val)
+        coeffs.append(qc(spike) if exact else complex(spike))
         z = poles.z(k)
+        if isinstance(z, QC):
+            coeffs.extend(reversed(_geometric_run(qc(spike), z, block_order(k) + 1)))
+            continue
         zinv = 1 / z
         # walk the geometric part upward, one exponent drop per index
         val = spike * z ** (block_order(k))
@@ -348,32 +365,38 @@ def gammel_block_of(n: int) -> int:
 
 
 def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
-    """Materialize c_0..c_{j_max} of the gammel family."""
+    """Materialize c_0..c_{j_max} of the gammel family.  A block walks alpha_k W^n,
+    W = 1/z_k, on Gaussian integers (one normalization per coefficient), or in
+    complex doubles if alpha_k or z_k is a float; a zero alpha_k writes zeros."""
     if j_max < 0:
         raise InvalidParameterError("j_max must be nonnegative")
     exact = params.exact
     one = qc(1) if exact else complex(1.0)
     zero = qc(0) if exact else complex(0.0)
     coeffs: list = [one]
-    if j_max >= 1:
-        top_block = gammel_block_of(j_max)
-        if len(params.alphas) < top_block:
-            raise InvalidParameterError(
-                f"insufficient alphas: block k={top_block} reaches j_max={j_max}, "
-                f"got {len(params.alphas)} weights")
-    for n in range(1, j_max + 1):
-        k = gammel_block_of(n)
+    top_block = gammel_block_of(j_max) if j_max >= 1 else 0
+    if len(params.alphas) < top_block:
+        raise InvalidParameterError(
+            f"insufficient alphas: block k={top_block} reaches j_max={j_max}, "
+            f"got {len(params.alphas)} weights")
+    for k in range(1, top_block + 1):
+        lo, hi = 2 ** k - 1, min(j_max, 2 ** (k + 1) - 2)
         alpha = params.alphas[k - 1]
         if not alpha:
-            coeffs.append(zero)
+            coeffs.extend([zero] * (hi - lo + 1))
             continue
         try:
             z = params.poles.z(k)
         except OutOfRangeError as exc:
             raise InvalidParameterError(
                 f"pole z_{k} required for a nonzero alpha_{k}") from exc
-        coeffs.append(alpha * (1 / z) ** n)
-    meta = SeriesMeta(family="gammel", k_max=gammel_block_of(j_max) if j_max >= 1 else 0,
+        if isinstance(alpha, QC) and isinstance(z, QC):
+            w = 1 / z
+            coeffs.extend(_geometric_run(alpha * w ** lo, w, hi - lo + 1))
+        else:
+            w = 1 / to_complex(z)
+            coeffs.extend(to_complex(alpha) * w ** n for n in range(lo, hi + 1))
+    meta = SeriesMeta(family="gammel", k_max=top_block,
                       poles=params.poles, alphas=params.alphas)
     return PowerSeries(tuple(coeffs), exact, params.radius_hint, meta)
 

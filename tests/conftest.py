@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -55,3 +57,19 @@ def _exact_reference(series, n):
 @pytest.fixture(scope="session")
 def exact_reference():
     return _exact_reference
+
+
+def _tail_partial_sum(r, j0: int, stop: int) -> Fraction:
+    """sum_(j0 <= j < stop) (j+3)^4 r^j for a Fraction r, on integers over
+    the one denominator b^(stop-1) (a sum of Fractions is quadratic here)."""
+    a, b = r.numerator, r.denominator
+    acc, apow = 0, a ** j0
+    for j in range(j0, stop):
+        acc = acc * b + (j + 3) ** 4 * apow
+        apow *= a
+    return Fraction(acc, b ** (stop - 1))
+
+
+@pytest.fixture(scope="session")
+def tail_partial_sum():
+    return _tail_partial_sum

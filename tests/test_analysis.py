@@ -305,9 +305,9 @@ def test_scan_dict_serializes_infinities():
     assert row["extras"][0]["error"] == "inf"
 
 
-def test_tail_bound_is_a_tight_upper_bound_rounded_up():
+def test_tail_bound_is_a_tight_upper_bound_rounded_up(tail_partial_sum):
     # T(1/4) from j = 253 on, the first index the k_max = 7 truncation omits
-    partial = sum(Fraction((j + 3) ** 4, 4 ** j) for j in range(253, 653))
+    partial = tail_partial_sum(Fraction(1, 4), 253, 653)
     bound = _tail_bound(qc(Fraction(1, 4)), 253)
     assert partial <= Fraction(bound) <= partial * Fraction(10001, 10000)
     # |3/10 + 2i/5| = 1/2 exactly; the float point 0.3 + 0.4j is off by rounding
@@ -319,6 +319,10 @@ def test_tail_bound_is_a_tight_upper_bound_rounded_up():
         _tail_bound(qc(Fraction(4714, 10000)), 13)
     # a bound below the double range rounds up to the least positive double
     assert _tail_bound(qc(Fraction(1, 100)), 1021) == 5e-324
-    # the term ratio ((j0+4)/(j0+3))^4 r reaches 1: no bound
-    assert _tail_bound(qc(Fraction(99, 100)), 253) is None
-    assert _tail_bound(qc(Fraction(9, 10)), 13) is None
+    # where the term ratio ((j0+4)/(j0+3))^4 r reaches 1, T is summed exactly
+    for r, j0, stop in ((Fraction(9, 10), 13, 1000), (Fraction(99, 100), 253, 8000)):
+        partial = tail_partial_sum(r, j0, stop)
+        bound = _tail_bound(qc(r), j0)
+        assert partial <= Fraction(bound) <= partial * (1 + Fraction(1, 10 ** 12))
+    # |p| = 1 has no finite T
+    assert _tail_bound(qc(1), 13) is None and _tail_bound(qc(0, 1), 13) is None

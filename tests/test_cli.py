@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files written, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,34 @@ def test_generate_gammel_family():
     assert len(s.coeffs) == 7
     assert s.meta.family == "gammel"
     assert s.meta.alphas is not None and len(s.meta.alphas) == 2
+
+
+@pytest.mark.parametrize("alphas, poles", [("1/4,1/16", "0.5j,1/3"),
+                                           ("0.25j,1/16", "1/2,1/3")])
+def test_generate_gammel_mixing_float_and_exact_values_writes_a_float_file(alphas, poles):
+    assert run("generate", "--family", "gammel", "--alphas", alphas,
+               "--poles", poles, "--out", "g.json") == 0
+    doc = json.loads(Path("g.json").read_text())
+    assert doc["exact"] is False and len(doc["c"]) == 7
+    # a float file writes JSON numbers, an exact one rational strings
+    assert not any(isinstance(part, str) for pair in doc["c"] for part in pair)
+    assert load_series("g.json").exact is False
+
+
+# SHA-256 of the series files these generate commands write, recorded before
+# the exact families were walked on Gaussian integers
+GENERATE_SHA256 = [
+    (("--k-max", "7"),
+     "b6f2284b08eba089efd4b4670023b5f9a7eb1e4522730d55b31c38e550c03fc3"),
+    (("--family", "gammel", "--alphas", "1/4,1/16,0,0", "--poles", "1/2,1/3,1/4,1/5"),
+     "dd6f141b912e134f649c912f6839c35a7fe999dd2ab2548f57cd15dee5df6c48"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GENERATE_SHA256)
+def test_generate_writes_pinned_bytes(argv, digest):
+    assert run("generate", *argv, "--out", "s.json") == 0
+    assert hashlib.sha256(Path("s.json").read_bytes()).hexdigest() == digest
 
 
 def test_generate_usage_failures(capsys):
@@ -270,9 +299,9 @@ def test_scan_writes_table(capsys):
     assert all(row["error_at_zk"] == "inf" for row in doc["rows"])
 
 
-def test_scan_probe_errors_say_when_the_tail_of_f_could_hide_them():
+def test_scan_probe_errors_say_when_the_tail_of_f_could_hide_them(tail_partial_sum):
     # against f itself, |f - r_n| is only known up to the tail the k_max = 7
-    # truncation omits: T(1/4) ~ 2.7e-143, T(9/10) ~ 0.13, none at 99/100
+    # truncation omits: T(1/4) ~ 2.7e-143, T(9/10) ~ 0.13, T(99/100) ~ 2.1e11
     assert run("scan", "--k-max", "7", "--points", "1/4,9/10,99/100",
                "--out", "t.json") == 0
     rows = {row["k"]: row["extras"] for row in json.loads(Path("t.json").read_text())["rows"]}
@@ -281,7 +310,10 @@ def test_scan_probe_errors_say_when_the_tail_of_f_could_hide_them():
     assert outer["error_undetermined"] is True
     assert quarter["error"] < quarter["tail_bound"] < 2.8e-143
     assert quarter["error_undetermined"] is True
-    assert edge["tail_bound"] is None and edge["error_undetermined"] is True
+    # at 99/100 the terms still grow at j = 253; the bound is T summed exactly
+    partial = tail_partial_sum(Fraction(99, 100), 253, 8000)
+    assert partial <= Fraction(edge["tail_bound"]) <= partial * (1 + Fraction(1, 10 ** 12))
+    assert edge["error"] < edge["tail_bound"] and edge["error_undetermined"] is True
     k4_quarter = rows[4][0]
     assert 8e-12 < k4_quarter["error"] < 8.3e-12
     assert k4_quarter["error_undetermined"] is False
@@ -355,7 +387,7 @@ EXACT_SCAN_K3 = """\
           "point": [0.90000000000000002, 0],
           "abs_q": 2.6000000000000001,
           "error": 4252.771383128551,
-          "tail_bound": null,
+          "tail_bound": 2470985.8997060461,
           "error_undetermined": true
         }
       ]
@@ -378,7 +410,7 @@ EXACT_SCAN_K3 = """\
           "point": [0.90000000000000002, 0],
           "abs_q": 2.6000000000000001,
           "error": 1601.7665281285513,
-          "tail_bound": null,
+          "tail_bound": 2470985.8997060461,
           "error_undetermined": true
         }
       ]

@@ -53,6 +53,29 @@ def test_pow_cases():
         QC(0) ** -1
 
 
+def _power_by_products(z, e):
+    """z**e as |e| repeated QC products of z, or of 1/z when e < 0."""
+    base = QC(1) / z if e < 0 else z
+    out = QC(1)
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+@given(st.one_of(st.just(QC(0)), qcs), st.integers(min_value=-5, max_value=40))
+def test_pow_equals_repeated_multiplication(z, e):
+    if e < 0 and not z:
+        with pytest.raises(ZeroDivisionError):
+            z ** e
+        return
+    assert z ** e == _power_by_products(z, e)
+
+
+def test_pow_of_zero():
+    assert QC(0) ** 0 == QC(1)
+    assert QC(0) ** 7 == QC(0)
+
+
 def test_conjugate_and_abs2():
     z = QC(3, -4)
     assert z.conjugate() == QC(3, 4)

@@ -202,6 +202,89 @@ def test_gammel_zero_alpha_skips_pole():
     assert s.coeffs[3] == qc(27)
 
 
+def test_gammel_mixing_float_and_exact_values_runs_those_blocks_in_doubles():
+    for alphas, poles in (((Fraction(1, 4), Fraction(1, 16)), (0.5j, Fraction(1, 3))),
+                          ((0.25j, Fraction(1, 16)), (Fraction(1, 2), Fraction(1, 3)))):
+        params = GammelParams(alphas=alphas,
+                              poles=PoleSequence.explicit(poles, start_index=1))
+        s = build_gammel_series(params, 6)
+        assert not s.exact and len(s.coeffs) == 7
+        assert all(isinstance(c, complex) for c in s.coeffs[:3])
+        for n in range(1, 7):
+            k = gammel_block_of(n)
+            expected = complex(alphas[k - 1]) * (1 / complex(poles[k - 1])) ** n
+            assert complex(s.coeffs[n]) == pytest.approx(expected, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# exact builders against per-coefficient products, with no QC power involved
+
+
+def _power_by_products(z, e: int):
+    out = qc(1)
+    for _ in range(e):
+        out = out * z
+    return out
+
+
+def _counterexample_by_products(k_max: int, poles: PoleSequence) -> list:
+    coeffs = [qc(1)]
+    for k in range(2, k_max + 1):
+        coeffs.append(qc(16 ** k))
+        coeffs.extend(16 ** k * _power_by_products(poles.z(k), block_end(k) - j)
+                      for j in range(spike_index(k) + 1, block_end(k) + 1))
+    return coeffs
+
+
+def _gammel_by_products(alphas, poles: PoleSequence, j_max: int) -> list:
+    coeffs = [qc(1)]
+    for n in range(1, j_max + 1):
+        k = gammel_block_of(n)
+        alpha = qc(alphas[k - 1])
+        coeffs.append(alpha * _power_by_products(1 / poles.z(k), n) if alpha else qc(0))
+    return coeffs
+
+
+small = st.fractions(min_value=Fraction(-1, 5), max_value=Fraction(1, 5), max_denominator=40)
+real_poles = small.filter(bool).map(qc)
+gaussian_poles = st.builds(qc, small, small).filter(bool)
+any_poles = st.one_of(real_poles, gaussian_poles)
+alpha_values = st.one_of(st.just(Fraction(0)),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=30),
+                         st.builds(qc, small, small))
+
+
+@given(st.lists(any_poles, min_size=1, max_size=4))
+def test_exact_counterexample_series_equals_per_coefficient_products(points):
+    poles = PoleSequence.explicit(points)
+    k_max = poles.max_index
+    s = build_counterexample_series(k_max, poles)
+    assert s.exact and list(s.coeffs) == _counterexample_by_products(k_max, poles)
+
+
+@given(st.lists(st.tuples(alpha_values, any_poles), min_size=1, max_size=5), st.data())
+def test_exact_gammel_series_equals_per_coefficient_products(blocks, data):
+    alphas = [a for a, _ in blocks]
+    poles = PoleSequence.explicit([z for _, z in blocks], start_index=1)
+    j_max = data.draw(st.integers(min_value=0, max_value=2 ** (len(blocks) + 1) - 2))
+    s = build_gammel_series(GammelParams(alphas=alphas, poles=poles), j_max)
+    assert s.exact and list(s.coeffs) == _gammel_by_products(alphas, poles, j_max)
+
+
+def test_exact_builders_on_gaussian_poles_zero_alphas_and_a_mid_block_end():
+    poles = PoleSequence.explicit([qc(Fraction(1, 5), Fraction(-1, 7)), Fraction(-2, 9),
+                                   qc(0, Fraction(1, 4))])
+    s = build_counterexample_series(4, poles)
+    assert list(s.coeffs) == _counterexample_by_products(4, poles)
+    alphas = [Fraction(1, 4), 0, qc(Fraction(2, 3), -1), 0, Fraction(-3, 7)]
+    gpoles = PoleSequence.explicit([Fraction(1, 2), qc(Fraction(1, 3), Fraction(1, 5)),
+                                    qc(Fraction(-1, 4), Fraction(1, 6)), Fraction(1, 5),
+                                    qc(0, Fraction(2, 7))], start_index=1)
+    for j_max in (0, 1, 5, 20, 40, 62):       # 5, 20 and 40 end inside blocks 2, 4 and 5
+        g = build_gammel_series(GammelParams(alphas=alphas, poles=gpoles), j_max)
+        assert list(g.coeffs) == _gammel_by_products(alphas, gpoles, j_max)
+
+
 def test_gammel_pole_indexing_guard():
     with pytest.raises(InvalidParameterError):
         GammelParams(alphas=(1,), poles=PoleSequence.explicit([Fraction(1, 2)]))
