@@ -8,10 +8,12 @@ so identical data always produces byte-identical files.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str  # what json.dumps(str) calls
 
 from .rational import QC, qc, to_complex
+
+_CONTAINERS = (dict, list, tuple)
 
 
 def format_float(x: float) -> str:
@@ -70,57 +72,66 @@ def pair(x, exact: bool) -> list:
 
 def dumps(obj, indent: int = 2) -> str:
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, ["", " " * indent], 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _scalar(obj) -> str:
+    """The JSON token of a scalar, testing the exact types first."""
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is float:
+        return format_float(obj)
+    if t is int:
+        return str(obj)
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _emit(obj, out: list[str], pads: list[str], level: int) -> None:
+    """Append the tokens of `obj` at nesting `level`; pads[i] is the
+    indent of level i, extended here one level at a time."""
+    if not isinstance(obj, _CONTAINERS):
+        out.append(_scalar(obj))
+        return
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    if len(pads) == level + 1:
+        pads.append(pads[1] * (level + 1))
+    inner = pads[level + 1]
+    if isinstance(obj, dict):
         out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
+        for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(inner + json.dumps(key) + ": ")
-            _emit(value, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        seq = list(obj)
-        # short numeric/string pairs stay on one line for readability
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq) and len(seq) <= 4:
-            parts: list[str] = []
-            for v in seq:
-                sub: list[str] = []
-                _emit(v, sub, indent, 0)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(inner)
-            _emit(value, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+            out.append(inner + _encode_str(key) + ": ")
+            _emit(value, out, pads, level + 1)
+            out.append(",\n")
+        out[-1] = "\n"
+        out.append(pads[level] + "}")
+        return
+    # up to four scalars (numeric/string pairs) stay on one line for readability
+    if len(obj) <= 4 and not any(isinstance(v, _CONTAINERS) for v in obj):
+        out.append("[" + ", ".join([_scalar(v) for v in obj]) + "]")
+        return
+    out.append("[\n")
+    for value in obj:
+        out.append(inner)
+        _emit(value, out, pads, level + 1)
+        out.append(",\n")
+    out[-1] = "\n"
+    out.append(pads[level] + "]")

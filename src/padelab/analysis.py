@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -27,13 +28,14 @@ from ._jsonfmt import format_float, num
 from .errors import InvalidParameterError, NumericalError
 from .linalg import ORACLE_MAX_ROWS, exact_sigma_ratio_bounds, svd
 from .pade import PadeApproximant, classical_pade
-from .rational import QC, horner, poly_derivative, qc, to_complex
+from .rational import QC, horner, integer_horner, integer_poly, poly_derivative, qc, to_complex
 from .series import (
     PoleSequence,
     PowerSeries,
     GROWTH_EXPONENT,
     block_order,
     build_counterexample_series,
+    check_radius,
     eval_series,
     truncation_length,
 )
@@ -426,22 +428,37 @@ class ScanTable:
     rows: tuple
 
 
-def _probe(f, approx, z, exact: bool, tol_hit: float) -> tuple:
-    """(|q(z)|, |f(z) - r(z)| or inf at a denominator zero)."""
-    if exact:
-        q_val = approx.denominator_at(z)
-        abs_q = abs(to_complex(q_val))
-        if not q_val:
-            return abs_q, math.inf
-        r_val = approx.numerator_at(z) / q_val
-        return abs_q, abs(to_complex(f(z) - r_val))
+def _float_probe(f, approx, min_abs: float, z) -> tuple:
+    """(|q(z)|, |f(z) - r(z)| or inf at a denominator hit) in doubles."""
     zc = to_complex(z)
+    tol_hit = 1e-10 * (1.0 + abs(zc) / min_abs)
     q_val = approx.denominator_at(zc)
     abs_q = abs(q_val)
     if abs_q <= tol_hit:
         return abs_q, math.inf
     r_val = approx.numerator_at(zc) / q_val
     return abs_q, abs(f(zc) - r_val)
+
+
+def _exact_probe(f, p, q, z: QC) -> tuple:
+    """(|q(z)|, |f(z) - p(z)/q(z)| or inf where q(z) = 0), from `integer_horner`
+    triples of f, p and q.
+
+    With p = P/dp, q = Q/dq and f = F/df, the error is
+    (F Q dp - df P dq) conj(Q) / (df dp |Q|^2), kept exact on Gaussian
+    integers; int true division rounds each part once, correctly, so the
+    floats equal those of the reduced Fractions.
+    """
+    qr, qi, dq = integer_horner(q, z)
+    abs_q = abs(complex(qr / dq, qi / dq))
+    if not (qr or qi):
+        return abs_q, math.inf
+    fr, fi, df = f(z)
+    pr, pi, dp = integer_horner(p, z)
+    nr = (fr * qr - fi * qi) * dp - pr * dq * df
+    ni = (fr * qi + fi * qr) * dp - pi * dq * df
+    scale = df * dp * (qr * qr + qi * qi)
+    return abs_q, abs(complex((nr * qr + ni * qi) / scale, (ni * qr - nr * qi) / scale))
 
 
 def _tail_bound(point, j0: int) -> float | None:
@@ -496,6 +513,8 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     the terms that truncation omits, and `error_undetermined`, true when
     a finite error does not exceed that bound (or no bound exists): such
     an error says nothing about |f - r_n| for the whole f.  Exact mode
+    computes f - r_n = (f q - p)/q exactly on Gaussian integers (f once
+    per point, p and q prepared once per row), rounds each part once and
     detects denominator zeros exactly; float mode treats |q(z)| below
     1e-10 * (1 + |z|/min_k |z_k|) as a hit.
     """
@@ -527,26 +546,37 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     min_abs = min(abs(z) for z in poles.as_complex())
     tails = [_tail_bound(p, truncation_length(k_max)) for p in probe_points]
     f_values = {}
+    if exact:
+        f_poly = integer_poly(s.coeffs)
 
     def f(z):
         # f at each distinct point once: block poles and probe points recur
-        if z not in f_values:
-            f_values[z] = eval_series(s, z)
-        return f_values[z]
+        value = f_values.get(z)
+        if value is None:
+            if exact:
+                check_radius(s, z)
+                value = integer_horner(f_poly, z)
+            else:
+                value = eval_series(s, z)
+            f_values[z] = value
+        return value
 
     rows = []
     for k in range(2, k_max + 1):
         n = block_order(k)
         approx = classical_pade(s, n, exact=exact)
+        if exact:
+            probe = partial(_exact_probe, f, integer_poly(approx.a_effective),
+                            integer_poly(approx.b_effective))
+        else:
+            probe = partial(_float_probe, f, approx, min_abs)
         z = poles.z(k)
         zc = to_complex(z)
-        tol_hit = 1e-10 * (1.0 + abs(zc) / min_abs)
-        abs_q, err = _probe(f, approx, z if exact else zc, exact, tol_hit)
+        abs_q, err = probe(z)
         extras = []
         for p, tail in zip(probe_points, tails):
             pc = to_complex(p)
-            tol_p = 1e-10 * (1.0 + abs(pc) / min_abs)
-            pa, pe = _probe(f, approx, p, exact, tol_p)
+            pa, pe = probe(p)
             undetermined = pe != math.inf and (tail is None or pe <= tail)
             extras.append(PointError(point=pc, abs_q=pa, error=pe, tail_bound=tail,
                                      error_undetermined=undetermined))

@@ -220,30 +220,45 @@ def horner(coeffs: Iterable, z):
 
     Works over any common scalar domain (QC with QC/rational z, or
     complex with complex z); the caller keeps the domain homogeneous.
-    QC coefficients at a QC point are evaluated on integers, with one
-    normalization at the end: with C_j = D c_j and Z = d z Gaussian
-    integers, the value is sum(C_j Z^j d^(N-j)) / (D d^N).
+    QC coefficients at a QC point run `integer_horner` on
+    `integer_poly(coeffs)`, with one normalization at the end.  The
+    exact divergence scan calls those two steps itself, so it keeps
+    f(z), p(z) and q(z) as Gaussian integers over their scales and
+    rounds each part of (f q - p)/q once.
     """
     coeffs = list(coeffs)
     if not coeffs:
         return 0 * z
     if isinstance(z, QC) and all(isinstance(c, QC) for c in coeffs):
-        return _integer_horner(coeffs, z)
+        return from_gaussian(*integer_horner(integer_poly(coeffs), z))
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
 
 
-def _integer_horner(coeffs: list, z: QC) -> QC:
+def integer_poly(coeffs: Iterable) -> tuple[list, int]:
+    """(C, D): the QC coefficients c_0..c_N as the Gaussian integers
+    C_j = D c_j, highest degree first, prepared once for `integer_horner`."""
     pairs, den = gaussian_integers(coeffs)
+    pairs.reverse()
+    return pairs, den
+
+
+def integer_horner(poly: tuple[list, int], z: QC) -> tuple[int, int, int]:
+    """(re, im, scale), not reduced, with p(z) = (re + i im) / scale, scale > 0.
+
+    `poly` comes from `integer_poly`.  With Z = d z a Gaussian integer,
+    the value is sum(C_j Z^j d^(N-j)) / (D d^N), summed by Horner's rule.
+    """
+    pairs, den = poly
     [(zr, zi)], dz = gaussian_integers((z,))
-    ar, ai = pairs[-1]
+    ar, ai = pairs[0]
     dpow = 1
-    for cr, ci in reversed(pairs[:-1]):
+    for cr, ci in pairs[1:]:
         dpow *= dz
         ar, ai = ar * zr - ai * zi + cr * dpow, ar * zi + ai * zr + ci * dpow
-    return from_gaussian(ar, ai, den * dpow)
+    return ar, ai, den * dpow
 
 
 def poly_derivative(coeffs: Iterable) -> list:

@@ -294,7 +294,8 @@ def build_counterexample_series(k_max: int, poles: PoleSequence) -> PowerSeries:
     2^(k_max+1) - 3 coefficients c_0..c_{2^(k_max+1)-4}.  A block with a
     rational z_k walks 16^k z_k^e up from e = 0 on Gaussian integers (one
     normalization per coefficient) and writes e = n_k..0; a float z_k's
-    block runs in complex doubles.
+    block runs in complex doubles.  When any pole is a float, the series
+    is a float one, and its exact blocks are rounded once per coefficient.
     """
     if k_max < 2:
         raise InvalidParameterError("counterexample family needs k_max >= 2")
@@ -307,7 +308,8 @@ def build_counterexample_series(k_max: int, poles: PoleSequence) -> PowerSeries:
         coeffs.append(qc(spike) if exact else complex(spike))
         z = poles.z(k)
         if isinstance(z, QC):
-            coeffs.extend(reversed(_geometric_run(qc(spike), z, block_order(k) + 1)))
+            run = reversed(_geometric_run(qc(spike), z, block_order(k) + 1))
+            coeffs.extend(run if exact else map(to_complex, run))
             continue
         zinv = 1 / z
         # walk the geometric part upward, one exponent drop per index
@@ -367,7 +369,9 @@ def gammel_block_of(n: int) -> int:
 def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
     """Materialize c_0..c_{j_max} of the gammel family.  A block walks alpha_k W^n,
     W = 1/z_k, on Gaussian integers (one normalization per coefficient), or in
-    complex doubles if alpha_k or z_k is a float; a zero alpha_k writes zeros."""
+    complex doubles if alpha_k or z_k is a float; a zero alpha_k writes zeros.
+    In a float series (any float alpha or pole) an exact block is rounded once
+    per coefficient."""
     if j_max < 0:
         raise InvalidParameterError("j_max must be nonnegative")
     exact = params.exact
@@ -392,7 +396,8 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
                 f"pole z_{k} required for a nonzero alpha_{k}") from exc
         if isinstance(alpha, QC) and isinstance(z, QC):
             w = 1 / z
-            coeffs.extend(_geometric_run(alpha * w ** lo, w, hi - lo + 1))
+            run = _geometric_run(alpha * w ** lo, w, hi - lo + 1)
+            coeffs.extend(run if exact else map(to_complex, run))
         else:
             w = 1 / to_complex(z)
             coeffs.extend(to_complex(alpha) * w ** n for n in range(lo, hi + 1))
@@ -405,12 +410,18 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
 # evaluation
 
 
-def eval_series(s: PowerSeries, z):
-    """Evaluate the truncated series at z as a polynomial: a `QC` when
-    both the series and z are rational, else a complex."""
+def check_radius(s: PowerSeries, z) -> complex:
+    """z as a complex; DomainError unless |z| < s.radius_hint."""
     zc = to_complex(z)
     if not abs(zc) < s.radius_hint:
         raise DomainError(f"|z| = {abs(zc)} outside radius_hint = {s.radius_hint}")
+    return zc
+
+
+def eval_series(s: PowerSeries, z):
+    """Evaluate the truncated series at z as a polynomial: a `QC` when
+    both the series and z are rational, else a complex."""
+    zc = check_radius(s, z)
     if s.exact and is_exact_scalar(z):
         return horner(s.coeffs, qc(z))
     return complex(horner(s.as_complex_array(), zc))

@@ -1,6 +1,7 @@
 """Pole classification, per-block verification, and divergence scans."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,13 @@ from padelab.errors import (
 )
 from padelab.linalg import svd
 from padelab.pade import PadeApproximant, classical_pade
-from padelab.rational import qc
-from padelab.series import PoleSequence, PowerSeries, build_counterexample_series
+from padelab.rational import qc, to_complex
+from padelab.series import (
+    PoleSequence,
+    PowerSeries,
+    build_counterexample_series,
+    eval_series,
+)
 from padelab.toeplitz import build_pair
 
 
@@ -293,6 +299,60 @@ def test_scan_guards():
         divergence_scan(3, points=(0.3,))
     with pytest.raises(DomainError):
         divergence_scan(2, points=(Fraction(3, 2),))
+
+
+def _qc_probe(s, approx, z):
+    """(|q(z)|, |f(z) - p(z)/q(z)|, inf where q(z) = 0) in QC arithmetic."""
+    q = approx.denominator_at(z)
+    if not q:
+        return abs(to_complex(q)), math.inf
+    return abs(to_complex(q)), abs(to_complex(eval_series(s, z) - approx.numerator_at(z) / q))
+
+
+def test_exact_scan_errors_equal_a_qc_reference():
+    # the scan's Gaussian-integer probe rounds each part of (f q - p)/q once,
+    # so it must give the very floats of the QC route: seeded scans over both
+    # schemes and explicit Gaussian poles, real and Gaussian probe points, and
+    # probes placed on block poles (exact hits)
+    rng = random.Random(19)
+
+    def rational(bound):
+        den = rng.choice((3, 4, 5, 7, 9, 10, 16, 97))
+        return Fraction(rng.randint(-int(bound * den), int(bound * den)), den)
+
+    hits = 0
+    for trial in range(60):
+        k_max = rng.choice((2, 3, 3, 4))
+        scheme = ("harmonic", "harmonic_repeated", None)[trial % 3]
+        if scheme == "harmonic":
+            poles = PoleSequence.harmonic(k_max)
+        elif scheme:
+            poles = PoleSequence.harmonic_repeated(k_max)
+        else:
+            pts = []
+            while len(pts) < k_max - 1:
+                z = qc(rational(0.3), rational(0.3) if rng.random() < 0.7 else 0)
+                if 0 < z.abs2() < Fraction(1, 9):
+                    pts.append(z)
+            poles = PoleSequence.explicit(pts)
+        points = [rng.choice(poles.points)]
+        for _ in range(rng.randint(1, 3)):
+            z = qc(rational(0.95), rational(0.6) if rng.random() < 0.5 else 0)
+            if z.abs2() < 1:
+                points.append(z)
+        rng.shuffle(points)
+        if scheme:
+            table = divergence_scan(k_max, scheme=scheme, points=tuple(points))
+        else:
+            table = divergence_scan(k_max, points=tuple(points), poles=poles)
+        s = build_counterexample_series(k_max, poles)
+        for row in table.rows:
+            approx = classical_pade(s, row.n, exact=True)
+            assert (row.abs_q_at_zk, row.error_at_zk) == _qc_probe(s, approx, poles.z(row.k))
+            for p, extra in zip(points, row.extras):
+                assert (extra.abs_q, extra.error) == _qc_probe(s, approx, p)
+                hits += extra.error == math.inf
+    assert hits > 0
 
 
 def test_scan_dict_serializes_infinities():

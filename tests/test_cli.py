@@ -431,6 +431,11 @@ def test_exact_outputs_are_pinned_byte_for_byte():
     assert Path("a.json").read_bytes() == EXACT_APPROXIMANT_K2.encode()
     assert run("scan", "--k-max", "3", "--points", "1/4,9/10", "--out", "t.json") == 0
     assert Path("t.json").read_bytes() == EXACT_SCAN_K3.encode()
+    # a scan op of the benchmark's size (161 lines), pinned by digest
+    assert run("scan", "--k-max", "5", "--scheme", "harmonic",
+               "--points=-1/4,9/10,-1/3,2/7", "--out", "t5.json") == 0
+    assert hashlib.sha256(Path("t5.json").read_bytes()).hexdigest() == \
+        "befee2c11849387f33f84e544d6228971566976c3702f1e8dfc9db57175b57a5"
 
 
 def test_float_outputs_list_dataclass_fields_in_order():
@@ -457,6 +462,31 @@ def test_record_encodes_infinities_and_refuses_nan():
         dumps(record(float("nan")))
     with pytest.raises(TypeError):
         record(Fraction(1, 3))
+
+
+def test_dumps_layout_escapes_and_errors():
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    doc = {"s": 'é "q"\\\n\t', Name("k"): [1, 2.5, None, True], "five": [1, 2, 3, 4, 5],
+           "nested": [[], {}, ("x", False)], "sub": [Count(2), Name("n"), 0.5],
+           "deep": {"a": {"b": [0.1]}}}
+    assert dumps(doc) == (
+        '{\n  "s": "\\u00e9 \\"q\\"\\\\\\n\\t",\n  "k": [1, 2.5, null, true],\n'
+        '  "five": [\n    1,\n    2,\n    3,\n    4,\n    5\n  ],\n'
+        '  "nested": [\n    [],\n    {},\n    ["x", false]\n  ],\n'
+        '  "sub": [2, "n", 0.5],\n  "deep": {\n    "a": {\n      "b": [0.10000000000000001]\n    }\n  }\n}\n')
+    assert dumps(doc["s"]) == json.dumps(doc["s"]) + "\n"
+    with pytest.raises(TypeError, match="keys must be strings"):
+        dumps({"a": {1: 2}})
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps([1, [float("nan")]])
+    for bad in ([set()], {"a": 1j}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps(bad)
 
 
 # ---------------------------------------------------------------------------

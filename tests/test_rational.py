@@ -11,6 +11,8 @@ from padelab.rational import (
     QC,
     as_fraction,
     horner,
+    integer_horner,
+    integer_poly,
     is_exact_scalar,
     poly_derivative,
     qc,
@@ -133,6 +135,19 @@ def test_horner_exact_polynomial():
     coeffs = (QC(1), QC(-4), QC(0), QC(2))
     z = QC(Fraction(1, 3))
     expected = QC(1) - QC(4) * z + QC(2) * z ** 3
+    assert horner(coeffs, z) == expected
+
+
+@given(st.lists(qcs, min_size=1, max_size=8), qcs)
+def test_integer_horner_triple_equals_the_sum_of_products(coeffs, z):
+    # the unreduced (re, im, scale) over a positive scale, against QC
+    # products that use no Horner step and no power
+    re, im, scale = integer_horner(integer_poly(coeffs), z)
+    assert scale > 0
+    expected, zj = QC(0), QC(1)
+    for c in coeffs:
+        expected, zj = expected + c * zj, zj * z
+    assert QC(Fraction(re, scale), Fraction(im, scale)) == expected
     assert horner(coeffs, z) == expected
 
 

@@ -16,7 +16,7 @@ from padelab.errors import (
     OutOfRangeError,
     SeriesFormatError,
 )
-from padelab.rational import qc
+from padelab.rational import qc, to_complex
 from padelab.series import (
     GammelParams,
     PoleSequence,
@@ -214,6 +214,24 @@ def test_gammel_mixing_float_and_exact_values_runs_those_blocks_in_doubles():
             k = gammel_block_of(n)
             expected = complex(alphas[k - 1]) * (1 / complex(poles[k - 1])) ** n
             assert complex(s.coeffs[n]) == pytest.approx(expected, rel=1e-15)
+
+
+def test_a_float_series_holds_only_complex_values():
+    # one float pole or weight makes the whole series a float one; its exact
+    # blocks are walked exactly and rounded once, as the file writer rounds them
+    poles = PoleSequence.explicit([Fraction(1, 4), 0.2j, Fraction(1, 6)])
+    exact_poles = PoleSequence.explicit([Fraction(1, 4), Fraction(1, 5), Fraction(1, 6)])
+    mixed = build_counterexample_series(4, poles)
+    gammel = build_gammel_series(
+        GammelParams(alphas=(Fraction(1, 4), Fraction(1, 16)),
+                     poles=PoleSequence.explicit([0.5j, Fraction(1, 3)], start_index=1)), 6)
+    for s in (mixed, gammel):
+        assert not s.exact
+        assert all(type(c) is complex for c in s.coeffs)
+    exact = build_counterexample_series(4, exact_poles)
+    for j in (*range(1, 5), *range(13, 29)):       # blocks 2 and 4 (c_0 = 1 and block 3 aside)
+        assert mixed.coeffs[j] == to_complex(exact.coeffs[j])
+    assert gammel.coeffs[3:] == tuple(complex(Fraction(3 ** n, 16)) for n in range(3, 7))
 
 
 # ---------------------------------------------------------------------------
