@@ -273,8 +273,8 @@ def _horner_error_bound(a, z: complex) -> float:
     return q / (1 - q) * sum(abs(to_complex(x)) * abs(z) ** j for j, x in enumerate(a))
 
 
-def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
-                          with_oracle: bool | None = None) -> CounterexampleReport:
+def verify_counterexample(k: int, poles: PoleSequence,
+                          exact: bool = False) -> CounterexampleReport:
     """Check every claimed property of counterexample block k.
 
     Verified claims: the type-(n_k, n_k) denominator is exactly
@@ -283,16 +283,16 @@ def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
     stays below 5, the head/tail coefficient sums respect their limits,
     and 16^k -/+ S sandwiches the extreme singular values.
 
-    `exact=True` routes the approximant through the exact route of
-    `classical_pade` (the extended Euclidean algorithm, proved by
-    substitution) so the q and p comparisons are equalities.  On the float route p_ok is
-    None when |16^k z_k^(2 n_k)| does not exceed the rounding bound of
-    the computed p(z_k): the float numerator cannot tell that value
-    from 0, and only the exact route can certify it.  `with_oracle` adds a
-    certified bracket of the singular value ratio from the exact Gram
-    matrix; the oracle agrees when the float ratio lies in that bracket,
-    widened by 1e-8 relative.  The default enables it when the series
-    is exact and the system is small enough for that route.
+    Expected q and p(z_k) are computed once, on the route's scalars:
+    `QC` when `exact=True` runs the exact `classical_pade` (the extended
+    Euclidean algorithm, proved by substitution), complex otherwise.
+    Only the verdicts differ: exact q_ok and p_ok are equalities; float
+    ones hold to 1e-8 relative, and p_ok is None when |16^k z_k^(2 n_k)|
+    does not exceed the rounding bound of the computed p(z_k), which
+    only the exact route can certify.  On an exact series with
+    n <= ORACLE_MAX_ROWS, on either route, the exact Gram matrix gives a
+    certified bracket of sigma_1/sigma_n; the oracle agrees when the
+    float ratio lies in it, widened by 1e-8 relative, and is None elsewhere.
     """
     if k < 2:
         raise InvalidParameterError("counterexample blocks start at k = 2")
@@ -302,38 +302,28 @@ def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
         raise InvalidParameterError("exact verification requires exact pole locations")
     n = block_order(k)
     spike = 16 ** k
-    z = poles.z(k)
-    zc = to_complex(z)
+    if exact:
+        z, one, zero = qc(poles.z(k)), qc(1), qc(0)
+    else:
+        z, one, zero = to_complex(poles.z(k)), 1.0 + 0.0j, 0.0j
 
     approx = classical_pade(s, n, exact=exact)
 
     # denominator: expect (1, -1/z_k, 0, ..., 0)
-    if exact:
-        inv = qc(1) / qc(z)
-        expected_b = (qc(1), -inv) + (qc(0),) * (n - 1)
-        q_exact_eq = tuple(approx.b) == expected_b
-        q_match = 0.0 if q_exact_eq else max(
-            abs(to_complex(x) - to_complex(e)) for x, e in zip(approx.b, expected_b))
-        q_ok = q_exact_eq
-    else:
-        expected_bc = (1.0 + 0.0j, -1.0 / zc) + (0.0j,) * (n - 1)
-        q_match = max(abs(x - e) for x, e in zip(approx.b, expected_bc))
-        q_ok = q_match <= 1e-8 * max(1.0, 1.0 / abs(zc))
+    expected_b = (one, -one / z) + (zero,) * (n - 1)
+    q_match = max(abs(to_complex(x) - to_complex(e)) for x, e in zip(approx.b, expected_b))
 
     # numerator at the pole: expect the tiny but nonzero 16^k z_k^(2n)
+    p_val = approx.numerator_at(z)
+    p_exp = spike * z ** (2 * n)
+    p_at_zk, p_expected = to_complex(p_val), to_complex(p_exp)
+    p_match = abs(p_at_zk - p_expected)
     if exact:
-        p_val = approx.numerator_at(z)
-        p_exp = qc(spike) * qc(z) ** (2 * n)
-        p_eq = p_val == p_exp
-        p_match = 0.0 if p_eq else abs(to_complex(p_val) - to_complex(p_exp))
-        p_ok = p_eq and bool(p_val)
-        p_at_zk = to_complex(p_val)
-        p_expected = to_complex(p_exp)
+        q_ok = tuple(approx.b) == expected_b
+        p_ok = p_val == p_exp and bool(p_val)
     else:
-        p_at_zk = approx.numerator_at(zc)
-        p_expected = complex(spike) * zc ** (2 * n)
-        p_match = abs(p_at_zk - p_expected)
-        if abs(p_expected) <= _horner_error_bound(approx.a_effective, zc):
+        q_ok = q_match <= 1e-8 * max(1.0, 1.0 / abs(z))
+        if abs(p_expected) <= _horner_error_bound(approx.a_effective, z):
             p_ok = None
         else:
             p_scale = max(1.0, max(abs(to_complex(x)) for x in approx.a))
@@ -341,24 +331,14 @@ def verify_counterexample(k: int, poles: PoleSequence, exact: bool = False,
 
     # float singular spectrum of B_n (the float route already has it),
     # plus the exact oracle when available
-    if exact:
-        spectrum = svd(build_pair(s, n, exact=False).B)
-        sigmas, ratio = spectrum.sigmas, spectrum.ratio
-    else:
-        sigmas, ratio = approx.diagnostics.sigmas, approx.diagnostics.ratio
-    sigma1 = float(sigmas[0])
-    sigman = float(sigmas[-1])
-    ratio = float(ratio)
+    spectrum = svd(build_pair(s, n, exact=False).B) if exact else approx.diagnostics
+    sigma1 = float(spectrum.sigmas[0])
+    sigman = float(spectrum.sigmas[-1])
+    ratio = float(spectrum.ratio)
     ratio_pass = ratio < 5.0
 
-    if with_oracle is None:
-        with_oracle = s.exact and n <= ORACLE_MAX_ROWS
-    oracle_ratio = None
-    oracle_bracket = None
-    oracle_agrees = None
-    if with_oracle:
-        if not s.exact:
-            raise InvalidParameterError("sigma-ratio oracle requires an exact series")
+    oracle_ratio = oracle_bracket = oracle_agrees = None
+    if s.exact and n <= ORACLE_MAX_ROWS:
         oracle = exact_sigma_ratio_bounds(build_pair(s, n, exact=True).B,
                                           guess=(sigma1, sigman))
         oracle_ratio = float(oracle.ratio)
@@ -508,11 +488,12 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     infinitely many blocks, so the error at such a point is infinite
     along a subsequence: the approximants cannot converge there even
     though every B_(n_k) is well conditioned.  `f` is the k_max
-    truncation of the series; probe points must satisfy |z| <
-    radius_hint.  Each probe error comes with `tail_bound`, a bound on
-    the terms that truncation omits, and `error_undetermined`, true when
-    a finite error does not exceed that bound (or no bound exists): such
-    an error says nothing about |f - r_n| for the whole f.  Exact mode
+    truncation of the series; every probe point must satisfy |z| <
+    radius_hint, which is checked before any row.  Each probe error
+    comes with `tail_bound`, a bound on the terms that truncation omits,
+    and `error_undetermined`, true when a finite error does not exceed
+    that bound (or no bound exists): such an error says nothing about
+    |f - r_n| for the whole f.  Exact mode
     computes f - r_n = (f q - p)/q exactly on Gaussian integers (f once
     per point, p and q prepared once per row), rounds each part once and
     detects denominator zeros exactly; float mode treats |q(z)| below
@@ -541,8 +522,10 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
             raise InvalidParameterError(
                 "exact scan requires exact probe points (int, Fraction, "
                 "or rational literals like '1/4')") from err
+        for p in probe_points:
+            check_radius(s, p)
     else:
-        probe_points = tuple(to_complex(p) for p in points)
+        probe_points = tuple(check_radius(s, p) for p in points)
     min_abs = min(abs(z) for z in poles.as_complex())
     tails = [_tail_bound(p, truncation_length(k_max)) for p in probe_points]
     f_values = {}
@@ -553,11 +536,7 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
         # f at each distinct point once: block poles and probe points recur
         value = f_values.get(z)
         if value is None:
-            if exact:
-                check_radius(s, z)
-                value = integer_horner(f_poly, z)
-            else:
-                value = eval_series(s, z)
+            value = integer_horner(f_poly, z) if exact else eval_series(s, z)
             f_values[z] = value
         return value
 

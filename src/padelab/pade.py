@@ -264,13 +264,11 @@ def _proved(c: list, y: list, den: int, d: int) -> tuple | None:
     can only raise it) holds over Q(i), and y is the minimal-degree one.
     """
     n, top = len(y) - 1, len(y) - d        # top = n + 1 - d
-    gaussian = any(x.im for x in c)
-    dc = math.lcm(*(q.denominator for x in c for q in ((x.re, x.im) if gaussian else (x.re,))))
-    cr = [x.re.numerator * (dc // x.re.denominator) for x in c]
+    pairs, dc = gaussian_integers(c)
+    cr, ci = zip(*pairs)
     yr, yi = zip(*y)
     re, im = _convolve(cr, yr), _convolve(cr, yi)
-    if gaussian:                            # (C_r + i C_i)(y_r + i y_i)
-        ci = [x.im.numerator * (dc // x.im.denominator) for x in c]
+    if any(ci):                             # (C_r + i C_i)(y_r + i y_i)
         re = [u - v for u, v in zip(re, _convolve(ci, yi))]
         im = [u + v for u, v in zip(im, _convolve(ci, yr))]
     if any(any(v) for v in y[top + 1:]) or any(re[top + 1:]) or any(im[top + 1:]):

@@ -411,10 +411,14 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
 
 
 def check_radius(s: PowerSeries, z) -> complex:
-    """z as a complex; DomainError unless |z| < s.radius_hint."""
-    zc = to_complex(z)
-    if not abs(zc) < s.radius_hint:
-        raise DomainError(f"|z| = {abs(zc)} outside radius_hint = {s.radius_hint}")
+    """z as a complex; DomainError unless |z| < s.radius_hint, also where z overflows a double."""
+    try:
+        zc = to_complex(z)
+        r = abs(zc)
+    except OverflowError:
+        r = math.inf
+    if not r < s.radius_hint:
+        raise DomainError(f"|z| = {r} outside radius_hint = {s.radius_hint}")
     return zc
 
 
@@ -509,7 +513,10 @@ def save_series(s: PowerSeries, path) -> None:
     if s.meta.alphas is not None:
         meta["alphas"] = [_jsonfmt.pair(a, s.exact) for a in s.meta.alphas]
     doc["meta"] = meta
-    Path(path).write_text(_jsonfmt.dumps(doc), encoding="utf-8")
+    try:
+        Path(path).write_text(_jsonfmt.dumps(doc), encoding="utf-8")
+    except OSError as exc:
+        raise SeriesFormatError(f"cannot write series file {path}: {exc}") from exc
 
 
 def _reject_constant(token: str):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from padelab import analysis
 from padelab._jsonfmt import record
 from padelab.analysis import (
     CounterexampleReport,
@@ -18,7 +19,6 @@ from padelab.errors import (
     DomainError,
     InvalidParameterError,
     OutOfRangeError,
-    UnsupportedSizeError,
 )
 from padelab.linalg import svd
 from padelab.pade import PadeApproximant, classical_pade
@@ -219,9 +219,12 @@ def test_verify_oracle_bracket_on_complex_poles(k):
 
 
 def test_verify_bracket_absent_without_oracle():
-    rep = verify_counterexample(2, PoleSequence.harmonic(2), with_oracle=False)
-    assert rep.sigma_ratio_bracket is None and rep.oracle_agrees is None
-    assert record(rep)["sigma_ratio_bracket"] is None
+    # the oracle runs on exact series with n <= ORACLE_MAX_ROWS only: not on
+    # the exact block k = 5 (n = 30), nor on a series with a float pole
+    for rep in (verify_counterexample(5, PoleSequence.harmonic(5), exact=True),
+                verify_counterexample(2, PoleSequence.explicit([0.25]))):
+        assert rep.sigma_ratio_bracket is None and rep.oracle_agrees is None
+        assert record(rep)["sigma_ratio_bracket"] is None
 
 
 def test_verify_guards():
@@ -233,10 +236,6 @@ def test_verify_guards():
         verify_counterexample(2, PoleSequence.explicit([Fraction(2, 5)]))
     with pytest.raises(InvalidParameterError):
         verify_counterexample(2, PoleSequence.explicit([0.25]), exact=True)
-    with pytest.raises(UnsupportedSizeError):
-        verify_counterexample(5, PoleSequence.harmonic(5), with_oracle=True)
-    with pytest.raises(InvalidParameterError):
-        verify_counterexample(2, PoleSequence.explicit([0.25]), with_oracle=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +298,19 @@ def test_scan_guards():
         divergence_scan(3, points=(0.3,))
     with pytest.raises(DomainError):
         divergence_scan(2, points=(Fraction(3, 2),))
+
+
+@pytest.mark.parametrize("exact, outside", [(True, Fraction(10 ** 400)), (True, Fraction(2)),
+                                            (False, 2.0), (False, math.nan)])
+def test_scan_checks_every_probe_point_before_any_row(monkeypatch, exact, outside):
+    # a point beyond the double range is outside radius_hint too, and no
+    # approximant is built before every point has been checked
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was started")
+
+    monkeypatch.setattr(analysis, "classical_pade", no_rows)
+    with pytest.raises(DomainError):
+        divergence_scan(3, exact=exact, points=(Fraction(1, 4), outside))
 
 
 def _qc_probe(s, approx, z):

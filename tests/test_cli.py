@@ -438,6 +438,20 @@ def test_exact_outputs_are_pinned_byte_for_byte():
         "befee2c11849387f33f84e544d6228971566976c3702f1e8dfc9db57175b57a5"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--k-range", "2..6", "--exact-up-to", "4", "--out", "v.json"),
+     "2708827fde0ee275c62919792307002ac9d1a6a806f1ffd3efb8f35549578ac3"),
+    (("--k-range", "2..6", "--exact-up-to", "4", "--format", "csv", "--out", "v.csv"),
+     "adc3b94c87ffac8eec8b6001133e4f0632513a432395815d4114c22089de79c0"),
+    # a float pole among exact ones: the whole series, and each block, is float
+    (("--k-range", "2..4", "--poles", "1/4,0.2j,1/6", "--out", "v.json"),
+     "91ae81747cd35e7f1321432a90283a83697ea2d06a47a5769c90ec91176ee82a"),
+])
+def test_verify_outputs_are_pinned_byte_for_byte(argv, digest):
+    assert run("verify", *argv) == 0
+    assert hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest() == digest
+
+
 def test_float_outputs_list_dataclass_fields_in_order():
     assert run("verify", "--k-range", "2..3", "--exact-up-to", "2", "--out", "v.json") == 0
     for report in json.loads(Path("v.json").read_text()):
@@ -640,6 +654,14 @@ def test_help_and_bad_arguments_exit_codes(capsys):
      "--tol must lie in (0, 1)"),
     (("approximate", "--series", "s.json", "--n", "2", "--mode", "robust", "--tol", "nan"),
      "--tol must lie in (0, 1)"),
+    # a probe point outside radius_hint, on both routes, even where a part of
+    # q(p) would leave the double range; and an output that cannot be written
+    (("scan", "--k-max", "3", "--points", "1e400"), "|z| = inf outside radius_hint = 1.0"),
+    (("scan", "--k-max", "3", "--points", "1e400", "--float"),
+     "|z| = inf outside radius_hint = 1.0"),
+    (("scan", "--k-max", "3", "--points", "1e308"), "|z| = 1e+308 outside radius_hint = 1.0"),
+    (("generate", "--k-max", "2", "--out", "missing/s.json"),
+     "cannot write series file missing/s.json"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2
