@@ -29,8 +29,7 @@ _HOME = {name: module for module, names in {
                "spike_index", "truncation_length", "counterexample_coeff",
                "build_counterexample_series", "build_gammel_series", "default_gammel_alpha",
                "eval_series", "save_series", "load_series"),
-    "toeplitz": ("ToeplitzPair", "StructuredDecomposition", "SumBoundsReport", "build_pair",
-                 "build_structured", "check_sum_bounds"),
+    "toeplitz": ("ToeplitzPair", "SumBoundsReport", "build_pair", "check_sum_bounds"),
     "linalg": ("RationalMatrix", "SingularSpectrum", "SigmaRatioOracle", "svd",
                "exact_nullspace", "exact_sigma_ratio_bounds",
                "singular_value_perturbation_check"),

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str  # what json.dumps(str) calls
 
 from .rational import QC, qc, to_complex
 
 _CONTAINERS = (dict, list, tuple)
+_PAD = "  "                     # the indent of one nesting level
+_CHUNK = 600                    # digits, under 640: the least limit Python can be set to
+_CHUNK_BASE = 10 ** _CHUNK
 
 
 def format_float(x: float) -> str:
@@ -49,7 +53,7 @@ def record(obj):
     if isinstance(obj, complex):
         return [num(obj.real), num(obj.imag)]
     if isinstance(obj, QC):
-        return [str(obj.re), str(obj.im)]
+        return [rational_text(obj.re), rational_text(obj.im)]
     if isinstance(obj, (tuple, list)):
         return [record(v) for v in obj]
     if dataclasses.is_dataclass(obj):
@@ -64,15 +68,48 @@ def pair(x, exact: bool) -> list:
     when written rather than saved in a form the series loader rejects.
     """
     if exact:
-        q = qc(x)
-        return [str(q.re), str(q.im)]
+        return record(qc(x))
     z = to_complex(x)
     return [float(z.real), float(z.imag)]
 
 
-def dumps(obj, indent: int = 2) -> str:
+def rational_text(x: Fraction) -> str:
+    """str(x) at any length: past sys.get_int_max_str_digits(), where str()
+    raises ValueError, each part is written in chunks of _CHUNK digits."""
+    try:
+        return str(x)
+    except ValueError:
+        text = _int_text(x.numerator)
+        return text if x.denominator == 1 else f"{text}/{_int_text(x.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    head, chunks = abs(n), []
+    while head >= _CHUNK_BASE:
+        head, low = divmod(head, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    return "-" * (n < 0) + str(head) + "".join(reversed(chunks))
+
+
+def read_int(text: str) -> int:
+    """int(text), for a plain ASCII [-]digits literal at any length: past
+    the digit limit, where int() raises ValueError, it is read in chunks
+    of _CHUNK digits.  Other text raises int()'s ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] == "-" else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    value = 0
+    for i in range(0, len(digits), _CHUNK):
+        value = value * 10 ** len(digits[i:i + _CHUNK]) + int(digits[i:i + _CHUNK])
+    return -value if text[:1] == "-" else value
+
+
+def dumps(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, ["", " " * indent], 0)
+    _emit(obj, out, ["", _PAD], 0)
     out.append("\n")
     return "".join(out)
 

@@ -290,7 +290,7 @@ def _echelon_bareiss(rows: list) -> tuple[list, list[int]]:
 
     Rows hold Gaussian integers as (re, im) int pairs.  Each entry is a
     minor of the input, so every division by the previous pivot q is
-    exact: v conj(q) // |q|^2 per component.
+    exact: v conj(q) // |q|^2 per component, or v // q when the step is real.
     """
     nrows = len(rows)
     ncols = len(rows[0])
@@ -320,6 +320,8 @@ def _gaussian_step(p: tuple, h: tuple, row: list, tail: list, q: tuple) -> list:
     pr, pi = p
     hr, hi = h
     qr, qi = q
+    if not (pi or hi or qi or any(vi or ti for (_, vi), (_, ti) in zip(row, tail))):
+        return [((pr * vr - hr * tr) // qr, 0) for (vr, _), (tr, _) in zip(row, tail)]
     norm = qr * qr + qi * qi
     out = []
     for (vr, vi), (tr, ti) in zip(row, tail):

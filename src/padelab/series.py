@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import _jsonfmt
+from ._jsonfmt import read_int
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -438,19 +439,19 @@ def eval_series(s: PowerSeries, z):
 def _literal(text: str, memo: dict) -> Fraction:
     """The Fraction of the rational literal `text`, parsed once per file.
 
-    A plain ASCII [-]digits[/digits] literal is read by int() and
-    normalized by the Fraction constructor; every other form (a sign
-    '+', decimals, exponents, underscores, whitespace, other digits)
-    goes to Fraction(text).  So the accepted literals, their values and
-    the errors raised are those of Fraction(text).  `memo` maps each
-    string already read to its (immutable) value.
+    A plain ASCII [-]digits[/digits] literal is read by `read_int`, at
+    any length, and normalized by Fraction; every other form (a sign '+',
+    decimals, exponents, underscores, whitespace, other digits) goes to
+    Fraction(text).  So the accepted literals, their values and the errors
+    raised are those of Fraction(text), but plain ones are read past the
+    int <-> str digit limit.  `memo` maps each string already read to its value.
     """
     value = memo.get(text)
     if value is None:
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-            value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            value = Fraction(read_int(num), read_int(den)) if slash else Fraction(read_int(num))
         else:
             value = Fraction(text)
         memo[text] = value
@@ -530,7 +531,7 @@ def load_series(path) -> PowerSeries:
     except OSError as exc:
         raise SeriesFormatError(f"cannot read series file {p}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_int=read_int)
     except json.JSONDecodeError as exc:
         raise SeriesFormatError(
             f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

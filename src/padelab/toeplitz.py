@@ -23,18 +23,10 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedInputError
 from .linalg import RationalMatrix
-from .rational import QC, qc, to_complex
+from .rational import qc, to_complex
 from .series import PowerSeries, block_order
 
-__all__ = [
-    "ToeplitzPair",
-    "StructuredPart",
-    "StructuredDecomposition",
-    "SumBoundsReport",
-    "build_pair",
-    "build_structured",
-    "check_sum_bounds",
-]
+__all__ = ["ToeplitzPair", "SumBoundsReport", "build_pair", "check_sum_bounds"]
 
 
 @dataclass(frozen=True)
@@ -78,65 +70,7 @@ def build_pair(s: PowerSeries, n: int, exact: bool | None = None) -> ToeplitzPai
 
 
 # ---------------------------------------------------------------------------
-# structured split of the counterexample B at order n_k
-
-
-@dataclass(frozen=True)
-class StructuredPart:
-    """One shift matrix of the split, weighted by a single coefficient.
-
-    kind "V", shift j: ones at (i, i+j+1) for i = 0..n-j-1, weight c_{n-j}.
-    kind "W", shift j: ones at (i, i-j+1) for i = j-1..n-1, weight c_{n+j}.
-    Every part has unit spectral norm.
-    """
-
-    kind: str
-    j: int
-    coeff: object
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class StructuredDecomposition:
-    """B_{n_k} = spike * U + sum(part.coeff * part.matrix).
-
-    U has pairwise orthogonal unit rows (U U^T = I), so the split gives
-    the spectral sandwich  spike - S <= sigma_n <= sigma_1 <= spike + S
-    with S from :func:`check_sum_bounds`.
-    """
-
-    k: int
-    n: int
-    spike: int
-    U: np.ndarray
-    parts: tuple
-    S_bound: float
-    S_exact: Fraction | None
-
-    def __post_init__(self):
-        self.U.setflags(write=False)
-
-    def reconstruct(self) -> np.ndarray:
-        total = self.spike * self.U.astype(complex)
-        for part in self.parts:
-            total = total + to_complex(part.coeff) * part.matrix
-        return total
-
-    def reconstruct_exact(self) -> RationalMatrix:
-        rows = [[qc(self.spike) * qc(int(u)) for u in row] for row in self.U.astype(int)]
-        for part in self.parts:
-            coeff = part.coeff
-            if not isinstance(coeff, QC):
-                raise UnsupportedInputError("exact reconstruction needs exact coefficients")
-            mi = part.matrix
-            for i in range(self.n):
-                for j in range(self.n + 1):
-                    if mi[i, j]:
-                        rows[i][j] = rows[i][j] + coeff
-        return RationalMatrix.from_rows(rows)
+# coefficient-sum bounds
 
 
 def _require_counterexample(s: PowerSeries, k: int) -> None:
@@ -146,40 +80,6 @@ def _require_counterexample(s: PowerSeries, k: int) -> None:
     if not (2 <= k <= s.meta.k_max):
         raise InvalidParameterError(
             f"block k={k} outside the materialized range 2..{s.meta.k_max}")
-
-
-def build_structured(s: PowerSeries, k: int) -> StructuredDecomposition:
-    """Split B at order n_k = 2^k - 2 into the spike part and the rest."""
-    _require_counterexample(s, k)
-    n = block_order(k)
-    spike = 16 ** k
-
-    U = np.zeros((n, n + 1))
-    U[n - 1, 0] = 1.0
-    for i in range(n - 1):
-        U[i, i + 2] = 1.0
-
-    parts: list[StructuredPart] = []
-    for j in range(0, n):
-        if j == 1:
-            continue            # c_{n-1} = 16^k is carried by U
-        m = np.zeros((n, n + 1))
-        for i in range(n - j):
-            m[i, i + j + 1] = 1.0
-        parts.append(StructuredPart("V", j, s.coeff(n - j), m))
-    for j in range(1, n):
-        m = np.zeros((n, n + 1))
-        for i in range(j - 1, n):
-            m[i, i - j + 1] = 1.0
-        parts.append(StructuredPart("W", j, s.coeff(n + j), m))
-
-    sums = check_sum_bounds(s, k)
-    return StructuredDecomposition(k=k, n=n, spike=spike, U=U, parts=tuple(parts),
-                                   S_bound=sums.s_value, S_exact=sums.s_exact)
-
-
-# ---------------------------------------------------------------------------
-# coefficient-sum bounds
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -32,6 +33,22 @@ def k2_series():
 @pytest.fixture(scope="session")
 def k3_series():
     return build_counterexample_series(3, PoleSequence.harmonic(3))
+
+
+def _spike_frame(n):
+    """U of the counterexample split B_(n_k) = 16^k U + V at n = n_k: ones
+    at (i, i+2) for i < n - 1 and at (n - 1, 0), where B holds c_(n-1) and
+    c_(2n), the two coefficients equal to 16^k."""
+    U = np.zeros((n, n + 1))
+    U[n - 1, 0] = 1.0
+    for i in range(n - 1):
+        U[i, i + 2] = 1.0
+    return U
+
+
+@pytest.fixture(scope="session")
+def spike_frame():
+    return _spike_frame
 
 
 def _last_nonzero(v):

@@ -21,7 +21,13 @@ from padelab.errors import ConvergenceError, NumericalError
 from padelab.linalg import svd
 from padelab.pade import Diagnostics, PadeApproximant
 from padelab.rational import qc
-from padelab.series import load_series
+from padelab.series import (
+    PoleSequence,
+    PowerSeries,
+    build_counterexample_series,
+    load_series,
+    save_series,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +153,45 @@ def test_approximate_exact_flag_writes_rational_strings():
     assert doc["exact"] is True
     assert doc["b"] == [["1", "0"], ["-4", "0"], ["0", "0"]]
     assert doc["a"] == [["1", "0"], ["252", "0"], ["-1008", "0"]]
+
+
+def _unlimited_str(x):
+    """str(x) with Python's int <-> str digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_generate_writes_rationals_beyond_the_int_str_digit_limit():
+    # c_510's denominator (10^9 + 7)^510 has 4,591 digits, past the 4,300
+    # that str() and int() accept by default
+    denominators = (4, 5, 6, 7, 8, 9, 10, 10 ** 9 + 7)
+    poles = ",".join(f"1/{d}" for d in denominators)
+    assert run("generate", "--k-max", "9", "--poles", poles, "--out", "big9.json") == 0
+    expected = build_counterexample_series(
+        9, PoleSequence.explicit([Fraction(1, d) for d in denominators]))
+    assert len(_unlimited_str(expected.coeffs[510].re.denominator)) == 4591
+    assert load_series("big9.json") == expected
+    assert run("approximate", "--series", "big9.json", "--n", "2", "--exact",
+               "--out", "r.json") == 0
+
+
+def test_exact_approximant_beyond_the_int_str_digit_limit_round_trips():
+    # c = (1, 1, 10^-4400): at n = 1, b = (1, -10^-4400) and a = (1, 1 - 10^-4400),
+    # parts with 4,401-digit denominators
+    tiny = Fraction(1, 10 ** 4400)
+    save_series(PowerSeries.from_coefficients([1, 1, tiny]), "s.json")
+    assert load_series("s.json").coeffs == (qc(1), qc(1), qc(tiny))
+    assert run("approximate", "--series", "s.json", "--n", "1", "--exact",
+               "--out", "r.json") == 0
+    doc = json.loads(open("r.json").read())
+    assert doc["b"] == [["1", "0"], [_unlimited_str(-tiny), "0"]]
+    assert doc["a"] == [["1", "0"], [_unlimited_str(1 - tiny), "0"]]
+    Path("b.json").write_text(json.dumps({"c": doc["b"], "exact": True, "radius_hint": 1.0}))
+    assert load_series("b.json").coeffs == (qc(1), qc(-tiny))
 
 
 def test_approximate_order_range_writes_array():

@@ -29,8 +29,8 @@ from padelab.linalg import (
 )
 from padelab.pade import _MODULUS, _eea_pade, _rational_reconstruction, classical_pade
 from padelab.rational import QC, qc
-from padelab.series import build_counterexample_series, PoleSequence, PowerSeries
-from padelab.toeplitz import build_pair, build_structured
+from padelab.series import block_order, build_counterexample_series, PoleSequence, PowerSeries
+from padelab.toeplitz import build_pair, check_sum_bounds
 
 B2_ROWS = [[64, 16, 256], [256, 64, 16]]
 
@@ -200,19 +200,20 @@ def test_perturbation_check_oracle():
     assert chk.max_shift <= chk.norm_delta + 1e-10 * math.sqrt(91392)
 
 
-def test_perturbation_of_spike_part_by_split_remainder():
-    # the spike part 16^k U of the structured split has U U^T = I, so all
-    # its singular values equal 16^k; perturbing by the remainder keeps
-    # every shift within ||remainder||_2
-    s = build_counterexample_series(2, PoleSequence.harmonic(2))
-    dec = build_structured(s, 2)
-    M = 256 * dec.U
-    sigmas = svd(M).sigmas
-    assert np.allclose(sigmas, 256.0, rtol=1e-12)
-    delta = dec.reconstruct() - M
-    chk = singular_value_perturbation_check(M, delta)
-    assert chk.passed
-    assert chk.norm_delta <= dec.S_bound + 1e-9
+def test_perturbation_of_spike_part_by_split_remainder(spike_frame):
+    # the spike part 16^k U of the split B = 16^k U + V has U U^T = I, so
+    # all its singular values equal 16^k; perturbing by the remainder
+    # V = B - 16^k U keeps every shift within ||V||_2 <= S
+    for k in (2, 3):
+        s = build_counterexample_series(k, PoleSequence.harmonic(k))
+        n = block_order(k)
+        M = 16 ** k * spike_frame(n)
+        sigmas = svd(M).sigmas
+        assert np.allclose(sigmas, 16.0 ** k, rtol=1e-12)
+        delta = build_pair(s, n, exact=False).B - M
+        chk = singular_value_perturbation_check(M, delta)
+        assert chk.passed
+        assert chk.norm_delta <= check_sum_bounds(s, k).s_value + 1e-9
 
 
 def test_perturbation_check_random_pairs():

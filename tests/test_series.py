@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padelab import _jsonfmt
 from padelab.errors import (
     DomainError,
     InvalidParameterError,
@@ -452,6 +454,25 @@ def test_bad_rational_literal_rejected(tmp_path):
         load_series(_write(tmp_path, doc))
 
 
+def test_literals_beyond_the_int_str_digit_limit(tmp_path):
+    # 5,000 digits, past the 4,300 that int() reads by default: a plain
+    # rational string loads, a malformed one keeps its SeriesFormatError
+    digits = "7" * 5000
+    doc = {"c": [[f"-{digits}/3", digits]], "exact": True, "radius_hint": 1.0}
+    value = Fraction(-int(digits[:2500]) * 10 ** 2500 - int(digits[2500:]), 3)
+    assert load_series(_write(tmp_path, doc)).coeffs == (qc(value, -3 * value),)
+    for bad in (digits + "x", f"--{digits}", f"{digits}/-3", f"{digits}/0"):
+        doc = {"c": [[bad, "0"]], "exact": True, "radius_hint": 1.0}
+        with pytest.raises(SeriesFormatError, match="bad rational literal"):
+            load_series(_write(tmp_path, doc))
+    with pytest.raises(ValueError):
+        _jsonfmt.read_int(f"--{digits}")
+    # a JSON integer component that long loads too
+    path = tmp_path / "int.json"
+    path.write_text('{"c": [[-%s, 0]], "exact": true, "radius_hint": 1.0}' % digits)
+    assert load_series(path).coeffs == (qc(3 * value),)
+
+
 def test_nonfinite_token_rejected(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"c": [[NaN, 0.0]], "exact": false, "radius_hint": 1.0}')
@@ -501,15 +522,27 @@ def test_integer_components_beyond_the_double_range(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# rational literals: `_literal` against Fraction(str)
+# rational literals: `_literal` against Fraction(str) with no digit limit
 
 _LITERALS = [
     "0", "-0", "007", "-4/6", "0/5", "+3", " 3/4 ", "3 / 4", "0.25", "1e3", "1_000",
     "٣",  # ARABIC-INDIC DIGIT THREE
     "", "-", "/3", "3/", "1/-3", "--1", "1/0",
-    "1" * 4301, "1/" + "3" * 4301,  # beyond int()'s digit limit
+    "1" * 4301, "1/" + "3" * 4301,  # beyond int()'s digit limit, read all the same
     "-" + "1" * 4300,  # at the limit: the sign is not a digit
 ]
+# malformed and as long: still refused
+_LONG_BAD_LITERALS = ["1" * 4300 + "x", "1/" + "3" * 4300 + "x"]
+
+
+def _fraction(text):
+    """Fraction(text), with Python's int <-> str digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _random_literals(count: int) -> list:
@@ -539,18 +572,18 @@ def _literal_id(text: str) -> str:
 @pytest.mark.parametrize("text", _LITERALS, ids=_literal_id)
 def test_literal_matches_fraction_parser(text):
     memo: dict = {}
-    assert _outcome(lambda t: _literal(t, memo), text) == _outcome(Fraction, text)
-    assert _outcome(lambda t: _literal(t, memo), text) == _outcome(Fraction, text)   # memo hit
+    assert _outcome(lambda t: _literal(t, memo), text) == _outcome(_fraction, text)
+    assert _outcome(lambda t: _literal(t, memo), text) == _outcome(_fraction, text)  # memo hit
 
 
 def test_literal_matches_fraction_parser_on_random_literals():
     memo: dict = {}
     for text in _random_literals(2000):
-        assert _outcome(lambda t: _literal(t, memo), text) == _outcome(Fraction, text), text
+        assert _outcome(lambda t: _literal(t, memo), text) == _outcome(_fraction, text), text
 
 
 def _bad_literals() -> list:
-    return [t for t in _LITERALS if isinstance(_outcome(Fraction, t), type)]
+    return [t for t in _LITERALS + _LONG_BAD_LITERALS if isinstance(_outcome(_fraction, t), type)]
 
 
 @pytest.mark.parametrize("text", _bad_literals(), ids=_literal_id)

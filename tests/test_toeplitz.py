@@ -13,8 +13,8 @@ from padelab.errors import (
     UnsupportedInputError,
 )
 from padelab.rational import qc
-from padelab.series import PoleSequence, PowerSeries, build_counterexample_series
-from padelab.toeplitz import build_pair, build_structured, check_sum_bounds
+from padelab.series import PoleSequence, PowerSeries, block_order, build_counterexample_series
+from padelab.toeplitz import build_pair, check_sum_bounds
 
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=100, allow_nan=False, allow_infinity=False),
@@ -90,47 +90,66 @@ def test_pair_columns_give_order_system(values):
     assert np.allclose(B @ b, conv[n + 1:2 * n + 1], rtol=1e-12, atol=1e-9)
 
 
-def test_structured_split_k2(k2_series):
-    dec = build_structured(k2_series, 2)
-    assert dec.spike == 256 and dec.n == 2
-    assert np.array_equal(dec.U, [[0, 0, 1], [1, 0, 0]])
-    assert np.allclose(dec.U @ dec.U.T, np.eye(2))
-    B = build_pair(k2_series, 2, exact=False).B
-    assert np.array_equal(dec.reconstruct(), B)
-    assert dec.reconstruct_exact().entries == build_pair(k2_series, 2, exact=True).B.entries
-    assert dec.S_bound == 80.0
-    assert dec.S_exact == 80
-    kinds = {(p.kind, p.j) for p in dec.parts}
-    assert kinds == {("V", 0), ("W", 1)}
+def _check_split(s, k, U):
+    """B_(n_k) = 16^k U + V with U U^T = I, 16^k on every cell of U in the
+    exact B and ||V||_2 <= S; returns the float remainder V."""
+    n, spike = block_order(k), 16 ** k
+    assert np.array_equal(U @ U.T, np.eye(n))
+    B = build_pair(s, n, exact=True).B
+    assert all(B.entries[i][j] == qc(spike) for i, j in zip(*np.nonzero(U)))
+    rest = build_pair(s, n, exact=False).B - spike * U
+    assert np.linalg.norm(rest, 2) <= check_sum_bounds(s, k).s_value + 1e-9
+    return rest
 
 
-def test_structured_split_k3(k3_series):
-    dec = build_structured(k3_series, 3)
-    assert dec.n == 6 and dec.spike == 4096
-    assert np.allclose(dec.U @ dec.U.T, np.eye(6))
-    B = build_pair(k3_series, 6, exact=False).B
-    assert np.allclose(dec.reconstruct(), B, rtol=0, atol=1e-9)
-    assert dec.reconstruct_exact().entries == build_pair(k3_series, 6, exact=True).B.entries
-    rest = B - dec.spike * dec.U
-    assert np.linalg.norm(rest, 2) <= dec.S_bound + 1e-9
+def test_structured_split_k2(k2_series, spike_frame):
+    U = spike_frame(2)
+    assert np.array_equal(U, [[0, 0, 1], [1, 0, 0]])
+    rest = _check_split(k2_series, 2, U)
+    # V = c_3 on the diagonal plus c_2 on the superdiagonal, S = 64 + 16
+    assert np.array_equal(rest, [[64, 16, 0], [0, 64, 16]])
+    assert check_sum_bounds(k2_series, 2).s_exact == 80
 
 
-def test_structured_parts_have_unit_norm(k3_series):
-    for part in build_structured(k3_series, 3).parts:
-        assert np.linalg.norm(part.matrix, 2) == pytest.approx(1.0)
+def test_structured_split_k3(k3_series, spike_frame):
+    _check_split(k3_series, 3, spike_frame(6))
+
+
+def test_structured_parts_have_unit_norm(k3_series, spike_frame):
+    # the exact remainder V = B - 16^k U is constant on each diagonal, so it
+    # is a sum of unit-norm shift parts weighted by one coefficient each;
+    # the weights are the terms of S, which bounds ||V||_2 by the triangle
+    # inequality
+    n, spike = 6, 16 ** 3
+    B = build_pair(k3_series, n, exact=True).B
+    U = spike_frame(n)
+    weights = []
+    for d in range(-(n - 1), n + 1):            # diagonal j - i = d holds c_(n+1-d)
+        cells = [(i, i + d) for i in range(n) if 0 <= i + d <= n]
+        values = {B.entries[i][j] - qc(spike * int(U[i, j])) for i, j in cells}
+        assert len(values) == 1
+        (v,) = values
+        if v:
+            part = np.zeros((n, n + 1))
+            for i, j in cells:
+                part[i, j] = 1.0
+            assert np.linalg.norm(part, 2) == pytest.approx(1.0)
+            assert v.is_real
+            weights.append(abs(v.re))
+    assert sum(weights) == check_sum_bounds(k3_series, 3).s_exact
 
 
 def test_structured_requires_family_metadata():
     plain = PowerSeries.from_coefficients([1, 2, 3, 4, 5])
     with pytest.raises(UnsupportedInputError):
-        build_structured(plain, 2)
+        check_sum_bounds(plain, 2)
 
 
 def test_structured_block_range(k3_series):
     with pytest.raises(InvalidParameterError):
-        build_structured(k3_series, 4)
+        check_sum_bounds(k3_series, 4)
     with pytest.raises(InvalidParameterError):
-        build_structured(k3_series, 1)
+        check_sum_bounds(k3_series, 1)
 
 
 def test_sum_bounds_k2(k2_series):
