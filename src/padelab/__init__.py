@@ -26,9 +26,8 @@ _HOME = {name: module for module, names in {
                "RankDeficiencyError"),
     "rational": ("QC", "as_fraction", "qc"),
     "series": ("PoleSequence", "PowerSeries", "SeriesMeta", "GammelParams", "block_order",
-               "spike_index", "truncation_length", "counterexample_coeff",
-               "build_counterexample_series", "build_gammel_series", "default_gammel_alpha",
-               "eval_series", "save_series", "load_series"),
+               "truncation_length", "build_counterexample_series", "build_gammel_series",
+               "default_gammel_alpha", "eval_series", "save_series", "load_series"),
     "toeplitz": ("ToeplitzPair", "SumBoundsReport", "build_pair", "check_sum_bounds"),
     "linalg": ("RationalMatrix", "SingularSpectrum", "SigmaRatioOracle", "svd",
                "exact_nullspace", "exact_sigma_ratio_bounds",

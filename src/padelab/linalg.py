@@ -73,11 +73,6 @@ class RationalMatrix:
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
         return cls(tuple(tuple(r) for r in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(qc(1 if i == j else 0) for j in range(n))
-                         for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -274,17 +269,6 @@ def singular_value_perturbation_check(mat, delta, slack: float = 1e-10) -> Pertu
 # exact nullspace (Bareiss elimination)
 
 
-def _strip_to_field(mat: RationalMatrix) -> list:
-    """Rows with denominators cleared, as Gaussian integers in (re, im) int pairs.
-
-    Each row is scaled by the lcm of its real and imaginary denominators,
-    so a real row becomes (v, 0) pairs.  Row scaling by a positive
-    integer changes neither rank nor nullspace, and integer entries keep
-    the fraction-free minors small.
-    """
-    return [gaussian_integers(row)[0] for row in mat.entries]
-
-
 def _echelon_bareiss(rows: list) -> tuple[list, list[int]]:
     """In-place fraction-free row echelon; returns (rows, pivot columns).
 
@@ -369,22 +353,20 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     :class:`RankDeficiencyError` carrying the exact rank and a full
     basis of basic solutions, minimal degree first.
 
-    Fraction-free (Bareiss) elimination of the stripped rows
-    (:func:`_bareiss_nullspace`), for real and Gaussian-rational
-    entries alike.  (`classical_pade` proves its Toeplitz systems
-    without B by the Euclidean stages of ``pade``; this function is
-    their elimination reference.)
+    Fraction-free (Bareiss) elimination, for real and Gaussian-rational
+    entries alike.  Each row is first scaled by the lcm of its real and
+    imaginary denominators into Gaussian integers as (re, im) int pairs,
+    so a real row becomes (v, 0) pairs: row scaling by a positive integer
+    changes neither rank nor nullspace, and integer entries keep the
+    fraction-free minors small.  (`classical_pade` proves its Toeplitz
+    systems without B by the Euclidean stages of ``pade``; this function
+    is their elimination reference.)
     """
     if not isinstance(mat, RationalMatrix):
         mat = RationalMatrix.from_rows(mat)
-    return _bareiss_nullspace(_strip_to_field(mat))
-
-
-def _bareiss_nullspace(rows: list) -> tuple:
-    """:func:`exact_nullspace` by Bareiss elimination of stripped rows."""
-    ncols = len(rows[0])
-    nrows = len(rows)
-    ech, piv_cols = _echelon_bareiss(rows)
+    ncols = mat.cols
+    nrows = mat.rows
+    ech, piv_cols = _echelon_bareiss([gaussian_integers(row)[0] for row in mat.entries])
     rank = len(piv_cols)
     pivset = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in pivset]

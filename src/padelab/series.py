@@ -134,26 +134,16 @@ class PoleSequence:
     def as_complex(self) -> tuple:
         return tuple(to_complex(z) for z in self.points)
 
-    def counterexample_admissible(self, k_hi: int | None = None) -> bool:
-        """All required poles strictly inside |z| < 1/3."""
-        hi = self.max_index if k_hi is None else k_hi
-        for k in range(self.start_index, hi + 1):
-            z = self.z(k)
-            if isinstance(z, QC):
-                if not z.abs2() < _ONE_THIRD_SQ:
-                    return False
-            elif not abs(z) < 1 / 3:
-                return False
-        return True
-
     def require_counterexample_poles(self, k_hi: int) -> None:
+        """Raise unless z_2..z_(k_hi) exist and lie strictly inside |z| < 1/3."""
         if self.start_index != 2:
             raise InvalidParameterError("counterexample poles must be indexed from k = 2")
         if self.max_index < k_hi:
             raise OutOfRangeError(
                 f"pole sequence ends at k = {self.max_index}, need k = {k_hi}")
-        if not self.counterexample_admissible(k_hi):
-            raise InvalidParameterError("counterexample poles must satisfy 0 < |z_k| < 1/3")
+        for z in self.points[: k_hi - 1]:
+            if not (z.abs2() < _ONE_THIRD_SQ if isinstance(z, QC) else abs(z) < 1 / 3):
+                raise InvalidParameterError("counterexample poles must satisfy 0 < |z_k| < 1/3")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +173,9 @@ class PowerSeries:
         if not 0 < self.radius_hint < math.inf:      # false for NaN too
             raise InvalidParameterError("radius_hint must be finite and positive")
         coerced = tuple(_coerce_scalar(c) for c in self.coeffs)
-        if self.exact and not all(isinstance(c, QC) for c in coerced):
+        if not self.exact:                  # a float series holds only complex values
+            coerced = tuple(map(to_complex, coerced))
+        elif not all(isinstance(c, QC) for c in coerced):
             raise InvalidParameterError("exact series requires rational coefficients")
         object.__setattr__(self, "coeffs", coerced)
 
@@ -233,47 +225,13 @@ def block_order(k: int) -> int:
     return 2 ** k - 2
 
 
-def spike_index(k: int) -> int:
-    return 2 ** k - 3
-
-
 def block_end(k: int) -> int:
     return 2 ** (k + 1) - 4
-
-
-def block_of_index(j: int) -> int:
-    """Block number k with spike_index(k) <= j <= block_end(k), for j >= 1."""
-    if j < 1:
-        raise OutOfRangeError("blocks start at index 1")
-    return (j + 3).bit_length() - 1
 
 
 def truncation_length(k_max: int) -> int:
     """Coefficient count of the complete-block truncation: 2^(k_max+1) - 3."""
     return 2 ** (k_max + 1) - 3
-
-
-def counterexample_coeff(k_max: int, poles: PoleSequence, j: int):
-    """Single coefficient c_j of the counterexample truncation.
-
-    c_0 = 1; c_{2^k-3} = 16^k; c_j = 16^k * z_k^(2^(k+1)-4-j) on the
-    geometric part of block k.
-    """
-    if k_max < 2:
-        raise InvalidParameterError("counterexample family needs k_max >= 2")
-    poles.require_counterexample_poles(k_max)
-    if not (0 <= j <= block_end(k_max)):
-        raise OutOfRangeError(
-            f"index {j} outside the k_max={k_max} truncation 0..{block_end(k_max)}")
-    exact = poles.exact
-    if j == 0:
-        return qc(1) if exact else complex(1.0)
-    k = block_of_index(j)
-    spike = 16 ** k
-    if j == spike_index(k):
-        return qc(spike) if exact else complex(spike)
-    z = poles.z(k)
-    return spike * z ** (block_end(k) - j)
 
 
 def _geometric_run(start: QC, ratio: QC, count: int) -> list:
@@ -296,21 +254,18 @@ def build_counterexample_series(k_max: int, poles: PoleSequence) -> PowerSeries:
     rational z_k walks 16^k z_k^e up from e = 0 on Gaussian integers (one
     normalization per coefficient) and writes e = n_k..0; a float z_k's
     block runs in complex doubles.  When any pole is a float, the series
-    is a float one, and its exact blocks are rounded once per coefficient.
+    is a float one, and `PowerSeries` rounds its exact values once each.
     """
     if k_max < 2:
         raise InvalidParameterError("counterexample family needs k_max >= 2")
     poles.require_counterexample_poles(k_max)
-    exact = poles.exact
-    one = qc(1) if exact else complex(1.0)
-    coeffs: list = [one]
+    coeffs: list = [qc(1)]
     for k in range(2, k_max + 1):
         spike = 16 ** k
-        coeffs.append(qc(spike) if exact else complex(spike))
+        coeffs.append(qc(spike))
         z = poles.z(k)
         if isinstance(z, QC):
-            run = reversed(_geometric_run(qc(spike), z, block_order(k) + 1))
-            coeffs.extend(run if exact else map(to_complex, run))
+            coeffs.extend(reversed(_geometric_run(qc(spike), z, block_order(k) + 1)))
             continue
         zinv = 1 / z
         # walk the geometric part upward, one exponent drop per index
@@ -320,7 +275,7 @@ def build_counterexample_series(k_max: int, poles: PoleSequence) -> PowerSeries:
             val = val * zinv
             coeffs.append(val)
     meta = SeriesMeta(family="counterexample", k_max=k_max, poles=poles)
-    return PowerSeries(tuple(coeffs), exact, 1.0, meta)
+    return PowerSeries(tuple(coeffs), poles.exact, 1.0, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +326,11 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
     """Materialize c_0..c_{j_max} of the gammel family.  A block walks alpha_k W^n,
     W = 1/z_k, on Gaussian integers (one normalization per coefficient), or in
     complex doubles if alpha_k or z_k is a float; a zero alpha_k writes zeros.
-    In a float series (any float alpha or pole) an exact block is rounded once
-    per coefficient."""
+    A float series (any float alpha or pole) holds its exact values rounded
+    once each by `PowerSeries`."""
     if j_max < 0:
         raise InvalidParameterError("j_max must be nonnegative")
-    exact = params.exact
-    one = qc(1) if exact else complex(1.0)
-    zero = qc(0) if exact else complex(0.0)
-    coeffs: list = [one]
+    coeffs: list = [qc(1)]
     top_block = gammel_block_of(j_max) if j_max >= 1 else 0
     if len(params.alphas) < top_block:
         raise InvalidParameterError(
@@ -388,7 +340,7 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
         lo, hi = 2 ** k - 1, min(j_max, 2 ** (k + 1) - 2)
         alpha = params.alphas[k - 1]
         if not alpha:
-            coeffs.extend([zero] * (hi - lo + 1))
+            coeffs.extend([qc(0)] * (hi - lo + 1))
             continue
         try:
             z = params.poles.z(k)
@@ -397,14 +349,13 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
                 f"pole z_{k} required for a nonzero alpha_{k}") from exc
         if isinstance(alpha, QC) and isinstance(z, QC):
             w = 1 / z
-            run = _geometric_run(alpha * w ** lo, w, hi - lo + 1)
-            coeffs.extend(run if exact else map(to_complex, run))
+            coeffs.extend(_geometric_run(alpha * w ** lo, w, hi - lo + 1))
         else:
             w = 1 / to_complex(z)
             coeffs.extend(to_complex(alpha) * w ** n for n in range(lo, hi + 1))
     meta = SeriesMeta(family="gammel", k_max=top_block,
                       poles=params.poles, alphas=params.alphas)
-    return PowerSeries(tuple(coeffs), exact, params.radius_hint, meta)
+    return PowerSeries(tuple(coeffs), params.exact, params.radius_hint, meta)
 
 
 # ---------------------------------------------------------------------------

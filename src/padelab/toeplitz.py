@@ -76,7 +76,7 @@ def build_pair(s: PowerSeries, n: int, exact: bool | None = None) -> ToeplitzPai
 def _require_counterexample(s: PowerSeries, k: int) -> None:
     if s.meta.family != "counterexample" or s.meta.poles is None or s.meta.k_max is None:
         raise UnsupportedInputError(
-            "structured split needs a counterexample-family series with pole metadata")
+            "coefficient-sum bounds need a counterexample-family series with pole metadata")
     if not (2 <= k <= s.meta.k_max):
         raise InvalidParameterError(
             f"block k={k} outside the materialized range 2..{s.meta.k_max}")

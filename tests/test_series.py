@@ -25,17 +25,14 @@ from padelab.series import (
     PowerSeries,
     _literal,
     block_end,
-    block_of_index,
     block_order,
     build_counterexample_series,
     build_gammel_series,
-    counterexample_coeff,
     default_gammel_alpha,
     eval_series,
     gammel_block_of,
     load_series,
     save_series,
-    spike_index,
     truncation_length,
 )
 
@@ -82,8 +79,12 @@ def test_explicit_float_poles_are_inexact():
 
 
 def test_counterexample_admissibility():
-    assert PoleSequence.harmonic(4).counterexample_admissible()
-    assert not PoleSequence.explicit([Fraction(2, 5)]).counterexample_admissible()
+    PoleSequence.harmonic(4).require_counterexample_poles(4)
+    # only z_2..z_(k_hi) must lie inside |z| < 1/3
+    PoleSequence.explicit([Fraction(1, 4), Fraction(2, 5)]).require_counterexample_poles(2)
+    for bad in (Fraction(2, 5), 0.4, 0.34j):
+        with pytest.raises(InvalidParameterError):
+            PoleSequence.explicit([Fraction(1, 4), bad]).require_counterexample_poles(3)
     with pytest.raises(InvalidParameterError):
         PoleSequence.explicit([Fraction(2, 5)]).require_counterexample_poles(2)
     with pytest.raises(InvalidParameterError):
@@ -98,21 +99,14 @@ def test_counterexample_admissibility():
 
 def test_block_index_values():
     assert [block_order(k) for k in (2, 3, 4, 5, 6)] == [2, 6, 14, 30, 62]
-    assert [spike_index(k) for k in (2, 3, 4)] == [1, 5, 13]
     assert [block_end(k) for k in (2, 3, 4)] == [4, 12, 28]
     assert [truncation_length(k) for k in (2, 3, 4, 5)] == [5, 13, 29, 61]
-
-
-@given(st.integers(min_value=1, max_value=10_000))
-def test_block_of_index_brackets(j):
-    k = block_of_index(j)
-    assert spike_index(k) <= j <= block_end(k)
-    assert block_end(k) + 1 == spike_index(k + 1)
 
 
 def test_truncation_ends_on_block_boundary():
     for k in range(2, 8):
         assert truncation_length(k) == block_end(k) + 1
+        assert block_end(k) + 1 == block_order(k + 1) - 1      # block k + 1's spike
         assert truncation_length(k) == 2 * block_order(k) + 1
 
 
@@ -136,13 +130,6 @@ def test_k3_block_values(k3_series):
     assert c[:5] == tuple(qc(v) for v in (1, 256, 16, 64, 256))
 
 
-@given(st.integers(min_value=0, max_value=28))
-def test_single_coeff_matches_built_series(j):
-    poles = PoleSequence.harmonic(4)
-    s = build_counterexample_series(4, poles)
-    assert counterexample_coeff(4, poles, j) == s.coeffs[j]
-
-
 def test_coeff_growth_bound_holds_exactly():
     s = build_counterexample_series(6, PoleSequence.harmonic(6))
     for j in range(1, len(s.coeffs)):
@@ -153,8 +140,6 @@ def test_coeff_growth_bound_holds_exactly():
 
 def test_coeff_index_guards():
     poles = PoleSequence.harmonic(3)
-    with pytest.raises(OutOfRangeError):
-        counterexample_coeff(3, poles, 13)
     with pytest.raises(InvalidParameterError):
         build_counterexample_series(1, poles)
     with pytest.raises(OutOfRangeError):
@@ -227,9 +212,14 @@ def test_a_float_series_holds_only_complex_values():
     gammel = build_gammel_series(
         GammelParams(alphas=(Fraction(1, 4), Fraction(1, 16)),
                      poles=PoleSequence.explicit([0.5j, Fraction(1, 3)], start_index=1)), 6)
-    for s in (mixed, gammel):
+    # and so does a float series built directly, whatever values it is given
+    direct = PowerSeries.from_coefficients([1, 0.5, 2])
+    given_exact_values = PowerSeries((1, 2, 3), False)
+    for s in (mixed, gammel, direct, given_exact_values):
         assert not s.exact
         assert all(type(c) is complex for c in s.coeffs)
+    assert direct.coeffs == (1 + 0j, 0.5 + 0j, 2 + 0j)
+    assert given_exact_values.coeffs == (1 + 0j, 2 + 0j, 3 + 0j)
     exact = build_counterexample_series(4, exact_poles)
     for j in (*range(1, 5), *range(13, 29)):       # blocks 2 and 4 (c_0 = 1 and block 3 aside)
         assert mixed.coeffs[j] == to_complex(exact.coeffs[j])
@@ -252,7 +242,7 @@ def _counterexample_by_products(k_max: int, poles: PoleSequence) -> list:
     for k in range(2, k_max + 1):
         coeffs.append(qc(16 ** k))
         coeffs.extend(16 ** k * _power_by_products(poles.z(k), block_end(k) - j)
-                      for j in range(spike_index(k) + 1, block_end(k) + 1))
+                      for j in range(block_order(k), block_end(k) + 1))
     return coeffs
 
 

@@ -141,7 +141,8 @@ def test_structured_parts_have_unit_norm(k3_series, spike_frame):
 
 def test_structured_requires_family_metadata():
     plain = PowerSeries.from_coefficients([1, 2, 3, 4, 5])
-    with pytest.raises(UnsupportedInputError):
+    with pytest.raises(UnsupportedInputError,
+                       match="^coefficient-sum bounds need a counterexample-family series"):
         check_sum_bounds(plain, 2)
 
 
