@@ -27,11 +27,10 @@ _HOME = {name: module for module, names in {
     "rational": ("QC", "as_fraction", "qc"),
     "series": ("PoleSequence", "PowerSeries", "SeriesMeta", "GammelParams", "block_order",
                "truncation_length", "build_counterexample_series", "build_gammel_series",
-               "default_gammel_alpha", "eval_series", "save_series", "load_series"),
+               "eval_series", "save_series", "load_series"),
     "toeplitz": ("ToeplitzPair", "SumBoundsReport", "build_pair", "check_sum_bounds"),
     "linalg": ("RationalMatrix", "SingularSpectrum", "SigmaRatioOracle", "svd",
-               "exact_nullspace", "exact_sigma_ratio_bounds",
-               "singular_value_perturbation_check"),
+               "exact_nullspace", "exact_sigma_ratio_bounds"),
     "pade": ("PadeApproximant", "Diagnostics", "ReductionStep", "classical_pade",
              "robust_pade", "order_residual"),
     "analysis": ("PoleReport", "CounterexampleReport", "ScanTable", "find_poles",

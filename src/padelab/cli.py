@@ -75,13 +75,13 @@ def _parse_range(spec: str, what: str) -> tuple:
     return (lo_v, hi_v)
 
 
-def _parse_poles(spec: str, k_hi: int, start_index: int = 2) -> PoleSequence:
+def _parse_poles(spec: str, k_hi: int) -> PoleSequence:
     name = spec.strip().lower().replace("-", "_")
     if name == "harmonic":
         return PoleSequence.harmonic(k_hi)
     if name == "harmonic_repeated":
         return PoleSequence.harmonic_repeated(k_hi)
-    return PoleSequence.explicit(_parse_number_list(spec), start_index=start_index)
+    return PoleSequence.explicit(_parse_number_list(spec))
 
 
 def _max_n_from_env() -> int:

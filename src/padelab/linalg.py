@@ -85,27 +85,6 @@ class RationalMatrix:
     def is_real(self) -> bool:
         return all(e.im == 0 for row in self.entries for e in row)
 
-    def matvec(self, vec: Sequence) -> tuple:
-        """M v on Gaussian integers: one common denominator for v and one
-        for the columns of M that meet a nonzero entry of v."""
-        v = [qc(x) for x in vec]
-        if len(v) != self.cols:
-            raise InvalidInputError("matvec dimension mismatch")
-        xs, dv = gaussian_integers(v)
-        live = [j for j, (xr, xi) in enumerate(xs) if xr or xi]
-        if not live:
-            return (qc(0),) * self.rows
-        flat, dm = gaussian_integers(row[j] for row in self.entries for j in live)
-        out = []
-        for base in range(0, len(flat), len(live)):
-            re = im = 0
-            for (er, ei), j in zip(flat[base:base + len(live)], live):
-                xr, xi = xs[j]
-                re += er * xr - ei * xi
-                im += er * xi + ei * xr
-            out.append(from_gaussian(re, im, dm * dv))
-        return tuple(out)
-
     def to_numpy(self) -> np.ndarray:
         return np.array([[complex(e) for e in row] for row in self.entries],
                         dtype=complex)
@@ -238,31 +217,6 @@ def _fix_leading_phase(v: np.ndarray) -> np.ndarray:
             w = np.conj(comp) / abs(comp)
             return v * w
     return v
-
-
-# ---------------------------------------------------------------------------
-# Weyl perturbation check
-
-
-@dataclass(frozen=True)
-class PerturbationCheck:
-    max_shift: float
-    norm_delta: float
-    passed: bool
-
-
-def singular_value_perturbation_check(mat, delta, slack: float = 1e-10) -> PerturbationCheck:
-    """Check Weyl's inequality max_i |sigma_i(M+D) - sigma_i(M)| <= ||D||_2."""
-    M = _as_complex_matrix(mat)
-    D = _as_complex_matrix(delta)
-    if M.shape != D.shape:
-        raise InvalidInputError("matrix and perturbation shapes differ")
-    s_m = svd(M).sigmas
-    s_md = svd(M + D).sigmas
-    norm_delta = float(svd(D).sigmas[0])
-    max_shift = float(np.max(np.abs(s_md - s_m)))
-    passed = max_shift <= norm_delta + slack * float(s_m[0])
-    return PerturbationCheck(max_shift=max_shift, norm_delta=norm_delta, passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,13 @@ def pade_minors(c: list, n: int) -> tuple[list, int] | None:
 
 def _sqrt_minus_one(p: np.ndarray) -> np.ndarray:
     """A square root of -1 modulo each prime p = 1 mod 4: a^((p-1)/4) for a non-residue a."""
-    iota, a = np.zeros_like(p), 2
-    while not iota.all():
-        root = _power_mod(np.full_like(p, a), (p - 1) >> 2, p)
-        found = (iota == 0) & (root * root % p == p - 1)
-        iota[found], a = root[found], a + 1
-    return iota
+    iota = []
+    for q in p.tolist():
+        a = 2
+        while (root := pow(a, (q - 1) >> 2, q)) * root % q != q - 1:
+            a += 1
+        iota.append(root)
+    return np.array(iota, dtype=np.int64)
 
 
 def _residues(values: list):
@@ -176,8 +177,8 @@ def _crt(bound: int, images, chunk: int, primes) -> list | None:
     # y = sum_q s_q M/q mod M, s_q = r_q (M/q)^-1 mod q, up a balanced product tree
     # T(S u S') = T(S) M(S') + T(S') M(S), whose first level fits in int64 (s, q < 2^31)
     level = np.array(moduli, dtype=np.int64)
-    cofactors = np.array([modulus % (v * v) // v for v in moduli], dtype=np.int64)
-    sums = np.concatenate(parts, axis=1) % level * _power_mod(cofactors, level - 2, level) % level
+    inverses = np.array([pow(modulus % (v * v) // v, -1, v) for v in moduli], dtype=np.int64)
+    sums = np.concatenate(parts, axis=1) % level * inverses % level
     while sums.shape[1] > 1:
         if sums.shape[1] % 2:                   # an odd node pairs with (T, M) = (0, 1)
             sums, level = np.concatenate([sums, sums[:, :1] * 0], axis=1), np.append(level, 1)
@@ -231,14 +232,8 @@ def _chunk_euclid(g: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.
             np.fmod(w, p, out=w)
             kappa = kappa * mu % p
         old, new, n0 = new, old, n1
-    y = new[1, :n + 1] * (snum * _power_mod(sden * mu % p, p - 2, p) % p) % p
+    last = zip((sden * mu % p).tolist(), p.tolist())               # 0 on a dead prime: stays 0
+    inverse = np.array([pow(v, -1, q) if v else 0 for v, q in last], dtype=np.int64)
+    y = new[1, :n + 1] * (snum * inverse % p) % p
     return y, alive, (n1, 2 * n + 1 - n0)
 
-
-def _power_mod(base: np.ndarray, exps: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base ** exps mod p by square and multiply, exponents per prime (last axis)."""
-    out = np.ones_like(base)
-    for bit in range(int(exps.max()).bit_length()):
-        out = np.where((exps >> bit) & 1 == 1, np.fmod(out * base, p), out)
-        base = np.fmod(base * base, p)
-    return out

@@ -8,7 +8,7 @@ variant additionally treats singular values at or below
 tol_rel * sigma_1 as a rank deficiency, shrinks the order by that
 count, and repeats until the system is numerically full rank; trailing
 coefficients at or below tol_rel * max|coeff| are then trimmed.  When no reduction fires, its
-output is identical to the classical float route by construction.
+a, b and singular values are those of the classical float route by construction.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class PadeApproximant:
             return horner(self.b_effective, qc(z))
         return horner([to_complex(x) for x in self.b_effective], to_complex(z))
 
-    def value(self, z):
-        """p(z)/q(z); raises ZeroDivisionError exactly at a pole."""
-        return self.numerator_at(z) / self.denominator_at(z)
-
 
 def _trim_degree(vec: Sequence, exact: bool, tol: float) -> int:
     """Largest index kept after trailing-coefficient trimming (>= 0)."""
@@ -129,8 +125,7 @@ def _degree_zero(s: PowerSeries, requested_n: int, mode: str, exact: bool,
                            diagnostics=diagnostics)
 
 
-def classical_pade(s: PowerSeries, n: int, exact: bool = False,
-                   trim_tol: float = 0.0) -> PadeApproximant:
+def classical_pade(s: PowerSeries, n: int, exact: bool = False) -> PadeApproximant:
     """Type-(n, n) Pade approximant from the full-order system.
 
     With `exact=True` (rational series required) every quantity is
@@ -142,24 +137,19 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False,
     minimal-degree denominator, with the nullspace dimension recorded
     in the diagnostics rather than an error, since all choices
     represent the same rational function.  The float route takes the
-    designated SVD nullspace direction.
-
-    `trim_tol` controls trailing-coefficient trimming on the float
-    route (relative to the largest magnitude); the default 0.0 trims
-    exact zeros only.  On the exact route zeros are trimmed exactly.
+    designated SVD nullspace direction.  Both routes trim trailing
+    exact zeros only.
     """
     if n < 0:
         raise InvalidParameterError("order n must be nonnegative")
     if exact and not s.exact:
         raise InvalidParameterError("exact approximant requires an exact series")
-    if not (0.0 <= trim_tol < 1.0):
-        raise InvalidParameterError("trim_tol must lie in [0, 1)")
     s.require_terms(2 * n + 1)
     if n == 0:
         return _degree_zero(s, 0, "classical", exact, Diagnostics())
 
     if not exact:
-        return _float_pade(s, n, trim_tol)
+        return _float_pade(s, n, 0.0)
     c = [s.coeff(j) for j in range(2 * n + 1)]
     solved = _eea_pade(c, n) or _multiprime_pade(c, n)
     if solved is None:

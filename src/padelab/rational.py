@@ -59,9 +59,6 @@ class QC:
         """Exact squared modulus."""
         return self.re * self.re + self.im * self.im
 
-    def conjugate(self) -> "QC":
-        return QC._mk(self.re, -self.im)
-
     # -- conversions ---------------------------------------------------
 
     def __complex__(self) -> complex:

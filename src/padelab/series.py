@@ -174,17 +174,19 @@ class PowerSeries:
             raise InvalidParameterError("radius_hint must be finite and positive")
         coerced = tuple(_coerce_scalar(c) for c in self.coeffs)
         if not self.exact:                  # a float series holds only complex values
-            coerced = tuple(map(to_complex, coerced))
+            try:
+                coerced = tuple(map(to_complex, coerced))
+            except OverflowError:
+                raise InvalidParameterError("a coefficient lies beyond the double range") from None
         elif not all(isinstance(c, QC) for c in coerced):
             raise InvalidParameterError("exact series requires rational coefficients")
         object.__setattr__(self, "coeffs", coerced)
 
     @classmethod
-    def from_coefficients(cls, values: Sequence, radius_hint: float = 1.0,
-                          meta: SeriesMeta | None = None) -> "PowerSeries":
+    def from_coefficients(cls, values: Sequence, radius_hint: float = 1.0) -> "PowerSeries":
         coerced = tuple(_coerce_scalar(v) for v in values)
         exact = all(isinstance(c, QC) for c in coerced)
-        return cls(coerced, exact, radius_hint, meta or SeriesMeta())
+        return cls(coerced, exact, radius_hint)
 
     def coeff(self, j: int):
         if j < 0:
@@ -288,31 +290,20 @@ class GammelParams:
 
     `alphas[k-1]` weights block k (k >= 1), which spans exponents
     n = 2^k - 1 .. 2^(k+1) - 2 with terms alpha_k * (z/z_k)^n.
-    Weights must be supplied explicitly; :func:`default_gammel_alpha`
-    offers one convergent choice.
+    Weights must be supplied explicitly.  The series has radius_hint 1.
     """
 
     alphas: tuple
     poles: PoleSequence
-    radius_hint: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(_coerce_scalar(a) for a in self.alphas))
         if self.poles.start_index != 1:
             raise InvalidParameterError("gammel poles are indexed from k = 1")
-        if not 0 < self.radius_hint < math.inf:      # false for NaN too
-            raise InvalidParameterError("radius_hint must be finite and positive")
 
     @property
     def exact(self) -> bool:
         return self.poles.exact and all(isinstance(a, QC) for a in self.alphas)
-
-
-def default_gammel_alpha(k: int) -> Fraction:
-    """alpha_k = 4^(-k^2), one choice that keeps partial sums tame."""
-    if k < 1:
-        raise InvalidParameterError("gammel blocks are indexed from k = 1")
-    return Fraction(1, 4 ** (k * k))
 
 
 def gammel_block_of(n: int) -> int:
@@ -355,7 +346,7 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
             coeffs.extend(to_complex(alpha) * w ** n for n in range(lo, hi + 1))
     meta = SeriesMeta(family="gammel", k_max=top_block,
                       poles=params.poles, alphas=params.alphas)
-    return PowerSeries(tuple(coeffs), params.exact, params.radius_hint, meta)
+    return PowerSeries(tuple(coeffs), params.exact, 1.0, meta)
 
 
 # ---------------------------------------------------------------------------

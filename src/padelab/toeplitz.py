@@ -45,13 +45,11 @@ class ToeplitzPair:
                 m.setflags(write=False)
 
 
-def build_pair(s: PowerSeries, n: int, exact: bool | None = None) -> ToeplitzPair:
+def build_pair(s: PowerSeries, n: int, exact: bool) -> ToeplitzPair:
     """Assemble (A, B) at order n from c_0..c_{2n}."""
     if n < 1:
         raise InvalidParameterError("build_pair needs n >= 1")
     s.require_terms(2 * n + 1)
-    if exact is None:
-        exact = s.exact
     if exact and not s.exact:
         raise InvalidParameterError("exact pair requested for an inexact series")
     if exact:

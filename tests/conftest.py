@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, settings
 
 from padelab import PoleSequence, build_counterexample_series
 from padelab.errors import RankDeficiencyError
-from padelab.linalg import exact_nullspace
+from padelab.linalg import exact_nullspace, svd
 from padelab.pade import Diagnostics, PadeApproximant
+from padelab.rational import from_gaussian, gaussian_integers, qc
 from padelab.toeplitz import build_pair
 
 settings.register_profile(
@@ -51,6 +52,48 @@ def spike_frame():
     return _spike_frame
 
 
+def _matvec(mat, vec):
+    """M v for a RationalMatrix M, on Gaussian integers: one common
+    denominator for v and one for the columns of M that meet a nonzero
+    entry of v."""
+    v = [qc(x) for x in vec]
+    assert len(v) == mat.cols
+    xs, dv = gaussian_integers(v)
+    live = [j for j, (xr, xi) in enumerate(xs) if xr or xi]
+    if not live:
+        return (qc(0),) * mat.rows
+    flat, dm = gaussian_integers(row[j] for row in mat.entries for j in live)
+    out = []
+    for base in range(0, len(flat), len(live)):
+        re = im = 0
+        for (er, ei), j in zip(flat[base:base + len(live)], live):
+            xr, xi = xs[j]
+            re += er * xr - ei * xi
+            im += er * xi + ei * xr
+        out.append(from_gaussian(re, im, dm * dv))
+    return tuple(out)
+
+
+@pytest.fixture(scope="session")
+def matvec():
+    return _matvec
+
+
+def _weyl_check(M, D, slack=1e-10):
+    """(max shift, ||D||_2, passed) of Weyl's inequality
+    max_i |sigma_i(M + D) - sigma_i(M)| <= ||D||_2 for padelab's `svd`,
+    with `slack` sigma_1(M) of rounding room."""
+    s_m = svd(M).sigmas
+    norm_delta = float(svd(D).sigmas[0])
+    max_shift = float(np.max(np.abs(svd(M + D).sigmas - s_m)))
+    return max_shift, norm_delta, max_shift <= norm_delta + slack * float(s_m[0])
+
+
+@pytest.fixture(scope="session")
+def weyl_check():
+    return _weyl_check
+
+
 def _last_nonzero(v):
     return max((j for j, x in enumerate(v) if x), default=0)
 
@@ -65,7 +108,7 @@ def _exact_reference(series, n):
         b, d = exact_nullspace(pair.B), 1
     except RankDeficiencyError as deficiency:
         b, d = deficiency.basis[0], len(deficiency.basis)
-    a = pair.A.matvec(b)
+    a = _matvec(pair.A, b)
     return PadeApproximant(a=tuple(a), b=tuple(b), mode="classical", requested_n=n,
                            effective_degrees=(_last_nonzero(a), _last_nonzero(b)), exact=True,
                            diagnostics=Diagnostics(b0_degenerate=not b[0], nullspace_dim=d))

@@ -30,11 +30,7 @@ import numpy as np
 
 from padelab.analysis import find_poles, divergence_scan, verify_counterexample
 from padelab.errors import RankDeficiencyError
-from padelab.linalg import (
-    exact_nullspace,
-    singular_value_perturbation_check,
-    svd,
-)
+from padelab.linalg import exact_nullspace, svd
 from padelab.pade import classical_pade, order_residual, robust_pade
 from padelab.rational import qc
 from padelab.series import (
@@ -202,7 +198,7 @@ def test_criterion_6_divergence_along_repeated_poles():
                "the subsequence", failures)
 
 
-def test_criterion_7_property_suites():
+def test_criterion_7_property_suites(weyl_check):
     failures = []
     rng = np.random.default_rng(20260823)
 
@@ -230,10 +226,10 @@ def test_criterion_7_property_suites():
         cols = rows + int(rng.integers(0, 3))
         M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         D = rng.standard_normal((rows, cols)) * float(rng.uniform(1e-6, 10.0))
-        check = singular_value_perturbation_check(M, D)
-        if not check.passed:
-            failures.append(f"Weyl bound violated: shift {check.max_shift} vs "
-                            f"||Delta|| {check.norm_delta}")
+        max_shift, norm_delta, passed = weyl_check(M, D)
+        if not passed:
+            failures.append(f"Weyl bound violated: shift {max_shift} vs "
+                            f"||Delta|| {norm_delta}")
             break
 
     # exact order residuals vanish for every counterexample approximant

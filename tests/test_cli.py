@@ -707,6 +707,10 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("scan", "--k-max", "3", "--points", "1e308"), "|z| = 1e+308 outside radius_hint = 1.0"),
     (("generate", "--k-max", "2", "--out", "missing/s.json"),
      "cannot write series file missing/s.json"),
+    # a float Gammel series whose exact first block (alpha_1 = 10^400) it cannot round
+    (("generate", "--family", "gammel", "--alphas", "1" + "0" * 400 + ",1/16",
+      "--poles", "1/2,0.5j", "--out", "huge.json"),
+     "error: a coefficient lies beyond the double range"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2

@@ -65,14 +65,13 @@ def test_classical_exact_block2(k2_exact):
     assert r.denominator_at(z) == qc(0)
     assert r.numerator_at(z) == qc(1)
     with pytest.raises(ZeroDivisionError):
-        r.value(z)
+        r.numerator_at(z) / r.denominator_at(z)
 
 
 def test_classical_exact_value_elsewhere(k2_exact):
     r = classical_pade(k2_exact, 2, exact=True)
     z = Fraction(1, 8)
-    expected = r.numerator_at(z) / r.denominator_at(z)
-    assert r.value(z) == expected
+    assert (r.numerator_at(z), r.denominator_at(z)) == (qc(Fraction(67, 4)), qc(Fraction(1, 2)))
     # float evaluation point falls back to complex arithmetic
     approx = r.numerator_at(0.25)
     assert isinstance(approx, complex)
@@ -84,9 +83,9 @@ def test_classical_exact_geometric_order_one():
     assert r.b == (qc(1), qc(-1))
     assert r.a == (qc(1), qc(0))
     assert r.effective_degrees == (0, 1)
-    assert r.value(Fraction(1, 2)) == qc(2)
+    assert r.numerator_at(Fraction(1, 2)) / r.denominator_at(Fraction(1, 2)) == qc(2)
     with pytest.raises(ZeroDivisionError):
-        r.value(1)
+        r.numerator_at(1) / r.denominator_at(1)
 
 
 def test_classical_exact_rank_deficient_geometric():
@@ -113,7 +112,7 @@ def _qc_sum(terms):
     return acc
 
 
-def test_integer_matvec_matches_qc_sum_on_gammel_series():
+def test_integer_matvec_matches_qc_sum_on_gammel_series(matvec):
     alphas = tuple(Fraction(1, 4 ** (k * k)) for k in range(1, 5))
     poles = PoleSequence.explicit([qc(Fraction((-1) ** k, k + 1)) for k in range(1, 5)],
                                   start_index=1)
@@ -121,12 +120,12 @@ def test_integer_matvec_matches_qc_sum_on_gammel_series():
     pair = build_pair(s, 14, exact=True)
     b = exact_nullspace(pair.B)
     expected = tuple(_qc_sum(e * x for e, x in zip(row, b)) for row in pair.A.entries)
-    assert pair.A.matvec(b) == expected
+    assert matvec(pair.A, b) == expected
     assert classical_pade(s, 14, exact=True).a == expected
     # Gaussian-rational vector, with zero entries skipped
     v = [QC(Fraction(1, 3), Fraction(-2, 7)) if j % 3 else qc(0) for j in range(15)]
-    assert pair.A.matvec(v) == tuple(_qc_sum(e * x for e, x in zip(row, v))
-                                     for row in pair.A.entries)
+    assert matvec(pair.A, v) == tuple(_qc_sum(e * x for e, x in zip(row, v))
+                                      for row in pair.A.entries)
 
 
 def test_integer_horner_matches_qc_horner():
@@ -365,6 +364,7 @@ def test_classical_float_block2(k2_float):
     assert abs(r.b[0] - 1) == 0
     assert abs(r.b[1] + 4) < 1e-10
     assert abs(r.b[2]) < 1e-12
+    assert r.effective_degrees[1] == 2      # b_2 is rounding noise, not an exact zero: kept
     for got, want in zip(r.a, (1, 252, -1008)):
         assert abs(got - want) < 1e-8 * 1008
     diag = r.diagnostics
@@ -372,15 +372,6 @@ def test_classical_float_block2(k2_float):
     assert abs(diag.sigmas[0] - 91392 ** 0.5) < 1e-8 * 91392 ** 0.5
     assert abs(diag.sigmas[1] - 48384 ** 0.5) < 1e-8 * 48384 ** 0.5
     assert abs(diag.ratio - (91392 / 48384) ** 0.5) < 1e-10
-
-
-def test_classical_float_trim_tolerance(k2_float):
-    # the b_2 coefficient is pure rounding noise; a relative trim removes it
-    untrimmed = classical_pade(k2_float, 2)
-    assert untrimmed.effective_degrees[1] == 2
-    trimmed = classical_pade(k2_float, 2, trim_tol=1e-10)
-    assert trimmed.effective_degrees[1] == 1
-    assert trimmed.b_effective == untrimmed.b[:2]
 
 
 def test_classical_float_degenerate_unit_norm():
@@ -394,6 +385,12 @@ def test_classical_float_degenerate_unit_norm():
 # robust route
 
 
+def _relative_trim(vec, tol):
+    """Index of the last coefficient above tol * max|coefficient| (0 if none)."""
+    mags = [abs(x) for x in vec]
+    return max((j for j, m in enumerate(mags) if m > tol * max(mags)), default=0)
+
+
 def test_robust_no_reduction_matches_classical_bitwise():
     # looped rather than parametrized so the test keeps its one id
     exact = build_counterexample_series(5, PoleSequence.harmonic(5))
@@ -401,11 +398,13 @@ def test_robust_no_reduction_matches_classical_bitwise():
     for n in (2, 6, 14, 30):
         for tol_rel in (1e-8, 1e-12):
             robust = robust_pade(s, n, tol_rel=tol_rel)
-            classical = classical_pade(s, n, trim_tol=tol_rel)
+            classical = classical_pade(s, n)
             assert robust.diagnostics.reductions == (), (n, tol_rel)
             assert robust.a == classical.a, (n, tol_rel)
             assert robust.b == classical.b, (n, tol_rel)
-            assert robust.effective_degrees == classical.effective_degrees
+            # robust trims at tol_rel * max|coefficient|, classical exact zeros only
+            assert robust.effective_degrees == (_relative_trim(classical.a, tol_rel),
+                                                _relative_trim(classical.b, tol_rel))
             assert robust.diagnostics.sigmas == classical.diagnostics.sigmas
             assert robust.diagnostics.ratio == classical.diagnostics.ratio
             assert robust.requested_n == n and robust.mode == "robust"
@@ -539,8 +538,6 @@ def test_parameter_guards(k2_exact, k2_float):
         classical_pade(k2_exact, -1)
     with pytest.raises(InvalidParameterError):
         classical_pade(k2_float, 2, exact=True)
-    with pytest.raises(InvalidParameterError):
-        classical_pade(k2_exact, 2, trim_tol=1.0)
     with pytest.raises(InvalidParameterError):
         robust_pade(k2_float, 2, tol_rel=0.0)
     with pytest.raises(InvalidParameterError):

@@ -28,7 +28,6 @@ from padelab.series import (
     block_order,
     build_counterexample_series,
     build_gammel_series,
-    default_gammel_alpha,
     eval_series,
     gammel_block_of,
     load_series,
@@ -301,8 +300,6 @@ def test_gammel_pole_indexing_guard():
 
 
 def test_gammel_helpers():
-    assert default_gammel_alpha(1) == Fraction(1, 4)
-    assert default_gammel_alpha(2) == Fraction(1, 256)
     assert [gammel_block_of(n) for n in (1, 2, 3, 6, 7, 14)] == [1, 1, 2, 2, 3, 3]
 
 
@@ -317,15 +314,15 @@ def test_series_construction_guards():
         PowerSeries((1.5,), True)
     with pytest.raises(InvalidParameterError):
         PowerSeries((1,), True, radius_hint=0.0)
+    # a float series rounds every value: an exact one past the double range is refused
+    with pytest.raises(InvalidParameterError, match="beyond the double range"):
+        PowerSeries.from_coefficients([Fraction(10 ** 400), 0.5])
 
 
 @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
 def test_radius_hint_must_be_finite_and_positive(radius):
     with pytest.raises(InvalidParameterError, match="finite and positive"):
         PowerSeries((1,), True, radius_hint=radius)
-    with pytest.raises(InvalidParameterError, match="finite and positive"):
-        GammelParams(alphas=(1,), radius_hint=radius,
-                     poles=PoleSequence.explicit([Fraction(1, 2)], start_index=1))
 
 
 def test_from_coefficients_detects_exactness():
@@ -618,7 +615,7 @@ def _geometric_series():
 @pytest.mark.parametrize("build", [
     lambda: build_counterexample_series(7, PoleSequence.harmonic(7)),
     lambda: build_gammel_series(
-        GammelParams(alphas=tuple(default_gammel_alpha(k) for k in range(1, 6)),
+        GammelParams(alphas=tuple(Fraction(1, 4 ** (k * k)) for k in range(1, 6)),
                      poles=PoleSequence.explicit(
                          [Fraction((-1) ** k, k + 1) for k in range(1, 6)], start_index=1)),
         2 ** 6 - 2),

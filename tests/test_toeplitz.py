@@ -42,18 +42,12 @@ def test_float_pair_matches_exact(k2_series):
 
 def test_pair_guards(k2_series):
     with pytest.raises(InvalidParameterError):
-        build_pair(k2_series, 0)
+        build_pair(k2_series, 0, exact=True)
     with pytest.raises(OutOfRangeError):
-        build_pair(k2_series, 3)            # needs 7 coefficients, has 5
+        build_pair(k2_series, 3, exact=True)    # needs 7 coefficients, has 5
     inexact = PowerSeries.from_coefficients([1.0, 2.0, 3.0])
     with pytest.raises(InvalidParameterError):
         build_pair(inexact, 1, exact=True)
-
-
-def test_default_exactness_follows_series(k2_series):
-    assert build_pair(k2_series, 2).exact
-    inexact = PowerSeries.from_coefficients([1.0, 2.0, 3.0])
-    assert not build_pair(inexact, 1).exact
 
 
 @given(coeff_lists)
