@@ -29,8 +29,8 @@ _HOME = {name: module for module, names in {
                "truncation_length", "build_counterexample_series", "build_gammel_series",
                "eval_series", "save_series", "load_series"),
     "toeplitz": ("ToeplitzPair", "SumBoundsReport", "build_pair", "check_sum_bounds"),
-    "linalg": ("RationalMatrix", "SingularSpectrum", "SigmaRatioOracle", "svd",
-               "exact_nullspace", "exact_sigma_ratio_bounds"),
+    "linalg": ("SingularSpectrum", "SigmaRatioOracle", "svd", "exact_nullspace",
+               "exact_sigma_ratio_bounds"),
     "pade": ("PadeApproximant", "Diagnostics", "ReductionStep", "classical_pade",
              "robust_pade", "order_residual"),
     "analysis": ("PoleReport", "CounterexampleReport", "ScanTable", "find_poles",

@@ -20,10 +20,10 @@ from pathlib import Path
 
 from . import _jsonfmt
 from .errors import NumericalError, UsageError
-from .rational import as_fraction
 from .series import (
     GammelParams,
     PoleSequence,
+    _literal,
     block_order,
     build_counterexample_series,
     build_gammel_series,
@@ -42,11 +42,11 @@ __all__ = ["main", "entry"]
 
 
 def _parse_number(token: str):
-    """Rational if possible (exactness preserved), else complex."""
+    """Rational if possible (exactness preserved, at any length), else complex."""
     token = token.strip()
     try:
-        return as_fraction(token)
-    except (ValueError, ZeroDivisionError, TypeError):
+        return _literal(token, {})
+    except (ValueError, ZeroDivisionError):
         pass
     try:
         return complex(token)
@@ -309,36 +309,32 @@ _DISPATCH = {
 }
 
 
-_RANGE_OPTIONS = ("--n-range", "--k-range")
-
-
-def _attach_range_values(argv: list) -> list:
-    """`--n-range -1..2` (or an abbreviation, `--n-r -1..2`) as `--n-range=-1..2`.
+def _attach_negative_values(argv: list) -> list:
+    """`--poles -1/4,1/5` as `--poles=-1/4,1/5`, for every option.
 
     argparse reads a separate value that starts with '-' as an option,
-    so a negative range would otherwise fail as a missing argument
-    instead of reaching the range check.  Joining is safe for any
-    option the prefix names: argparse reads `--opt=v` as `--opt v`.
+    so a negative value would otherwise fail as a missing argument.  No
+    subcommand takes a positional argument, so a `-<digit>...` token
+    right after an `--option` token without '=' can only be its value.
+    Joining is safe for any option, abbreviated or not: argparse reads
+    `--opt=v` as `--opt v`.
     """
     out = []
     for tok in argv:
-        if out and _names_range_option(out[-1]) and tok[:1] == "-" and tok[1:2].isdigit():
+        prev = out[-1] if out else ""
+        bare_option = prev[:2] == "--" and len(prev) > 2 and "=" not in prev
+        if bare_option and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
 
 
-def _names_range_option(tok: str) -> bool:
-    """A range option or an abbreviation argparse may resolve to one."""
-    return len(tok) > 2 and "=" not in tok and any(o.startswith(tok) for o in _RANGE_OPTIONS)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_range_values(argv))
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

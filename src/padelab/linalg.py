@@ -49,45 +49,17 @@ ORACLE_MAX_ROWS = 16     # exact sigma oracle cap
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices
+# exact matrices: sequences of rows of exact scalars
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable dense matrix of exact rational-complex entries."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise InvalidInputError("rational matrix must be nonempty")
-        width = len(self.entries[0])
-        rows = []
-        for row in self.entries:
-            if len(row) != width:
-                raise InvalidInputError("ragged rows in rational matrix")
-            rows.append(tuple(qc(e) for e in row))
-        object.__setattr__(self, "entries", tuple(rows))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def is_real(self) -> bool:
-        return all(e.im == 0 for row in self.entries for e in row)
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array([[complex(e) for e in row] for row in self.entries],
-                        dtype=complex)
+def _exact_rows(mat: Sequence[Sequence]) -> tuple:
+    """The rows of `mat` as tuples of QC, checked nonempty and rectangular."""
+    rows = tuple(tuple(qc(e) for e in row) for row in mat)
+    if not rows or not rows[0]:
+        raise InvalidInputError("exact matrix must be nonempty")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InvalidInputError("ragged rows in exact matrix")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +94,6 @@ class SingularSpectrum:
 
 
 def _as_complex_matrix(mat) -> np.ndarray:
-    if isinstance(mat, RationalMatrix):
-        mat = mat.to_numpy()
     M = np.asarray(mat, dtype=complex)
     if M.ndim != 2:
         raise InvalidInputError("expected a 2-d matrix")
@@ -298,7 +268,7 @@ def _basic_solution(ech: list, piv_cols: list[int], ncols: int, free_col: int) -
                  if vr or vi else QC_ZERO for vr, vi in y)
 
 
-def exact_nullspace(mat: RationalMatrix) -> tuple:
+def exact_nullspace(mat: Sequence[Sequence]) -> tuple:
     """Designated exact nullspace vector of a rank-n matrix with n+1 columns.
 
     Returns the minimal-degree nullspace vector (the basic solution of
@@ -316,18 +286,16 @@ def exact_nullspace(mat: RationalMatrix) -> tuple:
     systems without B by the Euclidean stages of ``pade``; this function
     is their elimination reference.)
     """
-    if not isinstance(mat, RationalMatrix):
-        mat = RationalMatrix.from_rows(mat)
-    ncols = mat.cols
-    nrows = mat.rows
-    ech, piv_cols = _echelon_bareiss([gaussian_integers(row)[0] for row in mat.entries])
+    rows = _exact_rows(mat)
+    ncols = len(rows[0])
+    ech, piv_cols = _echelon_bareiss([gaussian_integers(row)[0] for row in rows])
     rank = len(piv_cols)
     pivset = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in pivset]
     if not free_cols:
         raise InvalidInputError("matrix has a trivial nullspace")
     basis = tuple(_basic_solution(ech, piv_cols, ncols, f) for f in free_cols)
-    if rank < nrows:
+    if rank < len(rows):
         raise RankDeficiencyError(rank, basis)
     return basis[0]
 
@@ -362,7 +330,7 @@ class SigmaRatioOracle:
     ratio_bracket: tuple
     lambda_max_bracket: tuple
     lambda_min_bracket: tuple
-    matrix: RationalMatrix = field(repr=False, compare=False)
+    matrix: tuple = field(repr=False, compare=False)  # rows of QC
 
     def __post_init__(self):
         lo, hi = self.ratio_bracket
@@ -378,7 +346,7 @@ class SigmaRatioOracle:
         return gram_char_poly(self.matrix)
 
 
-def gram_char_poly(mat: RationalMatrix) -> tuple:
+def gram_char_poly(mat: Sequence[Sequence]) -> tuple:
     """Exact monic characteristic polynomial of M M^H, highest power first.
 
     Newton's identities on the integer Gram S of :func:`_integer_gram`:
@@ -387,19 +355,20 @@ def gram_char_poly(mat: RationalMatrix) -> tuple:
     by k is exact, and the coefficients of M M^H are e_k / s^(2k).
     """
     gram, scale2, copies = _integer_gram(mat)
+    nrows = len(gram) // copies
     traces = []
     power = gram
-    for i in range(mat.rows):
+    for i in range(nrows):
         if i:   # S is symmetric: its rows are its columns
             power = [[sum(a * b for a, b in zip(row, col)) for col in gram] for row in power]
         traces.append(sum(power[j][j] for j in range(len(gram))) // copies)
     coeffs = [1]
-    for k in range(1, mat.rows + 1):
+    for k in range(1, nrows + 1):
         coeffs.append(-sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
     return tuple(Fraction(c, scale2 ** k) for k, c in enumerate(coeffs))
 
 
-def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
+def exact_sigma_ratio_bounds(mat: Sequence[Sequence], *,
                              guess: tuple | None = None) -> SigmaRatioOracle:
     """Certified sigma_1/sigma_n from the inertia of the exact Gram matrix.
 
@@ -412,17 +381,16 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
     guess can only cost extra probes, never a wrong bracket.  Capped at ORACLE_MAX_ROWS rows.  sigma_n = 0
     reports an infinite ratio rather than an error.
     """
-    if not isinstance(mat, RationalMatrix):
-        mat = RationalMatrix.from_rows(mat)
-    if mat.rows > ORACLE_MAX_ROWS:
+    rows = _exact_rows(mat)
+    if len(rows) > ORACLE_MAX_ROWS:
         raise UnsupportedSizeError(
-            f"exact sigma oracle capped at {ORACLE_MAX_ROWS} rows, got {mat.rows}")
-    if mat.cols < mat.rows:
+            f"exact sigma oracle capped at {ORACLE_MAX_ROWS} rows, got {len(rows)}")
+    if len(rows[0]) < len(rows):
         raise InvalidInputError("expected rows <= cols")
     if guess is None:
-        sigmas = svd(mat).sigmas
+        sigmas = svd(rows).sigmas
         guess = (float(sigmas[0]), float(sigmas[-1]))
-    gram, scale2, copies = _integer_gram(mat)
+    gram, scale2, copies = _integer_gram(rows)
     size = len(gram)
 
     def count_below(x: Fraction) -> int | None:
@@ -436,7 +404,7 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
         return None if negative is None else negative // copies
 
     trace = Fraction(sum(gram[i][i] for i in range(size)) // copies, scale2)
-    lam_max = _enclose(count_below, mat.rows - 1, guess[0] ** 2, trace)
+    lam_max = _enclose(count_below, len(rows) - 1, guess[0] ** 2, trace)
     lam_min = _enclose(count_below, 0, guess[1] ** 2, lam_max[1])
     sigma_max = math.sqrt(float(sum(lam_max) / 2))
     sigma_min = math.sqrt(float(sum(lam_min) / 2))
@@ -445,10 +413,10 @@ def exact_sigma_ratio_bounds(mat: RationalMatrix, *,
                      _sqrt_quotient(lam_max[1], lam_min[0], up=True))
     return SigmaRatioOracle(sigma_max=sigma_max, sigma_min=sigma_min, ratio=ratio,
                             ratio_bracket=ratio_bracket, lambda_max_bracket=lam_max,
-                            lambda_min_bracket=lam_min, matrix=mat)
+                            lambda_min_bracket=lam_min, matrix=rows)
 
 
-def _integer_gram(mat: RationalMatrix) -> tuple:
+def _integer_gram(mat: Sequence[Sequence]) -> tuple:
     """(S, s^2, copies): the int Gram S = (s R)(s R)^T, s the common denominator.
 
     R is M itself when M is real (copies = 1).  A complex M = P + iQ is
@@ -456,10 +424,12 @@ def _integer_gram(mat: RationalMatrix) -> tuple:
     M M^H = A + iB, R R^T = [[A, -B], [B, A]], which holds each
     eigenvalue of M M^H twice (copies = 2).
     """
-    flat, scale = gaussian_integers(e for row in mat.entries for e in row)
-    pairs = [flat[i:i + mat.cols] for i in range(0, len(flat), mat.cols)]
+    rows = _exact_rows(mat)
+    ncols = len(rows[0])
+    flat, scale = gaussian_integers(e for row in rows for e in row)
+    pairs = [flat[i:i + ncols] for i in range(0, len(flat), ncols)]
     real = [[re for re, _ in row] for row in pairs]
-    if mat.is_real:
+    if not any(im for _, im in flat):
         form, copies = real, 1
     else:
         imag = [[im for _, im in row] for row in pairs]

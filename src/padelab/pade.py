@@ -91,29 +91,25 @@ class PadeApproximant:
         return self.b[: self.effective_degrees[1] + 1]
 
     def numerator_at(self, z):
-        if self.exact and is_exact_scalar(z):
-            return horner(self.a_effective, qc(z))
-        return horner([to_complex(x) for x in self.a_effective], to_complex(z))
+        return self._at(self.a_effective, z)
 
     def denominator_at(self, z):
+        return self._at(self.b_effective, z)
+
+    def _at(self, coeffs: tuple, z):
         if self.exact and is_exact_scalar(z):
-            return horner(self.b_effective, qc(z))
-        return horner([to_complex(x) for x in self.b_effective], to_complex(z))
+            return horner(coeffs, qc(z))
+        return horner([to_complex(x) for x in coeffs], to_complex(z))
 
 
-def _trim_degree(vec: Sequence, exact: bool, tol: float) -> int:
-    """Largest index kept after trailing-coefficient trimming (>= 0)."""
-    if exact:
-        for j in range(len(vec) - 1, -1, -1):
-            if vec[j]:
-                return j
-        return 0
-    mags = [abs(to_complex(x)) for x in vec]
-    cutoff = tol * max(mags, default=0.0)
-    for j in range(len(vec) - 1, -1, -1):
-        if mags[j] > cutoff:
-            return j
-    return 0
+def _trim_degree(vec: Sequence, tol: float) -> int:
+    """Largest index kept after trailing-coefficient trimming (>= 0): the
+    last nonzero entry when tol is 0, else the last above tol * max|entry|."""
+    if tol:
+        mags = [abs(to_complex(x)) for x in vec]
+        cutoff = tol * max(mags)
+        vec = [m > cutoff for m in mags]
+    return next((j for j in range(len(vec) - 1, -1, -1) if vec[j]), 0)
 
 
 def _degree_zero(s: PowerSeries, requested_n: int, mode: str, exact: bool,
@@ -159,7 +155,7 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False) -> PadeApproxima
             "did the multi-prime stage (more primes dropped than kept, or a failed proof)")
     a, b, nullspace_dim = solved
     diag = Diagnostics(b0_degenerate=not b[0], nullspace_dim=nullspace_dim)
-    effective = (_trim_degree(a, True, 0.0), _trim_degree(b, True, 0.0))
+    effective = (_trim_degree(a, 0.0), _trim_degree(b, 0.0))
     return PadeApproximant(a=tuple(a), b=tuple(b), requested_n=n,
                            effective_degrees=effective, mode="classical",
                            exact=True, diagnostics=diag)
@@ -315,7 +311,7 @@ def _float_pade(s: PowerSeries, nu: int, trim_tol: float) -> PadeApproximant:
     a = tuple(complex(x) for x in pair.A @ v)
     diag = Diagnostics(sigmas=tuple(float(x) for x in spectrum.sigmas),
                        ratio=spectrum.ratio, b0_degenerate=degenerate)
-    effective = (_trim_degree(a, False, trim_tol), _trim_degree(b, False, trim_tol))
+    effective = (_trim_degree(a, trim_tol), _trim_degree(b, trim_tol))
     return PadeApproximant(a=a, b=b, requested_n=nu, effective_degrees=effective,
                            mode="classical", exact=False, diagnostics=diag)
 

@@ -19,6 +19,7 @@ defining data is rational, else double-precision complex.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,6 +179,8 @@ class PowerSeries:
                 coerced = tuple(map(to_complex, coerced))
             except OverflowError:
                 raise InvalidParameterError("a coefficient lies beyond the double range") from None
+            if not all(map(cmath.isfinite, coerced)):
+                raise InvalidParameterError("a float coefficient is infinite or NaN")
         elif not all(isinstance(c, QC) for c in coerced):
             raise InvalidParameterError("exact series requires rational coefficients")
         object.__setattr__(self, "coeffs", coerced)

@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedInputError
-from .linalg import RationalMatrix
 from .rational import qc, to_complex
 from .series import PowerSeries, block_order
 
@@ -34,7 +33,7 @@ class ToeplitzPair:
     """Numerator matrix A and denominator matrix B for one order n."""
 
     n: int
-    A: object          # RationalMatrix (exact) or complex ndarray
+    A: object          # tuple of QC rows (exact) or complex ndarray
     B: object
     exact: bool
 
@@ -59,7 +58,7 @@ def build_pair(s: PowerSeries, n: int, exact: bool) -> ToeplitzPair:
                        for i in range(n + 1))
         b_rows = tuple(tuple(c[n + i - j + 1] for j in range(n + 1))
                        for i in range(n))
-        return ToeplitzPair(n, RationalMatrix(a_rows), RationalMatrix(b_rows), True)
+        return ToeplitzPair(n, a_rows, b_rows, True)
     c = s.as_complex_array(2 * n + 1)
     idx = np.arange(n + 1)[:, None] - np.arange(n + 1)[None, :]
     A = np.where(idx >= 0, c[np.clip(idx, 0, None)], 0.0 + 0.0j)

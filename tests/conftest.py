@@ -53,16 +53,16 @@ def spike_frame():
 
 
 def _matvec(mat, vec):
-    """M v for a RationalMatrix M, on Gaussian integers: one common
+    """M v for an exact M given as rows, on Gaussian integers: one common
     denominator for v and one for the columns of M that meet a nonzero
     entry of v."""
     v = [qc(x) for x in vec]
-    assert len(v) == mat.cols
+    assert all(len(row) == len(v) for row in mat)
     xs, dv = gaussian_integers(v)
     live = [j for j, (xr, xi) in enumerate(xs) if xr or xi]
     if not live:
-        return (qc(0),) * mat.rows
-    flat, dm = gaussian_integers(row[j] for row in mat.entries for j in live)
+        return (qc(0),) * len(mat)
+    flat, dm = gaussian_integers(qc(row[j]) for row in mat for j in live)
     out = []
     for base in range(0, len(flat), len(live)):
         re = im = 0

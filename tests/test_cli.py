@@ -100,6 +100,19 @@ def test_generate_writes_pinned_bytes(argv, digest):
     assert hashlib.sha256(Path("s.json").read_bytes()).hexdigest() == digest
 
 
+# a dash-led value given as its own argument, after any option, reads as
+# its '=' form
+@pytest.mark.parametrize("argv, option, value", [
+    (("generate", "--k-max", "3"), "--poles", "-1/4,1/5"),
+    (("scan", "--k-max", "3"), "--points", "-1/4"),
+    (("generate", "--family", "gammel", "--poles", "1/2,1/3"), "--alphas", "-1,2"),
+])
+def test_negative_value_may_follow_its_option(argv, option, value):
+    assert run(*argv, option, value, "--out", "a.json") == 0
+    assert run(*argv, f"{option}={value}", "--out", "b.json") == 0
+    assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
+
+
 def test_generate_usage_failures(capsys):
     assert run("generate", "--family", "gammel", "--out", "g.json") == 2
     assert "--alphas" in capsys.readouterr().err
@@ -192,6 +205,16 @@ def test_exact_approximant_beyond_the_int_str_digit_limit_round_trips():
     assert doc["a"] == [["1", "0"], [_unlimited_str(1 - tiny), "0"]]
     Path("b.json").write_text(json.dumps({"c": doc["b"], "exact": True, "radius_hint": 1.0}))
     assert load_series("b.json").coeffs == (qc(1), qc(-tiny))
+
+
+def test_cli_reads_literals_beyond_the_int_str_digit_limit():
+    # 10^5000 has 5,001 digits, past the 4,300 that int() accepts by default
+    big = "1" + "0" * 5000
+    assert run("generate", "--family", "gammel", "--alphas", f"{big},1/16",
+               "--poles", "1/2,1/3", "--out", "g.json") == 0
+    s = load_series("g.json")
+    assert s.exact and s.meta.alphas == (qc(10 ** 5000), qc(Fraction(1, 16)))
+    assert cli._parse_number("1/" + big) == Fraction(1, 10 ** 5000)
 
 
 def test_approximate_order_range_writes_array():
@@ -711,6 +734,12 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("generate", "--family", "gammel", "--alphas", "1" + "0" * 400 + ",1/16",
       "--poles", "1/2,0.5j", "--out", "huge.json"),
      "error: a coefficient lies beyond the double range"),
+    # a float series holding inf or NaN, given as an alpha or reached by overflow
+    (("generate", "--family", "gammel", "--alphas", "inf,1/16", "--poles", "1/2,1/3",
+      "--out", "inf.json"), "error: a float coefficient is infinite or NaN"),
+    (("generate", "--family", "gammel", "--alphas", "1e300j,1",
+      "--poles", "0.0000000001j,1/3", "--out", "nan.json"),
+     "error: a float coefficient is infinite or NaN"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2

@@ -18,7 +18,6 @@ from padelab.errors import (
 )
 from padelab.linalg import (
     ORACLE_MAX_ROWS,
-    RationalMatrix,
     exact_nullspace,
     exact_sigma_ratio_bounds,
     gram_char_poly,
@@ -43,37 +42,28 @@ def _random_complex(rng, m, n, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# rational matrices
+# exact matrices: plain sequences of rows
 
 
 def test_rational_matrix_basics(matvec):
-    m = RationalMatrix.from_rows(B2_ROWS)
-    assert m.rows == 2 and m.cols == 3
-    assert m.is_real
-    assert m.entries[0][2] == qc(256)
-    v = matvec(m, (1, -4, 0))
-    assert v == (qc(0), qc(0))
-    assert RationalMatrix.from_rows([[1, 0], [0, 1]]).entries == ((qc(1), qc(0)),
-                                                                   (qc(0), qc(1)))
+    # rows of ints, Fractions or QC values, as lists or tuples, are one matrix
+    assert matvec(B2_ROWS, (1, -4, 0)) == (qc(0), qc(0))
+    as_qc = tuple(tuple(qc(x) for x in row) for row in B2_ROWS)
+    assert exact_nullspace(B2_ROWS) == exact_nullspace(as_qc) == (qc(1), qc(-4), qc(0))
+    assert gram_char_poly(B2_ROWS) == gram_char_poly(as_qc)
 
 
 def test_rational_matrix_shape_guard():
-    with pytest.raises(InvalidInputError):
-        RationalMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(InvalidInputError):
-        RationalMatrix.from_rows([])
+    # empty or ragged rows are refused by every exact entry point
+    for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5]], [], [[]]):
+        for exact in (exact_nullspace, exact_sigma_ratio_bounds, gram_char_poly):
+            with pytest.raises(InvalidInputError):
+                exact(rows)
 
 
 def test_hermitian_and_gram():
-    m = RationalMatrix.from_rows([[QC(1, 2), QC(0, -1)]])
+    m = [[QC(1, 2), QC(0, -1)]]
     assert gram_char_poly(m) == (1, -6)       # |1+2i|^2 + |i|^2 = 5 + 1
-
-
-def test_to_numpy_round_trip():
-    m = RationalMatrix.from_rows([[Fraction(1, 4), QC(0, 2)]])
-    arr = m.to_numpy()
-    assert arr.dtype == complex
-    assert arr[0, 0] == 0.25 and arr[0, 1] == 2j
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +174,12 @@ def test_svd_accepts_rational_matrix_input(k2_series):
     pair = build_pair(k2_series, 2, exact=True)
     spec = svd(pair.B)
     assert spec.ratio == pytest.approx(math.sqrt(17) / 3, rel=1e-14)
+    # QC rows give the svd of their entrywise-rounded complex array, bit for bit
+    for rows in (pair.B, [[Fraction(1, 4), QC(0, 2), QC(Fraction(1, 3), -1)]]):
+        exact = svd(rows)
+        ref = svd(np.array([[complex(qc(e)) for e in row] for row in rows]))
+        for name in ("sigmas", "left", "right", "null_vector"):
+            assert getattr(exact, name).tobytes() == getattr(ref, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def test_exact_nullspace_oracle(k2_series):
 
 
 def test_exact_nullspace_rank_deficient(matvec):
-    ones = RationalMatrix.from_rows([[1] * 4 for _ in range(3)])
+    ones = [[1] * 4 for _ in range(3)]
     with pytest.raises(RankDeficiencyError) as exc:
         exact_nullspace(ones)
     err = exc.value
@@ -248,11 +244,11 @@ def test_exact_nullspace_rank_deficient(matvec):
 
 def test_exact_nullspace_no_free_columns():
     with pytest.raises(InvalidInputError):
-        exact_nullspace(RationalMatrix.from_rows([[1, 0], [0, 1]]))
+        exact_nullspace([[1, 0], [0, 1]])
 
 
 def test_exact_nullspace_complex_entries(matvec):
-    m = RationalMatrix.from_rows([[QC(0, 1), QC(1, 0), QC(0, 0)]])
+    m = [[QC(0, 1), QC(1, 0), QC(0, 0)]]
     v = exact_nullspace(m)
     assert matvec(m, v) == (qc(0),)
     assert v[0] == qc(1)                      # first nonzero normalized to one
@@ -261,12 +257,11 @@ def test_exact_nullspace_complex_entries(matvec):
 @given(st.lists(st.lists(small_ints, min_size=4, max_size=4),
                 min_size=2, max_size=3))
 def test_exact_nullspace_annihilates_property(matvec, rows):
-    m = RationalMatrix.from_rows(rows)
     try:
-        v = exact_nullspace(m)
+        v = exact_nullspace(rows)
     except RankDeficiencyError as err:
         v = err.basis[0]
-    assert matvec(m, v) == (qc(0),) * m.rows
+    assert matvec(rows, v) == (qc(0),) * len(rows)
     assert any(v)
     first = next(x for x in v if x)
     assert first == qc(1)
@@ -275,11 +270,10 @@ def test_exact_nullspace_annihilates_property(matvec, rows):
 @given(st.lists(st.lists(small_ints, min_size=5, max_size=5),
                 min_size=3, max_size=3))
 def test_exact_rank_matches_reference(rows):
-    m = RationalMatrix.from_rows(rows)
     ref_rank = np.linalg.matrix_rank(np.array(rows, dtype=float))
     try:
-        exact_nullspace(m)
-        rank = m.rows
+        exact_nullspace(rows)
+        rank = len(rows)
     except RankDeficiencyError as err:
         rank = err.rank
     assert rank == ref_rank
@@ -315,7 +309,7 @@ def test_modular_route_matches_bareiss_on_random_full_rank(exact_reference):
 
 def test_modular_rank_drop_falls_back_to_exact_vector(exact_reference):
     # the rows agree mod p, so the rank drops mod p but not over Q
-    m = RationalMatrix.from_rows([[1, 2, 3], [1 + P, 2, 3]])
+    m = [[1, 2, 3], [1 + P, 2, 3]]
     assert exact_nullspace(m) == (qc(0), qc(1), qc(Fraction(-2, 3)))
     # B_2 = [[1, 1, 1], [1 + p, 1, 1]]: mod p the series is z / (1 - z),
     # of type (1, 1), so the nullspace mod p is a plane; its minimal
@@ -331,7 +325,7 @@ def test_modular_rank_drop_falls_back_to_exact_vector(exact_reference):
 
 def test_modular_failed_substitution_falls_back(exact_reference):
     # the entry p vanishes mod p, so the modular vector (1, 0) fails B b = 0
-    m = RationalMatrix.from_rows([[P, 1]])
+    m = [[P, 1]]
     assert exact_nullspace(m) == (qc(1), qc(-P))
     # B_1 = [c_2, c_1] = [p, 1]: the same vector, from the Euclidean stage
     c = [Fraction(v) for v in (1, 1, P)]
@@ -350,7 +344,7 @@ def test_modular_reconstruction_failure_still_exact(exact_reference):
     assert _rational_reconstruction((t + 5) * pow(t + 1, -1, P) % P) is None
     assert _rational_reconstruction((b + 3) * pow(b + 1, -1, P) % P) is not None
     for num, den in ((t + 5, t + 1), (b + 3, b + 1)):
-        m = RationalMatrix.from_rows([[num, -den, 0], [0, 0, 1]])
+        m = [[num, -den, 0], [0, 0, 1]]
         assert exact_nullspace(m) == (qc(1), qc(Fraction(num, den)), qc(0))
         # B_1 = [c_2, c_1] = [num, -den] has the same null vector
         c = [Fraction(1), Fraction(-den), Fraction(num)]
@@ -375,7 +369,7 @@ def test_modular_denominator_divisible_by_p_falls_back(exact_reference):
 
 
 def test_rank_deficiency_error_unchanged_by_modular_attempt():
-    m = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    m = [[1, 2, 3], [2, 4, 6]]
     with pytest.raises(RankDeficiencyError) as exc:
         exact_nullspace(m)
     assert exc.value.rank == 1
@@ -439,19 +433,19 @@ def test_exact_nullspace_matches_gauss_jordan_reference():
             scale = entry()
             rows[-1] = [scale * x for x in rows[0]]
         rank, basis = _gauss_jordan_nullspace(rows)
-        mat = RationalMatrix.from_rows(rows)
+        real = all(e.is_real for row in rows for e in row)
         if not basis:
             with pytest.raises(InvalidInputError):
-                exact_nullspace(mat)
+                exact_nullspace(rows)
             seen.add("square full rank")
         elif rank < n:
             with pytest.raises(RankDeficiencyError) as exc:
-                exact_nullspace(mat)
+                exact_nullspace(rows)
             assert (exc.value.rank, exc.value.basis) == (rank, basis)
-            seen.add(("rank deficient", mat.is_real))
+            seen.add(("rank deficient", real))
         else:
-            assert exact_nullspace(mat) == basis[0]
-            seen.add(("full rank", mat.is_real, m - n))
+            assert exact_nullspace(rows) == basis[0]
+            seen.add(("full rank", real, m - n))
     assert {("rank deficient", True), ("rank deficient", False),
             ("full rank", True, 1), ("full rank", False, 1),
             ("full rank", True, 3), ("full rank", False, 3)} <= seen
@@ -482,7 +476,7 @@ def test_exact_nullspace_complex_counterexample_n14():
                                    qc(Fraction(1, 10), Fraction(1, 10))])
     s = build_counterexample_series(4, poles)
     B = build_pair(s, 14, exact=True).B
-    assert not B.is_real
+    assert not all(e.is_real for row in B for e in row)
     assert exact_nullspace(B) == (qc(1), -1 / poles.z(4)) + (qc(0),) * 13
 
 
@@ -493,9 +487,8 @@ def test_sigma_oracle_brackets_random_gaussian_rational():
         rows = [[QC(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))),
                     Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))))
                  for _ in range(n + 1)] for _ in range(n)]
-        mat = RationalMatrix.from_rows(rows)
-        oracle = exact_sigma_ratio_bounds(mat)
-        ref = np.linalg.svd(mat.to_numpy(), compute_uv=False)
+        oracle = exact_sigma_ratio_bounds(rows)
+        ref = np.linalg.svd(np.asarray(rows, dtype=complex), compute_uv=False)
         for (lo, hi), sigma in ((oracle.lambda_max_bracket, ref[0]),
                                 (oracle.lambda_min_bracket, ref[-1])):
             assert float(lo) * (1 - 1e-12) <= sigma ** 2 <= float(hi) * (1 + 1e-12)
@@ -505,7 +498,7 @@ def test_minimal_degree_solution_first():
     # a row-rank-deficient system whose nullspace mixes degree-0 and
     # higher-degree vectors; the reported basis leads with the lowest
     # effective degree and each vector starts with a unit pivot
-    m = RationalMatrix.from_rows([[0, 0, 1, 0], [0, 0, 2, 0]])
+    m = [[0, 0, 1, 0], [0, 0, 2, 0]]
     with pytest.raises(RankDeficiencyError) as exc:
         exact_nullspace(m)
     err = exc.value
@@ -533,12 +526,12 @@ def test_gram_char_poly_oracle(k2_series):
 
 
 def test_gram_char_poly_single_row():
-    m = RationalMatrix.from_rows([[3, 4]])
+    m = [[3, 4]]
     assert gram_char_poly(m) == (Fraction(1), Fraction(-25))
 
 
 def test_gram_char_poly_rational_entries():
-    m = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
+    m = [[Fraction(1, 2), Fraction(1, 3)]]
     assert gram_char_poly(m) == (Fraction(1), Fraction(-13, 36))
 
 
@@ -550,8 +543,7 @@ def test_gram_char_poly_gaussian_rational_entries():
     trace = g[0][0] + g[1][1]
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     assert trace.im == 0 and det.im == 0 and det.re != 0
-    m = RationalMatrix.from_rows(rows)
-    assert gram_char_poly(m) == (1, -trace.re, det.re)     # lambda^2 - tr(G) lambda + det(G)
+    assert gram_char_poly(rows) == (1, -trace.re, det.re)  # lambda^2 - tr(G) lambda + det(G)
 
 
 def test_sigma_oracle_matches_float(k2_series):
@@ -563,15 +555,14 @@ def test_sigma_oracle_matches_float(k2_series):
 
 
 def test_sigma_oracle_detects_rank_deficiency():
-    ones = RationalMatrix.from_rows([[1, 1, 1], [1, 1, 1]])
+    ones = [[1, 1, 1], [1, 1, 1]]
     oracle = exact_sigma_ratio_bounds(ones)
     assert oracle.sigma_min == 0.0
     assert math.isinf(oracle.ratio)
 
 
 def test_sigma_oracle_cap():
-    big = RationalMatrix.from_rows([[1] * (ORACLE_MAX_ROWS + 2)
-                                    for _ in range(ORACLE_MAX_ROWS + 1)])
+    big = [[1] * (ORACLE_MAX_ROWS + 2) for _ in range(ORACLE_MAX_ROWS + 1)]
     with pytest.raises(UnsupportedSizeError):
         exact_sigma_ratio_bounds(big)
 
@@ -580,8 +571,7 @@ def test_sigma_oracle_cap():
 @given(st.lists(st.lists(small_ints, min_size=4, max_size=4),
                 min_size=3, max_size=3))
 def test_sigma_oracle_agrees_with_jacobi(rows):
-    m = RationalMatrix.from_rows(rows)
-    oracle = exact_sigma_ratio_bounds(m)
+    oracle = exact_sigma_ratio_bounds(rows)
     ref = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
     assert oracle.sigma_max == pytest.approx(ref[0], rel=1e-9, abs=1e-9)
     if ref[-1] > 1e-9 * max(ref[0], 1):
@@ -624,9 +614,9 @@ def test_sigma_oracle_k2_bracket_holds_exact_eigenvalues(k2_series):
 def test_sigma_oracle_certifies_gaussian_rational_block(k):
     B = build_pair(build_counterexample_series(k, _complex_poles()),
                    2 ** k - 2, exact=True).B
-    assert not B.is_real
+    assert not all(e.is_real for row in B for e in row)
     oracle = exact_sigma_ratio_bounds(B)
-    ref = np.linalg.svd(B.to_numpy(), compute_uv=False)
+    ref = np.linalg.svd(np.asarray(B, dtype=complex), compute_uv=False)
     assert _contains(oracle.ratio_bracket, ref[0] / ref[-1])
     for bracket, sigma in ((oracle.lambda_max_bracket, ref[0]),
                            (oracle.lambda_min_bracket, ref[-1])):
@@ -666,7 +656,7 @@ def test_sigma_oracle_steps_off_a_zero_pivot(monkeypatch):
 
     # G = [[1, 1], [1, 3]]: the leading minor 1 - mu vanishes at mu = 1,
     # and this sigma_min guess puts the lower probe exactly there
-    m = RationalMatrix.from_rows([[1, 0, 0], [1, 1, 1]])
+    m = [[1, 0, 0], [1, 1, 1]]
     g = 1.0000000005
     assert (g * g) * (1.0 - 1e-9) == 1.0
     results = []
@@ -690,7 +680,7 @@ def test_sigma_oracle_steps_off_a_zero_pivot(monkeypatch):
     [[qc(1), qc(0, 1), qc(2)], [qc(0, 1), qc(-1), qc(0, 2)]],
 ])
 def test_sigma_oracle_exactly_singular_gives_infinite_ratio(rows):
-    oracle = exact_sigma_ratio_bounds(RationalMatrix.from_rows(rows))
+    oracle = exact_sigma_ratio_bounds(rows)
     assert oracle.lambda_min_bracket == (0, 0)
     assert oracle.sigma_min == 0.0
     assert math.isinf(oracle.ratio)

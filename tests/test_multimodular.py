@@ -7,7 +7,7 @@ import pytest
 
 from padelab import linalg, multimodular, pade
 from padelab.errors import NumericalError, RankDeficiencyError
-from padelab.linalg import RationalMatrix, exact_nullspace
+from padelab.linalg import exact_nullspace
 from padelab.multimodular import (
     _chunk_euclid,
     _hadamard_bound,
@@ -198,7 +198,7 @@ def _bareiss_minors(c, n):
     or the nullity of B_n when it is rank deficient."""
     rows = _toeplitz_rows(c, n)
     try:
-        b = exact_nullspace(RationalMatrix.from_rows(rows))
+        b = exact_nullspace(rows)
     except RankDeficiencyError as deficiency:
         return len(deficiency.basis)
     f = next(j for j, v in enumerate(b) if v)

@@ -119,13 +119,13 @@ def test_integer_matvec_matches_qc_sum_on_gammel_series(matvec):
     s = build_gammel_series(GammelParams(alphas=alphas, poles=poles), 30)
     pair = build_pair(s, 14, exact=True)
     b = exact_nullspace(pair.B)
-    expected = tuple(_qc_sum(e * x for e, x in zip(row, b)) for row in pair.A.entries)
+    expected = tuple(_qc_sum(e * x for e, x in zip(row, b)) for row in pair.A)
     assert matvec(pair.A, b) == expected
     assert classical_pade(s, 14, exact=True).a == expected
     # Gaussian-rational vector, with zero entries skipped
     v = [QC(Fraction(1, 3), Fraction(-2, 7)) if j % 3 else qc(0) for j in range(15)]
     assert matvec(pair.A, v) == tuple(_qc_sum(e * x for e, x in zip(row, v))
-                                      for row in pair.A.entries)
+                                      for row in pair.A)
 
 
 def test_integer_horner_matches_qc_horner():

@@ -317,6 +317,10 @@ def test_series_construction_guards():
     # a float series rounds every value: an exact one past the double range is refused
     with pytest.raises(InvalidParameterError, match="beyond the double range"):
         PowerSeries.from_coefficients([Fraction(10 ** 400), 0.5])
+    # and one holding inf or NaN is refused before anything can write it
+    for bad in (math.inf, complex("nan"), complex(1, math.inf)):
+        with pytest.raises(InvalidParameterError, match="infinite or NaN"):
+            PowerSeries.from_coefficients([1, bad, 2])
 
 
 @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
