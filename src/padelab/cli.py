@@ -235,7 +235,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
                             exact=not args.float_mode, points=points)
     _write_json(args.out, _jsonfmt.record(table))
     hits = sum(1 for row in table.rows if row.error_at_zk == float("inf"))
-    print(f"wrote {args.out} ({len(table.rows)} rows, {hits} exact pole hits)")
+    hit = "exact pole hits" if table.exact else "float pole hits, |q| <= 1e-10 (1 + |z|/min|z_k|)"
+    print(f"wrote {args.out} ({len(table.rows)} rows, {hits} {hit})")
     return 0
 
 

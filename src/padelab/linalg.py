@@ -12,14 +12,14 @@ Three independent routes live here on purpose:
   It is the elimination reference for the exact Pade route of
   ``pade``, which never calls it;
 * :func:`exact_sigma_ratio_bounds` -- certified brackets of the
-  extreme singular values: Sylvester's law of inertia applied to an
-  exact LDL^T factorization of the integer Gram matrix, shifted by mu,
-  counts the eigenvalues below mu.  The Gram matrix and its
-  characteristic polynomial (:func:`gram_char_poly`) are on ints only:
-  a complex M is taken through its real form [[P, -Q], [Q, P]], whose
-  Gram matrix holds each eigenvalue of M M^H twice.  Float guesses
-  only place the shifts mu; every bracket endpoint is proved by an
-  exact count, so a wrong guess cannot yield a wrong bracket.
+  extreme singular values: Descartes' rule of signs, exact on the
+  real-rooted Gram characteristic polynomial (:func:`gram_char_poly`)
+  shifted to mu, counts the eigenvalues below mu.  The Gram matrix
+  and its polynomial are on ints only: a complex M is taken through
+  its real form [[P, -Q], [Q, P]], whose Gram matrix holds each
+  eigenvalue of M M^H twice.  Float guesses only place the shifts mu;
+  every bracket endpoint is proved by an exact count, so a wrong guess
+  cannot yield a wrong bracket.
 
 Keeping the float and exact routes independent is what lets the test
 suite cross-check one against the other.
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -301,11 +300,10 @@ def exact_nullspace(mat: Sequence[Sequence]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact sigma-ratio oracle (Sylvester inertia of the Gram matrix)
+# exact sigma-ratio oracle (root counts on the Gram characteristic polynomial)
 
 _PROBE_REL = 1e-9        # first certificate probes at guess * (1 -/+ _PROBE_REL)
 _BRACKET_REL = 3e-9      # bisection stops at this relative bracket width
-_NUDGES = (0, 2 ** -40, -(2 ** -40), 2 ** -34, -(2 ** -34), 2 ** -28, -(2 ** -28))
 
 
 @dataclass(frozen=True)
@@ -320,8 +318,8 @@ class SigmaRatioOracle:
     is proved exactly: `lambda_min_bracket` is (0, 0), `sigma_min` is 0
     and the ratio is infinite.
 
-    `char_poly`, the monic coefficients of det(lambda I - M M^H) with
-    the highest power first, is computed on first access only.
+    `char_poly`, the polynomial every count was made on, is
+    :func:`gram_char_poly` of M.
     """
 
     sigma_max: float
@@ -330,7 +328,7 @@ class SigmaRatioOracle:
     ratio_bracket: tuple
     lambda_max_bracket: tuple
     lambda_min_bracket: tuple
-    matrix: tuple = field(repr=False, compare=False)  # rows of QC
+    char_poly: tuple
 
     def __post_init__(self):
         lo, hi = self.ratio_bracket
@@ -341,10 +339,6 @@ class SigmaRatioOracle:
         if not inside:
             raise NumericalError("sigma oracle point value outside its certified bracket")
 
-    @cached_property
-    def char_poly(self) -> tuple:
-        return gram_char_poly(self.matrix)
-
 
 def gram_char_poly(mat: Sequence[Sequence]) -> tuple:
     """Exact monic characteristic polynomial of M M^H, highest power first.
@@ -352,34 +346,37 @@ def gram_char_poly(mat: Sequence[Sequence]) -> tuple:
     Newton's identities on the integer Gram S of :func:`_integer_gram`:
     k e_k = -sum_{i=1..k} e_(k-i) t_i with t_i = tr(S^i) / copies.  The
     e_k are the (integer) coefficients for s^2 M M^H, so each division
-    by k is exact, and the coefficients of M M^H are e_k / s^(2k).
+    by k is exact, and the coefficients of M M^H are e_k / s^(2k).  Only
+    S^1..S^h, h = ceil(n/2), are formed: S is symmetric, so tr(S^(h+b))
+    is the entrywise sum of S^h * S^b.
     """
     gram, scale2, copies = _integer_gram(mat)
     nrows = len(gram) // copies
-    traces = []
-    power = gram
-    for i in range(nrows):
-        if i:   # S is symmetric: its rows are its columns
-            power = [[sum(a * b for a, b in zip(row, col)) for col in gram] for row in power]
-        traces.append(sum(power[j][j] for j in range(len(gram))) // copies)
+    powers = [gram]
+    for _ in range((nrows + 1) // 2 - 1):   # S is symmetric: its rows are its columns
+        powers.append([[sum(a * b for a, b in zip(row, col)) for col in gram]
+                       for row in powers[-1]])
+    traces = [sum(row[j] for j, row in enumerate(p)) for p in powers]
+    for p in powers[:nrows - len(powers)]:
+        traces.append(sum(a * b for ra, rb in zip(powers[-1], p) for a, b in zip(ra, rb)))
     coeffs = [1]
     for k in range(1, nrows + 1):
-        coeffs.append(-sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+        coeffs.append(-sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1)) // (k * copies))
     return tuple(Fraction(c, scale2 ** k) for k, c in enumerate(coeffs))
 
 
 def exact_sigma_ratio_bounds(mat: Sequence[Sequence], *,
                              guess: tuple | None = None) -> SigmaRatioOracle:
-    """Certified sigma_1/sigma_n from the inertia of the exact Gram matrix.
+    """Certified sigma_1/sigma_n from root counts on the Gram characteristic polynomial.
 
-    By Sylvester's law of inertia, the negative pivots of an exact
-    LDL^T factorization of the int Gram matrix of :func:`_integer_gram`,
-    shifted by mu, count the eigenvalues of G = M M^H below mu (twice
-    each for complex M, so the count is halved).  The float guesses
-    (sigma_max, sigma_min) -- from `svd` unless given -- only place the
-    probes: two counts per eigenvalue prove an enclosure, and a wrong
-    guess can only cost extra probes, never a wrong bracket.  Capped at ORACLE_MAX_ROWS rows.  sigma_n = 0
-    reports an infinite ratio rather than an error.
+    :func:`_count_below` counts the eigenvalues of G = M M^H below each
+    probe exactly, on :func:`gram_char_poly` (`char_poly` of the result)
+    cleared of denominators.  The float guesses (sigma_max, sigma_min)
+    -- from `svd` unless given -- only place the probes: two counts per
+    eigenvalue prove an enclosure, and a wrong guess can only cost extra
+    probes, never a wrong bracket.  A zero constant coefficient proves G
+    singular.  Capped at ORACLE_MAX_ROWS rows.  sigma_n = 0 reports an
+    infinite ratio rather than an error.
     """
     rows = _exact_rows(mat)
     if len(rows) > ORACLE_MAX_ROWS:
@@ -390,22 +387,14 @@ def exact_sigma_ratio_bounds(mat: Sequence[Sequence], *,
     if guess is None:
         sigmas = svd(rows).sigmas
         guess = (float(sigmas[0]), float(sigmas[-1]))
-    gram, scale2, copies = _integer_gram(rows)
-    size = len(gram)
-
-    def count_below(x: Fraction) -> int | None:
-        # the Gram form of G - x I scaled by x.denominator * scale2 > 0,
-        # which keeps its inertia
-        shift = x.numerator * scale2
-        h = [[x.denominator * e for e in row] for row in gram]
-        for i in range(size):
-            h[i][i] -= shift
-        negative = _negative_pivots(h)
-        return None if negative is None else negative // copies
-
-    trace = Fraction(sum(gram[i][i] for i in range(size)) // copies, scale2)
-    lam_max = _enclose(count_below, len(rows) - 1, guess[0] ** 2, trace)
-    lam_min = _enclose(count_below, 0, guess[1] ** 2, lam_max[1])
+    char_poly = gram_char_poly(rows)
+    scale = math.lcm(*(c.denominator for c in char_poly))
+    coeffs = [c.numerator * (scale // c.denominator) for c in char_poly]
+    lam_max = _enclose(coeffs, len(rows) - 1, guess[0] ** 2, -char_poly[1])  # tr(G)
+    if coeffs[-1]:
+        lam_min = _enclose(coeffs, 0, guess[1] ** 2, lam_max[1])
+    else:
+        lam_min = Fraction(0), Fraction(0)
     sigma_max = math.sqrt(float(sum(lam_max) / 2))
     sigma_min = math.sqrt(float(sum(lam_min) / 2))
     ratio = math.inf if sigma_min == 0.0 else sigma_max / sigma_min
@@ -413,7 +402,7 @@ def exact_sigma_ratio_bounds(mat: Sequence[Sequence], *,
                      _sqrt_quotient(lam_max[1], lam_min[0], up=True))
     return SigmaRatioOracle(sigma_max=sigma_max, sigma_min=sigma_min, ratio=ratio,
                             ratio_bracket=ratio_bracket, lambda_max_bracket=lam_max,
-                            lambda_min_bracket=lam_min, matrix=rows)
+                            lambda_min_bracket=lam_min, char_poly=char_poly)
 
 
 def _integer_gram(mat: Sequence[Sequence]) -> tuple:
@@ -440,38 +429,33 @@ def _integer_gram(mat: Sequence[Sequence]) -> tuple:
     return gram, scale * scale, copies
 
 
-def _negative_pivots(h: list) -> int | None:
-    """Negative pivots of the LDL^T factorization of the symmetric int matrix h.
+def _count_below(coeffs: Sequence[int], x: Fraction) -> int:
+    """Roots below x of the int polynomial `coeffs` (highest power first), all of them real.
 
-    Fraction-free (Bareiss) elimination without pivoting on the upper
-    triangle.  Its k-th pivot is the leading principal minor D_k, so the
-    LDL^T pivot d_k = D_k / D_(k-1) is negative exactly where the sign
-    of D_k flips.  Every division is by the previous pivot and exact.
-    Returns None on a zero pivot.
+    With x = a/b, the roots of b^n P(v/b) are b times those of P, and
+    the integer Taylor shift by a moves each to b * root - a.  For a
+    polynomial whose roots are all real, Descartes' rule of signs is
+    exact: the sign variations of the nonzero shifted coefficients count
+    the roots above x, and its trailing zeros count the roots at x.
     """
-    n = len(h)
-    prev = 1
-    negative = 0
-    for k in range(n):
-        rk = h[k]
-        p = rk[k]
-        if p == 0:
-            return None
-        if (p < 0) != (prev < 0):
-            negative += 1
-        for i in range(k + 1, n):
-            ri = h[i]
-            a = rk[i]
-            ri[i:] = [(p * v - a * t) // prev for v, t in zip(ri[i:], rk[i:])]
-        prev = p
-    return negative
+    a, b = x.numerator, x.denominator
+    c = [e * b ** k for k, e in enumerate(coeffs)]
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(1, n + 1 - i):
+            c[j] += a * c[j - 1]
+    while not c[-1]:
+        c.pop()
+    signs = [v > 0 for v in c if v]
+    variations = sum(p != q for p, q in zip(signs, signs[1:]))
+    return len(c) - 1 - variations
 
 
-def _enclose(count_below, j: int, guess: float, top: Fraction) -> tuple:
-    """Exact closed bracket (lo, hi) of the (j+1)-th smallest eigenvalue.
+def _enclose(coeffs: list, j: int, guess: float, top: Fraction) -> tuple:
+    """Exact closed bracket (lo, hi) of the (j+1)-th smallest root of `coeffs`.
 
-    `count_below(x)` is the exact number of eigenvalues below x (None on
-    a zero pivot); the eigenvalue lies in [0, top] to begin with.
+    The root lies in [0, top] to begin with, and :func:`_count_below`
+    counts the roots below each probe exactly.
     Probes at guess * (1 -/+ delta) certify a tight bracket directly
     when the guess is good; delta widens 1000-fold while a side is
     missing, and bisection then narrows the bracket.  Every endpoint
@@ -484,17 +468,10 @@ def _enclose(count_below, j: int, guess: float, top: Fraction) -> tuple:
 
     def probe(x: Fraction) -> None:
         nonlocal lo, hi
-        for nudge in _NUDGES:          # step off a zero pivot
-            y = x * (1 + Fraction(nudge))
-            below = count_below(y)
-            if below is not None:
-                break
+        if _count_below(coeffs, x) <= j:
+            lo = x
         else:
-            raise ConvergenceError(f"zero pivots at every shift near {float(x):.17g}")
-        if below <= j:
-            lo = max(lo, y)
-        else:
-            hi = min(hi, y)
+            hi = x
 
     delta = _PROBE_REL
     while delta < 1.0 and not narrow():
@@ -503,9 +480,6 @@ def _enclose(count_below, j: int, guess: float, top: Fraction) -> tuple:
             if lo < x < hi:
                 probe(x)
         delta *= 1e3
-    if j == 0 and lo == 0 and count_below(Fraction(0)) is None:
-        # a zero leading minor of a PSD matrix proves it singular
-        return Fraction(0), Fraction(0)
     while not narrow():
         mid = Fraction(float((lo + hi) / 2))
         if not lo < mid < hi:

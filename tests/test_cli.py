@@ -367,6 +367,15 @@ def test_scan_writes_table(capsys):
     assert all(row["error_at_zk"] == "inf" for row in doc["rows"])
 
 
+def test_scan_float_summary_names_its_hit_test(capsys):
+    # a float hit is |q(z_k)| below a tolerance, not an exact zero of q
+    assert run("scan", "--k-max", "3", "--float", "--points", "0.5j,0.3",
+               "--out", "t.json") == 0
+    out = capsys.readouterr().out
+    assert out == "wrote t.json (2 rows, 2 float pole hits, |q| <= 1e-10 (1 + |z|/min|z_k|))\n"
+    assert json.loads(Path("t.json").read_text())["exact"] is False
+
+
 def test_scan_probe_errors_say_when_the_tail_of_f_could_hide_them(tail_partial_sum):
     # against f itself, |f - r_n| is only known up to the tail the k_max = 7
     # truncation omits: T(1/4) ~ 2.7e-143, T(9/10) ~ 0.13, T(99/100) ~ 2.1e11

@@ -587,7 +587,7 @@ def test_counterexample_ratio_under_five_through_k4(harmonic_poles):
 
 
 # ---------------------------------------------------------------------------
-# certified sigma brackets (Sylvester inertia)
+# certified sigma brackets (root counts on the Gram polynomial)
 
 
 def _complex_poles():
@@ -637,10 +637,10 @@ def test_sigma_oracle_recovers_from_a_wrong_guess(k2_series, monkeypatch):
         return SimpleNamespace(sigmas=spec.sigmas * np.array([1 + 1e-3, 1 - 1e-3]))
 
     counts = []
-    true_pivots = linalg._negative_pivots
+    true_count = linalg._count_below
     monkeypatch.setattr(linalg, "svd", off_svd)
-    monkeypatch.setattr(linalg, "_negative_pivots",
-                        lambda h: counts.append(1) or true_pivots(h))
+    monkeypatch.setattr(linalg, "_count_below",
+                        lambda coeffs, x: counts.append(1) or true_count(coeffs, x))
     oracle = exact_sigma_ratio_bounds(B)
     assert len(counts) > 4            # widening and bisection, not two probes each
     assert _contains(oracle.lambda_max_bracket, 91392)
@@ -651,24 +651,13 @@ def test_sigma_oracle_recovers_from_a_wrong_guess(k2_series, monkeypatch):
     assert Fraction(lo) ** 2 <= Fraction(91392, 48384) <= Fraction(hi) ** 2
 
 
-def test_sigma_oracle_steps_off_a_zero_pivot(monkeypatch):
-    import padelab.linalg as linalg
-
-    # G = [[1, 1], [1, 3]]: the leading minor 1 - mu vanishes at mu = 1,
-    # and this sigma_min guess puts the lower probe exactly there
+def test_sigma_oracle_steps_off_a_zero_pivot():
+    # G = [[1, 1], [1, 3]]: this sigma_min guess puts the lower probe
+    # exactly at mu = 1, where the leading minor 1 - mu of G - mu I vanishes
     m = [[1, 0, 0], [1, 1, 1]]
     g = 1.0000000005
     assert (g * g) * (1.0 - 1e-9) == 1.0
-    results = []
-    true_pivots = linalg._negative_pivots
-
-    def spy(h):
-        results.append(true_pivots(h))
-        return results[-1]
-
-    monkeypatch.setattr(linalg, "_negative_pivots", spy)
     oracle = exact_sigma_ratio_bounds(m, guess=(math.sqrt(2 + math.sqrt(2)), g))
-    assert None in results
     lo, hi = oracle.lambda_min_bracket     # lambda_min = 2 - sqrt(2)
     assert (2 - lo) ** 2 >= 2 >= (2 - hi) ** 2
     assert oracle.sigma_min == pytest.approx(math.sqrt(2 - math.sqrt(2)), rel=1e-8)
@@ -688,15 +677,58 @@ def test_sigma_oracle_exactly_singular_gives_infinite_ratio(rows):
     assert oracle.sigma_max > 0.0
 
 
-def test_sigma_oracle_char_poly_is_lazy(k2_series, monkeypatch):
+def test_sigma_oracle_char_poly_is_the_gram_char_poly(k2_series):
+    rows = build_pair(k2_series, 2, exact=True).B
+    oracle = exact_sigma_ratio_bounds(rows)
+    assert oracle.char_poly == (Fraction(1), Fraction(-139776), Fraction(4421910528))
+    assert oracle.char_poly == gram_char_poly(rows)
+
+
+@pytest.mark.parametrize("diag", [(3,), (0,), (3, 1), (2, 2, 5), (0, 0, 1, 3), (1, 0, 4, 4, 4, 2)])
+def test_count_below_on_diagonal_grams(diag):
     import padelab.linalg as linalg
 
-    calls = []
-    true_poly = linalg.gram_char_poly
-    monkeypatch.setattr(linalg, "gram_char_poly",
-                        lambda mat: calls.append(1) or true_poly(mat))
-    oracle = exact_sigma_ratio_bounds(build_pair(k2_series, 2, exact=True).B)
-    assert calls == []
-    assert oracle.char_poly == (Fraction(1), Fraction(-139776), Fraction(4421910528))
-    assert oracle.char_poly is oracle.char_poly
-    assert calls == [1]
+    # M = diag(m) has Gram eigenvalues m_i^2; probe at, between and beyond each
+    rows = [[m if c == r else 0 for c in range(len(diag) + 1)] for r, m in enumerate(diag)]
+    char_poly = gram_char_poly(rows)
+    assert all(c.denominator == 1 for c in char_poly)
+    coeffs = [c.numerator for c in char_poly]
+    eig = sorted(m * m for m in diag)
+    probes = {Fraction(-1), Fraction(eig[-1] + 1), Fraction(eig[-1] * 7, 3) + 1}
+    for lam in eig:
+        probes |= {Fraction(lam), Fraction(lam) - Fraction(1, 3), Fraction(lam) + Fraction(1, 7)}
+    for lam, nxt in zip(eig, eig[1:]):
+        probes.add(Fraction(lam + nxt, 2))
+    for x in sorted(probes):
+        assert linalg._count_below(coeffs, x) == sum(lam < x for lam in eig), x
+
+
+def _full_power_char_poly(rows):
+    """Newton's identities with every power S^1..S^n formed: the reference."""
+    import padelab.linalg as linalg
+
+    gram, scale2, copies = linalg._integer_gram(rows)
+    nrows = len(gram) // copies
+    traces = []
+    power = gram
+    for i in range(nrows):
+        if i:
+            power = [[sum(a * b for a, b in zip(row, col)) for col in gram] for row in power]
+        traces.append(sum(power[j][j] for j in range(len(gram))) // copies)
+    coeffs = [1]
+    for k in range(1, nrows + 1):
+        coeffs.append(-sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+    return tuple(Fraction(c, scale2 ** k) for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_gram_char_poly_matches_full_power_newton(n):
+    rng = np.random.default_rng(1000 + n)
+
+    def frac():
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+
+    real = [[frac() for _ in range(n + 1)] for _ in range(n)]
+    gaussian = [[QC(frac(), frac()) for _ in range(n + 1)] for _ in range(n)]
+    for rows in (real, gaussian):
+        assert gram_char_poly(rows) == _full_power_char_poly(rows)
