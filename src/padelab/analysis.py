@@ -28,7 +28,8 @@ from ._jsonfmt import format_float, num
 from .errors import InvalidParameterError, NumericalError
 from .linalg import ORACLE_MAX_ROWS, exact_sigma_ratio_bounds, svd
 from .pade import PadeApproximant, classical_pade
-from .rational import QC, horner, integer_horner, integer_poly, poly_derivative, qc, to_complex
+from .rational import (QC, abs2, abs_upper, horner, integer_horner, integer_poly,
+                       poly_derivative, qc, to_complex)
 from .series import (
     PoleSequence,
     PowerSeries,
@@ -40,21 +41,6 @@ from .series import (
     truncation_length,
 )
 from .toeplitz import build_pair, check_sum_bounds
-
-__all__ = [
-    "PoleInfo",
-    "DoubletInfo",
-    "SpuriousPole",
-    "PoleReport",
-    "check_positive",
-    "find_poles",
-    "CounterexampleReport",
-    "verify_counterexample",
-    "PointError",
-    "ScanRow",
-    "ScanTable",
-    "divergence_scan",
-]
 
 
 def _csv_num(x) -> str:
@@ -145,6 +131,7 @@ def find_poles(r: PadeApproximant, radius_hint: float = 1.0,
     a_scale = max((abs(x) for x in a_eff), default=0.0)
     b_norm = math.hypot(*[abs(x) for x in b_eff]) if b_eff else 0.0
     b_prime = poly_derivative(b_eff)
+    radius2 = Fraction(radius_hint) ** 2
 
     poles = []
     doublets = []
@@ -165,7 +152,7 @@ def find_poles(r: PadeApproximant, radius_hint: float = 1.0,
             sep = abs(rho - nearest)
             if sep < delta_doublet:
                 doublets.append(DoubletInfo(pole=rho, zero=nearest, separation=sep))
-        if abs(rho) < radius_hint and a_scale > 0 and abs(p_val) > tol_spurious * a_scale:
+        if abs2(rho) < radius2 and a_scale > 0 and abs(p_val) > tol_spurious * a_scale:
             spurious.append(SpuriousPole(location=rho, numerator_magnitude=abs(p_val)))
 
     return PoleReport(poles=tuple(poles), zeros=zero_locs,
@@ -243,25 +230,9 @@ class CounterexampleReport:
 
 def _coeff_bound_check(s: PowerSeries, last_index: int) -> tuple:
     """(all 0 < |c_j| <= (j+3)^4 for 1 <= j <= last_index, |c_1| == 256)."""
-    bound_ok = True
-    for j in range(1, last_index + 1):
-        c = s.coeff(j)
-        limit = (j + 3) ** GROWTH_EXPONENT
-        if isinstance(c, QC):
-            a2 = c.abs2()
-            ok = 0 < a2 <= Fraction(limit) ** 2
-        else:
-            mag = abs(to_complex(c))
-            ok = 0.0 < mag <= float(limit)
-        if not ok:
-            bound_ok = False
-            break
-    c1 = s.coeff(1)
-    if isinstance(c1, QC):
-        c1_eq = c1.abs2() == Fraction(4 ** GROWTH_EXPONENT) ** 2
-    else:
-        c1_eq = abs(to_complex(c1)) == float(4 ** GROWTH_EXPONENT)
-    return bound_ok, c1_eq
+    bound_ok = all(0 < abs2(s.coeff(j)) <= (j + 3) ** (2 * GROWTH_EXPONENT)
+                   for j in range(1, last_index + 1))
+    return bound_ok, abs2(s.coeff(1)) == 4 ** (2 * GROWTH_EXPONENT)
 
 
 def _horner_error_bound(a, z: complex) -> float:
@@ -452,14 +423,7 @@ def _tail_bound(point, j0: int) -> float | None:
     is summed exactly: with P(i) = (j0+3+i)^4, sum_i P(i) r^i equals
     sum_q (Delta^q P)(0) r^q / (1-r)^(q+1).  None when r rounds up to 1.
     """
-    if isinstance(point, QC):
-        r2 = point.abs2()
-    else:
-        r2 = Fraction(point.real) ** 2 + Fraction(point.imag) ** 2
-    # r = |point| rounded up, from the integer square root with 64 extra bits
-    scaled = r2.numerator * r2.denominator << 128
-    root = math.isqrt(scaled)
-    r = Fraction(root + (root * root < scaled), r2.denominator << 64)
+    r = abs_upper(point)
     if r >= 1:
         return None
     m = j0 + 3

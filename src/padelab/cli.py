@@ -34,8 +34,6 @@ from .series import (
 ENV_MAX_N = "PADE_LAB_MAX_N"
 DEFAULT_MAX_N = 512
 
-__all__ = ["main", "entry"]
-
 
 # ---------------------------------------------------------------------------
 # argument plumbing

@@ -26,15 +26,6 @@ from .rational import (QC_ZERO, from_gaussian, gaussian_integers, horner, is_exa
 from .series import PowerSeries
 from .toeplitz import build_pair
 
-__all__ = [
-    "ReductionStep",
-    "Diagnostics",
-    "PadeApproximant",
-    "classical_pade",
-    "robust_pade",
-    "order_residual",
-]
-
 
 @dataclass(frozen=True)
 class ReductionStep:

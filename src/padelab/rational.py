@@ -192,6 +192,33 @@ def to_complex(x) -> complex:
     return complex(x)
 
 
+def abs2(x):
+    """|x|^2 of a QC, rational, float or complex x as an exact Fraction (a finite
+    double is a dyadic rational); inf or nan, which compare as such, if not finite."""
+    if isinstance(x, QC):
+        return x.abs2()
+    if isinstance(x, Rational):
+        return Fraction(x) ** 2
+    z = complex(x)
+    try:
+        return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    except (ValueError, OverflowError):
+        return abs(z)
+
+
+def abs_upper(x):
+    """|x| as a Fraction, rounded up from the integer square root of |x|^2 with
+    64 extra bits; exact where |x|^2 is a square, and |re| at once for a real QC."""
+    if isinstance(x, QC) and not x.im:
+        return abs(x.re)
+    r2 = abs2(x)
+    if not isinstance(r2, Fraction):        # inf or nan
+        return r2
+    scaled = r2.numerator * r2.denominator << 128
+    root = math.isqrt(scaled)
+    return Fraction(root + (root * root < scaled), r2.denominator << 64)
+
+
 def gaussian_integers(values: Iterable) -> tuple[list, int]:
     """(pairs, d): the QC `values` times d as (re, im) int pairs.
 

@@ -36,9 +36,8 @@ from .errors import (
     OutOfRangeError,
     SeriesFormatError,
 )
-from .rational import QC, from_gaussian, gaussian_integers, horner, is_exact_scalar, qc, to_complex
-
-_ONE_THIRD_SQ = Fraction(1, 9)
+from .rational import (QC, abs2, abs_upper, from_gaussian, gaussian_integers, horner,
+                       is_exact_scalar, qc, to_complex)
 
 
 def _coerce_scalar(x):
@@ -71,18 +70,13 @@ class PoleSequence:
     start_index: int = 2
 
     def __post_init__(self):
-        if self.generator_tag not in ("explicit_list", "harmonic_repeated"):
+        if self.generator_tag not in ("explicit_list", "harmonic", "harmonic_repeated"):
             raise InvalidParameterError(f"unknown pole generator tag {self.generator_tag!r}")
         if not self.points:
             raise InvalidParameterError("pole sequence must contain at least one point")
         coerced = tuple(_coerce_scalar(p) for p in self.points)
         for idx, z in enumerate(coerced):
-            if isinstance(z, QC):
-                a2 = z.abs2()
-                ok = 0 < a2 < 1
-            else:
-                ok = 0.0 < abs(z) < 1.0
-            if not ok:
+            if not 0 < abs2(z) < 1:
                 raise InvalidParameterError(
                     f"pole z_{self.start_index + idx} = {z!r} outside the punctured unit disc")
         object.__setattr__(self, "points", coerced)
@@ -94,7 +88,7 @@ class PoleSequence:
         """z_k = 1/(k+2) for k = 2..k_max."""
         if k_max < 2:
             raise InvalidParameterError("harmonic pole sequence needs k_max >= 2")
-        return cls(tuple(Fraction(1, k + 2) for k in range(2, k_max + 1)))
+        return cls(tuple(Fraction(1, k + 2) for k in range(2, k_max + 1)), generator_tag="harmonic")
 
     @classmethod
     def harmonic_repeated(cls, k_max: int) -> "PoleSequence":
@@ -143,7 +137,7 @@ class PoleSequence:
             raise OutOfRangeError(
                 f"pole sequence ends at k = {self.max_index}, need k = {k_hi}")
         for z in self.points[: k_hi - 1]:
-            if not (z.abs2() < _ONE_THIRD_SQ if isinstance(z, QC) else abs(z) < 1 / 3):
+            if not abs2(z) < Fraction(1, 9):
                 raise InvalidParameterError("counterexample poles must satisfy 0 < |z_k| < 1/3")
 
 
@@ -357,15 +351,12 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
 
 
 def check_radius(s: PowerSeries, z) -> complex:
-    """z as a complex; DomainError unless |z| < s.radius_hint, also where z overflows a double."""
-    try:
-        zc = to_complex(z)
-        r = abs(zc)
-    except OverflowError:
-        r = math.inf
-    if not r < s.radius_hint:
+    """z as a complex; DomainError unless |z| < s.radius_hint, compared exactly."""
+    if not abs2(z) < Fraction(s.radius_hint) ** 2:
+        r = abs_upper(z)            # shown as inf beyond the largest double
+        r = math.inf if r > math.nextafter(math.inf, 0) else float(r)
         raise DomainError(f"|z| = {r} outside radius_hint = {s.radius_hint}")
-    return zc
+    return to_complex(z)
 
 
 def eval_series(s: PowerSeries, z):

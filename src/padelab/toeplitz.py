@@ -15,17 +15,14 @@ this is what pins the singular-value ratio below (1 + 2/3)/(1 - 2/3) = 5.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedInputError
-from .rational import qc, to_complex
+from .rational import abs_upper, qc
 from .series import PowerSeries, block_order
-
-__all__ = ["ToeplitzPair", "SumBoundsReport", "build_pair", "check_sum_bounds"]
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,11 @@ class SumBoundsReport:
     head_sum = sum_{j=1}^{n-2} |c_j|   (limit 16^k / 6)
     s_value  = head_sum + tail_sum     (limit 2 * 16^k / 3)
 
-    When the series is exact with real coefficients the sums and the
-    comparisons are exact; `s_exact` then carries the rational value.
+    Each |c_j| is exact for a real c_j and rounded up otherwise, so the
+    sums are exact for real coefficients and upper bounds else; the
+    comparisons are exact, and the float fields are rounded to nearest.
+    When the series is exact with real coefficients `s_exact` carries
+    the rational value of s_value.
     """
 
     k: int
@@ -112,28 +112,14 @@ def check_sum_bounds(s: PowerSeries, k: int) -> SumBoundsReport:
     n = block_order(k)
     s.require_terms(2 * n)
     spike = 16 ** k
-
-    exact_real = s.exact and all(qc(s.coeff(j)).is_real for j in range(1, 2 * n))
-    if exact_real:
-        head = sum((abs(qc(s.coeff(j)).re) for j in range(1, n - 1)), Fraction(0))
-        tail = sum((abs(qc(s.coeff(j)).re) for j in range(n, 2 * n)), Fraction(0))
-        total = head + tail
-        tail_ok = tail < Fraction(spike, 2)
-        head_ok = head < Fraction(spike, 6)
-        s_ok = total < Fraction(2 * spike, 3)
-        return SumBoundsReport(k=k, n=n, spike=spike,
-                               tail_sum=float(tail), tail_limit=spike / 2,
-                               head_sum=float(head), head_limit=spike / 6,
-                               s_value=float(total), s_limit=2 * spike / 3,
-                               tail_ok=tail_ok, head_ok=head_ok, s_ok=s_ok,
-                               exact=True, s_exact=total)
-    head = math.fsum(abs(to_complex(s.coeff(j))) for j in range(1, n - 1))
-    tail = math.fsum(abs(to_complex(s.coeff(j))) for j in range(n, 2 * n))
+    head = sum(map(abs_upper, s.coeffs[1:n - 1]), Fraction(0))
+    tail = sum(map(abs_upper, s.coeffs[n:2 * n]), Fraction(0))
     total = head + tail
+    exact = s.exact and all(c.is_real for c in s.coeffs[1:2 * n])
     return SumBoundsReport(k=k, n=n, spike=spike,
-                           tail_sum=tail, tail_limit=spike / 2,
-                           head_sum=head, head_limit=spike / 6,
-                           s_value=total, s_limit=2 * spike / 3,
-                           tail_ok=tail < spike / 2, head_ok=head < spike / 6,
-                           s_ok=total < 2 * spike / 3,
-                           exact=False, s_exact=None)
+                           tail_sum=float(tail), tail_limit=spike / 2,
+                           head_sum=float(head), head_limit=spike / 6,
+                           s_value=float(total), s_limit=2 * spike / 3,
+                           tail_ok=tail < Fraction(spike, 2), head_ok=head < Fraction(spike, 6),
+                           s_ok=total < Fraction(2 * spike, 3),
+                           exact=exact, s_exact=total if exact else None)

@@ -301,7 +301,8 @@ def test_scan_guards():
 
 
 @pytest.mark.parametrize("exact, outside", [(True, Fraction(10 ** 400)), (True, Fraction(2)),
-                                            (False, 2.0), (False, math.nan)])
+                                            (False, 2.0), (False, math.nan),
+                                            (True, qc(Fraction(3, 5), Fraction(4, 5)))])
 def test_scan_checks_every_probe_point_before_any_row(monkeypatch, exact, outside):
     # a point beyond the double range is outside radius_hint too, and no
     # approximant is built before every point has been checked

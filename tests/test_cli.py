@@ -15,7 +15,13 @@ import pytest
 import padelab
 from padelab import cli
 from padelab._jsonfmt import dumps, record
-from padelab.analysis import CounterexampleReport, PoleInfo, PoleReport, SpuriousPole
+from padelab.analysis import (
+    CounterexampleReport,
+    PoleInfo,
+    PoleReport,
+    SpuriousPole,
+    divergence_scan,
+)
 from padelab.cli import ENV_MAX_N, main
 from padelab.errors import ConvergenceError, NumericalError
 from padelab.linalg import svd
@@ -63,6 +69,32 @@ def test_generate_harmonic_default_poles():
     assert [str(z.re) for z in s.meta.poles.points] == ["1/4", "1/5", "1/6"]
 
 
+def test_harmonic_poles_are_tagged_harmonic():
+    # in a generated file, and as the scheme of a scan given the poles
+    # themselves; a file with the older explicit_list tag still loads
+    assert run("generate", "--k-max", "3", "--out", "s.json") == 0
+    doc = json.loads(Path("s.json").read_text())
+    assert doc["meta"]["pole_scheme"] == "harmonic"
+    assert load_series("s.json").meta.poles.generator_tag == "harmonic"
+    doc["meta"]["pole_scheme"] = "explicit_list"
+    Path("old.json").write_text(json.dumps(doc))
+    assert load_series("old.json").meta.poles.points == PoleSequence.harmonic(3).points
+    assert divergence_scan(3, poles=PoleSequence.harmonic(3)).scheme == "harmonic"
+    assert divergence_scan(3, scheme="harmonic").scheme == "harmonic"
+
+
+# sizes compared exactly: a probe point whose double rounds to |z| = 1, and a
+# pole whose double is the largest below 1/3, lie inside their bounds
+@pytest.mark.parametrize("argv", [
+    ("scan", "--k-max", "2", "--points", "99999999999999999999/100000000000000000000"),
+    ("verify", "--k-range", "2..3", "--poles", "0.3333333333333333j,1/5"),
+])
+def test_sizes_just_inside_a_bound_are_accepted(argv):
+    assert run(*argv, "--out", "a.json") == 0
+    if argv[0] == "verify":
+        assert [block["passed"] for block in json.loads(Path("a.json").read_text())] == [True] * 2
+
+
 def test_generate_gammel_family():
     assert run("generate", "--family", "gammel", "--alphas", "1,2",
                "--poles", "1/2,1/3", "--out", "g.json") == 0
@@ -85,10 +117,12 @@ def test_generate_gammel_mixing_float_and_exact_values_writes_a_float_file(alpha
 
 
 # SHA-256 of the series files these generate commands write, recorded before
-# the exact families were walked on Gaussian integers
+# the exact families were walked on Gaussian integers; the k = 7 file was
+# pinned again when harmonic poles took the pole_scheme "harmonic" in place of
+# "explicit_list", the one change in its bytes
 GENERATE_SHA256 = [
     (("--k-max", "7"),
-     "b6f2284b08eba089efd4b4670023b5f9a7eb1e4522730d55b31c38e550c03fc3"),
+     "6b9bc752f047185612e7d701199c1fa45b902bc09be90580e2757ea9848a7f0b"),
     (("--family", "gammel", "--alphas", "1/4,1/16,0,0", "--poles", "1/2,1/3,1/4,1/5"),
      "dd6f141b912e134f649c912f6839c35a7fe999dd2ab2548f57cd15dee5df6c48"),
 ]
@@ -749,6 +783,19 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("generate", "--family", "gammel", "--alphas", "1e300j,1",
       "--poles", "0.0000000001j,1/3", "--out", "nan.json"),
      "error: a float coefficient is infinite or NaN"),
+    # sizes on a bound, or not finite: an exact probe point of modulus 1, the
+    # double just above 1/3 as a pole, and NaN or infinite points and poles
+    (("scan", "--k-max", "2", "--points", "-1"), "|z| = 1.0 outside radius_hint = 1.0"),
+    (("verify", "--k-range", "2..3", "--poles", "0.33333333333333337j,1/5"),
+     "counterexample poles must satisfy 0 < |z_k| < 1/3"),
+    (("scan", "--k-max", "2", "--points", "nan", "--float"),
+     "|z| = nan outside radius_hint = 1.0"),
+    (("scan", "--k-max", "2", "--points", "infj", "--float"),
+     "|z| = inf outside radius_hint = 1.0"),
+    (("verify", "--k-range", "2..3", "--poles", "nanj,1/5"),
+     "pole z_2 = nanj outside the punctured unit disc"),
+    (("generate", "--k-max", "3", "--poles", "1/4,inf"),
+     "pole z_3 = (inf+0j) outside the punctured unit disc"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2

@@ -1,5 +1,6 @@
 """Toeplitz assembly, the spike/shift split, and coefficient-sum bounds."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,39 @@ def test_sum_bounds_float_path():
     assert rep.s_exact is None
     assert rep.head_sum == pytest.approx(592.0)
     assert rep.tail_sum == pytest.approx(1023.934464, rel=1e-12)
+
+
+def _floor_abs(c) -> Fraction:
+    """|c| of a stored coefficient, rounded down: floor isqrt with 128 extra bits."""
+    z = qc(c) if not isinstance(c, complex) else qc(Fraction(c.real), Fraction(c.imag))
+    r2 = z.re ** 2 + z.im ** 2
+    return Fraction(math.isqrt(r2.numerator * r2.denominator << 256), r2.denominator << 128)
+
+
+@pytest.mark.parametrize("points", [
+    (Fraction(1, 4), Fraction(1, 5), Fraction(1, 6)),           # exact real
+    (qc(0, Fraction(1, 4)), Fraction(1, 5), Fraction(1, 6)),    # exact complex
+    (0.25j, Fraction(1, 5), Fraction(1, 6)),                    # float complex
+    (0.25, 0.2, 1 / 6),                                         # float real
+])
+def test_sum_bounds_cover_the_stored_moduli(points):
+    # each written sum is at least the stored moduli's exact sum, rounded to
+    # nearest like the field; equal to it on a real series, whose |c_j| are
+    # exact, and `s_exact` is set on an exact real series alone
+    s = build_counterexample_series(4, PoleSequence.explicit(points))
+    real = not any(complex(p).imag for p in points)
+    for k in (3, 4):
+        n = block_order(k)
+        head = sum(map(_floor_abs, s.coeffs[1:n - 1]), Fraction(0))
+        tail = sum(map(_floor_abs, s.coeffs[n:2 * n]), Fraction(0))
+        rep = check_sum_bounds(s, k)
+        written = (rep.head_sum, rep.tail_sum, rep.s_value)
+        floors = (float(head), float(tail), float(head + tail))
+        assert all(w >= f for w, f in zip(written, floors))
+        if real:
+            assert written == floors
+        assert rep.exact == (s.exact and real)
+        assert rep.s_exact == (head + tail if rep.exact else None)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
