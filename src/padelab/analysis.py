@@ -443,15 +443,14 @@ def _tail_bound(point, j0: int) -> float | None:
     return t if t >= bound else math.nextafter(t, math.inf)
 
 
-def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
-                    exact: bool = True, points: tuple = (),
+def divergence_scan(k_max: int, exact: bool = True, points: tuple = (),
                     poles: PoleSequence | None = None) -> ScanTable:
     """Error of r_(n_k) at each block pole and at fixed probe points.
 
-    With the harmonic-repeated scheme every pole value recurs in
-    infinitely many blocks, so the error at such a point is infinite
-    along a subsequence: the approximants cannot converge there even
-    though every B_(n_k) is well conditioned.  `f` is the k_max
+    `poles` defaults to the harmonic-repeated scheme, where every pole
+    value recurs in infinitely many blocks, so the error at such a point
+    is infinite along a subsequence: the approximants cannot converge
+    there even though every B_(n_k) is well conditioned.  `f` is the k_max
     truncation of the series; every probe point must satisfy |z| <
     radius_hint, which is checked before any row.  Each probe error
     comes with `tail_bound`, a bound on the terms that truncation omits,
@@ -461,20 +460,12 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
     computes f - r_n = (f q - p)/q exactly on Gaussian integers (f once
     per point, p and q prepared once per row), rounds each part once and
     detects denominator zeros exactly; float mode treats |q(z)| below
-    1e-10 * (1 + |z|/min_k |z_k|) as a hit.
+    1e-10 * (1 + |z|/min_k |z_k|), k = 2..k_max, as a hit.
     """
     if k_max < 2:
         raise InvalidParameterError("scan needs k_max >= 2")
     if poles is None:
-        if scheme == "harmonic_repeated":
-            poles = PoleSequence.harmonic_repeated(k_max)
-        elif scheme == "harmonic":
-            poles = PoleSequence.harmonic(k_max)
-        else:
-            raise InvalidParameterError(
-                f"unknown pole scheme {scheme!r} (harmonic, harmonic_repeated)")
-    else:
-        scheme = poles.generator_tag
+        poles = PoleSequence.harmonic_repeated(k_max)
     if exact and not poles.exact:
         raise InvalidParameterError("exact scan requires exact pole locations")
 
@@ -490,7 +481,7 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
             check_radius(s, p)
     else:
         probe_points = tuple(check_radius(s, p) for p in points)
-    min_abs = min(abs(z) for z in poles.as_complex())
+    min_abs = min(abs(z) for z in poles.as_complex()[: k_max - 1])
     tails = [_tail_bound(p, truncation_length(k_max)) for p in probe_points]
     f_values = {}
     if exact:
@@ -525,6 +516,6 @@ def divergence_scan(k_max: int, scheme: str = "harmonic_repeated",
                                      error_undetermined=undetermined))
         rows.append(ScanRow(k=k, n=n, z_k=zc, abs_q_at_zk=abs_q,
                             error_at_zk=err, extras=tuple(extras)))
-    return ScanTable(scheme=scheme, k_max=k_max, exact=exact,
+    return ScanTable(scheme=poles.generator_tag, k_max=k_max, exact=exact,
                      points=tuple(to_complex(p) for p in probe_points),
                      rows=tuple(rows))

@@ -73,13 +73,16 @@ def _parse_range(spec: str, what: str) -> tuple:
     return (lo_v, hi_v)
 
 
-def _parse_poles(spec: str, k_hi: int) -> PoleSequence:
+def _parse_poles(spec: str, k_hi: int, start_index: int = 2) -> PoleSequence:
+    """A pole scheme named in `spec` through z_(k_hi), or its explicit list from
+    z_(start_index); scheme poles are z_2, z_3, ..., so they need start_index 2."""
     name = spec.strip().lower().replace("-", "_")
-    if name == "harmonic":
-        return PoleSequence.harmonic(k_hi)
-    if name == "harmonic_repeated":
-        return PoleSequence.harmonic_repeated(k_hi)
-    return PoleSequence.explicit(_parse_number_list(spec))
+    if name not in ("harmonic", "harmonic_repeated"):
+        return PoleSequence.explicit(_parse_number_list(spec), start_index)
+    if start_index != 2:
+        raise UsageError(f"poles indexed from k = {start_index} take an explicit list, "
+                         "not a scheme name")
+    return getattr(PoleSequence, name)(k_hi)
 
 
 def _max_n_from_env() -> int:
@@ -133,11 +136,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if not args.poles:
             raise UsageError("the gammel family requires --poles "
                              "(an explicit comma-separated list)")
-        name = args.poles.strip().lower().replace("-", "_")
-        if name in ("harmonic", "harmonic_repeated"):
-            raise UsageError("the gammel family takes an explicit pole list, "
-                             "not a scheme name")
-        poles = PoleSequence.explicit(_parse_number_list(args.poles), start_index=1)
+        poles = _parse_poles(args.poles, len(alphas), start_index=1)
         params = GammelParams(alphas=alphas, poles=poles)
         j_max = 2 ** (len(alphas) + 1) - 2    # last index of the final complete block
         _check_cap(j_max // 2, max_n)         # largest order buildable from this file
@@ -229,8 +228,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.k_max < 2:
         raise UsageError("scan needs --k-max >= 2")
     _check_cap(block_order(args.k_max), max_n)
-    table = divergence_scan(args.k_max, scheme=args.scheme.replace("-", "_"),
-                            exact=not args.float_mode, points=points)
+    table = divergence_scan(args.k_max, exact=not args.float_mode, points=points,
+                            poles=_parse_poles(args.scheme, args.k_max))
     _write_json(args.out, _jsonfmt.record(table))
     hits = sum(1 for row in table.rows if row.error_at_zk == float("inf"))
     hit = "exact pole hits" if table.exact else "float pole hits, |q| <= 1e-10 (1 + |z|/min|z_k|)"

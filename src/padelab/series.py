@@ -13,8 +13,8 @@ Two built-in families:
   n = 2^k - 1 ... 2^(k+1) - 2, the classic recipe for planting
   near-cancelling pole/zero pairs in a convergent series.
 
-Coefficients are exact (:class:`padelab.rational.QC`) whenever the
-defining data is rational, else double-precision complex.
+Coefficients are exact (:class:`padelab.rational.QC`) when the defining
+data is rational, else complex doubles, each its exact value rounded once.
 """
 
 from __future__ import annotations
@@ -224,24 +224,34 @@ def block_order(k: int) -> int:
     return 2 ** k - 2
 
 
-def block_end(k: int) -> int:
-    return 2 ** (k + 1) - 4
-
-
 def truncation_length(k_max: int) -> int:
     """Coefficient count of the complete-block truncation: 2^(k_max+1) - 3."""
     return 2 ** (k_max + 1) - 3
 
 
-def _geometric_run(start: QC, ratio: QC, count: int) -> list:
-    """start * ratio^m for m = 0..count-1, walked on Gaussian integers
-    over one growing denominator and normalized once per value."""
+def _as_qc(x) -> QC:
+    """x as a QC: a finite complex is the dyadic rational its parts store."""
+    if isinstance(x, QC):
+        return x
+    try:
+        return QC._mk(Fraction(x.real), Fraction(x.imag))
+    except (ValueError, OverflowError):
+        raise InvalidParameterError("a float coefficient is infinite or NaN") from None
+
+
+def _geometric_run(start: QC, ratio: QC, count: int, exact: bool) -> list:
+    """start * ratio^m for m = 0..count-1, walked on Gaussian integers over
+    one growing denominator: normalized once per value for an exact series,
+    else each part rounded once by a (correctly rounded) int true division."""
     [(pr, pi)], den = gaussian_integers((start,))
     [(rr, ri)], dr = gaussian_integers((ratio,))
     run = []
-    for _ in range(count):
-        run.append(from_gaussian(pr, pi, den))
-        pr, pi, den = pr * rr - pi * ri, pr * ri + pi * rr, den * dr
+    try:
+        for _ in range(count):
+            run.append(from_gaussian(pr, pi, den) if exact else complex(pr / den, pi / den))
+            pr, pi, den = pr * rr - pi * ri, pr * ri + pi * rr, den * dr
+    except OverflowError:
+        raise InvalidParameterError("a coefficient lies beyond the double range") from None
     return run
 
 
@@ -249,30 +259,20 @@ def build_counterexample_series(k_max: int, poles: PoleSequence) -> PowerSeries:
     """Materialize the counterexample series through block k_max.
 
     The truncation always ends on a complete block boundary, giving
-    2^(k_max+1) - 3 coefficients c_0..c_{2^(k_max+1)-4}.  A block with a
-    rational z_k walks 16^k z_k^e up from e = 0 on Gaussian integers (one
-    normalization per coefficient) and writes e = n_k..0; a float z_k's
-    block runs in complex doubles.  When any pole is a float, the series
-    is a float one, and `PowerSeries` rounds its exact values once each.
+    2^(k_max+1) - 3 coefficients c_0..c_{2^(k_max+1)-4}.  Block k walks
+    16^k z_k^e up from e = 0 on Gaussian integers (a float z_k as the
+    dyadic rational it stores) and writes e = n_k..0.  When any pole is a
+    float, the series is a float one: each value is rounded once.
     """
     if k_max < 2:
         raise InvalidParameterError("counterexample family needs k_max >= 2")
     poles.require_counterexample_poles(k_max)
     coeffs: list = [qc(1)]
     for k in range(2, k_max + 1):
-        spike = 16 ** k
-        coeffs.append(qc(spike))
-        z = poles.z(k)
-        if isinstance(z, QC):
-            coeffs.extend(reversed(_geometric_run(qc(spike), z, block_order(k) + 1)))
-            continue
-        zinv = 1 / z
-        # walk the geometric part upward, one exponent drop per index
-        val = spike * z ** (block_order(k))
-        coeffs.append(val)
-        for _ in range(block_order(k) + 1, block_end(k) + 1):
-            val = val * zinv
-            coeffs.append(val)
+        spike = qc(16 ** k)
+        coeffs.append(spike)
+        run = _geometric_run(spike, _as_qc(poles.z(k)), block_order(k) + 1, poles.exact)
+        coeffs.extend(reversed(run))
     meta = SeriesMeta(family="counterexample", k_max=k_max, poles=poles)
     return PowerSeries(tuple(coeffs), poles.exact, 1.0, meta)
 
@@ -312,10 +312,9 @@ def gammel_block_of(n: int) -> int:
 
 def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
     """Materialize c_0..c_{j_max} of the gammel family.  A block walks alpha_k W^n,
-    W = 1/z_k, on Gaussian integers (one normalization per coefficient), or in
-    complex doubles if alpha_k or z_k is a float; a zero alpha_k writes zeros.
-    A float series (any float alpha or pole) holds its exact values rounded
-    once each by `PowerSeries`."""
+    W = 1/z_k, on Gaussian integers (a float alpha_k or z_k as the dyadic
+    rational it stores); a zero alpha_k writes zeros.  A float series (any
+    float alpha or pole) rounds each value once."""
     if j_max < 0:
         raise InvalidParameterError("j_max must be nonnegative")
     coeffs: list = [qc(1)]
@@ -335,12 +334,8 @@ def build_gammel_series(params: GammelParams, j_max: int) -> PowerSeries:
         except OutOfRangeError as exc:
             raise InvalidParameterError(
                 f"pole z_{k} required for a nonzero alpha_{k}") from exc
-        if isinstance(alpha, QC) and isinstance(z, QC):
-            w = 1 / z
-            coeffs.extend(_geometric_run(alpha * w ** lo, w, hi - lo + 1))
-        else:
-            w = 1 / to_complex(z)
-            coeffs.extend(to_complex(alpha) * w ** n for n in range(lo, hi + 1))
+        w = 1 / _as_qc(z)
+        coeffs.extend(_geometric_run(_as_qc(alpha) * w ** lo, w, hi - lo + 1, params.exact))
     meta = SeriesMeta(family="gammel", k_max=top_block,
                       poles=params.poles, alphas=params.alphas)
     return PowerSeries(tuple(coeffs), params.exact, 1.0, meta)

@@ -293,8 +293,6 @@ def test_scan_guards():
     with pytest.raises(InvalidParameterError):
         divergence_scan(1)
     with pytest.raises(InvalidParameterError):
-        divergence_scan(3, scheme="fibonacci")
-    with pytest.raises(InvalidParameterError):
         divergence_scan(3, points=(0.3,))
     with pytest.raises(DomainError):
         divergence_scan(2, points=(Fraction(3, 2),))
@@ -354,10 +352,7 @@ def test_exact_scan_errors_equal_a_qc_reference():
             if z.abs2() < 1:
                 points.append(z)
         rng.shuffle(points)
-        if scheme:
-            table = divergence_scan(k_max, scheme=scheme, points=tuple(points))
-        else:
-            table = divergence_scan(k_max, points=tuple(points), poles=poles)
+        table = divergence_scan(k_max, points=tuple(points), poles=poles)
         s = build_counterexample_series(k_max, poles)
         for row in table.rows:
             approx = classical_pade(s, row.n, exact=True)

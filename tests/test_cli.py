@@ -80,7 +80,6 @@ def test_harmonic_poles_are_tagged_harmonic():
     Path("old.json").write_text(json.dumps(doc))
     assert load_series("old.json").meta.poles.points == PoleSequence.harmonic(3).points
     assert divergence_scan(3, poles=PoleSequence.harmonic(3)).scheme == "harmonic"
-    assert divergence_scan(3, scheme="harmonic").scheme == "harmonic"
 
 
 # sizes compared exactly: a probe point whose double rounds to |z| = 1, and a
@@ -554,9 +553,10 @@ def test_exact_outputs_are_pinned_byte_for_byte():
      "2708827fde0ee275c62919792307002ac9d1a6a806f1ffd3efb8f35549578ac3"),
     (("--k-range", "2..6", "--exact-up-to", "4", "--format", "csv", "--out", "v.csv"),
      "adc3b94c87ffac8eec8b6001133e4f0632513a432395815d4114c22089de79c0"),
-    # a float pole among exact ones: the whole series, and each block, is float
+    # a float pole among exact ones: the whole series, and each block, is float,
+    # each coefficient the exact walk of the doubles given, rounded once
     (("--k-range", "2..4", "--poles", "1/4,0.2j,1/6", "--out", "v.json"),
-     "91ae81747cd35e7f1321432a90283a83697ea2d06a47a5769c90ec91176ee82a"),
+     "4688131432c3cf3140dd2af4bffded5b284b33606ba69db9c4740578ebcea8df"),
 ])
 def test_verify_outputs_are_pinned_byte_for_byte(argv, digest):
     assert run("verify", *argv) == 0
@@ -777,12 +777,12 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("generate", "--family", "gammel", "--alphas", "1" + "0" * 400 + ",1/16",
       "--poles", "1/2,0.5j", "--out", "huge.json"),
      "error: a coefficient lies beyond the double range"),
-    # a float series holding inf or NaN, given as an alpha or reached by overflow
+    # an alpha of inf, and a float series whose true values leave the double range
     (("generate", "--family", "gammel", "--alphas", "inf,1/16", "--poles", "1/2,1/3",
       "--out", "inf.json"), "error: a float coefficient is infinite or NaN"),
     (("generate", "--family", "gammel", "--alphas", "1e300j,1",
       "--poles", "0.0000000001j,1/3", "--out", "nan.json"),
-     "error: a float coefficient is infinite or NaN"),
+     "error: a coefficient lies beyond the double range"),
     # sizes on a bound, or not finite: an exact probe point of modulus 1, the
     # double just above 1/3 as a pole, and NaN or infinite points and poles
     (("scan", "--k-max", "2", "--points", "-1"), "|z| = 1.0 outside radius_hint = 1.0"),
@@ -796,6 +796,10 @@ def test_help_and_bad_arguments_exit_codes(capsys):
      "pole z_2 = nanj outside the punctured unit disc"),
     (("generate", "--k-max", "3", "--poles", "1/4,inf"),
      "pole z_3 = (inf+0j) outside the punctured unit disc"),
+    # a pole scheme only the scan's choices name, and one the gammel family cannot index
+    (("scan", "--k-max", "3", "--scheme", "fibonacci"), "invalid choice: 'fibonacci'"),
+    (("generate", "--family", "gammel", "--alphas", "1", "--poles", "harmonic"),
+     "poles indexed from k = 1 take an explicit list, not a scheme name"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2

@@ -24,7 +24,6 @@ from padelab.series import (
     PoleSequence,
     PowerSeries,
     _literal,
-    block_end,
     block_order,
     build_counterexample_series,
     build_gammel_series,
@@ -98,14 +97,12 @@ def test_counterexample_admissibility():
 
 def test_block_index_values():
     assert [block_order(k) for k in (2, 3, 4, 5, 6)] == [2, 6, 14, 30, 62]
-    assert [block_end(k) for k in (2, 3, 4)] == [4, 12, 28]
     assert [truncation_length(k) for k in (2, 3, 4, 5)] == [5, 13, 29, 61]
 
 
 def test_truncation_ends_on_block_boundary():
     for k in range(2, 8):
-        assert truncation_length(k) == block_end(k) + 1
-        assert block_end(k) + 1 == block_order(k + 1) - 1      # block k + 1's spike
+        assert truncation_length(k) == block_order(k + 1) - 1      # block k + 1's spike
         assert truncation_length(k) == 2 * block_order(k) + 1
 
 
@@ -188,7 +185,14 @@ def test_gammel_zero_alpha_skips_pole():
     assert s.coeffs[3] == qc(27)
 
 
-def test_gammel_mixing_float_and_exact_values_runs_those_blocks_in_doubles():
+def _dyadic(x):
+    """x as an exact QC: a double or complex as the dyadic rational its parts store."""
+    if isinstance(x, (complex, float)):
+        return qc(Fraction(x.real), Fraction(x.imag))
+    return qc(x)
+
+
+def test_gammel_mixing_float_and_exact_values_rounds_the_exact_walk_once():
     for alphas, poles in (((Fraction(1, 4), Fraction(1, 16)), (0.5j, Fraction(1, 3))),
                           ((0.25j, Fraction(1, 16)), (Fraction(1, 2), Fraction(1, 3)))):
         params = GammelParams(alphas=alphas,
@@ -198,8 +202,37 @@ def test_gammel_mixing_float_and_exact_values_runs_those_blocks_in_doubles():
         assert all(isinstance(c, complex) for c in s.coeffs[:3])
         for n in range(1, 7):
             k = gammel_block_of(n)
-            expected = complex(alphas[k - 1]) * (1 / complex(poles[k - 1])) ** n
-            assert complex(s.coeffs[n]) == pytest.approx(expected, rel=1e-15)
+            expected = _dyadic(alphas[k - 1]) * (1 / _dyadic(poles[k - 1])) ** n
+            assert s.coeffs[n] == to_complex(expected)
+
+
+@pytest.mark.parametrize("points", [
+    # block 9 starts its walk at 16^9 z_9^510, below the smallest double, and
+    # ends at c_1020 = 16^9
+    [Fraction(1, m) for m in range(4, 11)] + [complex(0, 1 / 11)],
+    # real doubles 1/(k + 2), whose powers no double holds exactly
+    [1 / (k + 2) for k in range(2, 8)],
+])
+def test_float_poles_round_the_exact_walk_of_their_doubles_once(points):
+    k_max = len(points) + 1
+    s = build_counterexample_series(k_max, PoleSequence.explicit(points))
+    exact = build_counterexample_series(k_max, PoleSequence.explicit(map(_dyadic, points)))
+    assert not s.exact and exact.exact
+    assert s.coeffs == tuple(map(to_complex, exact.coeffs))
+    assert s.coeffs[-1] == 16 ** k_max
+
+
+def test_float_gammel_weights_round_the_exact_walk_once():
+    # alpha_7 (1/z_7)^n = 1e-300 (-100j)^n lies between 1e-46 and 1e208 for
+    # n = 127..254, though (-100j)^n alone leaves the double range
+    alphas = (1,) * 6 + (1e-300j,)
+    poles = PoleSequence.explicit([Fraction(1, m) for m in range(2, 8)] + [0.01j], start_index=1)
+    s = build_gammel_series(GammelParams(alphas=alphas, poles=poles), 254)
+    assert not s.exact and len(s.coeffs) == 255
+    for n in range(1, 255):
+        k = gammel_block_of(n)
+        expected = _dyadic(alphas[k - 1]) * (1 / _dyadic(poles.z(k))) ** n
+        assert s.coeffs[n] == to_complex(expected)
 
 
 def test_a_float_series_holds_only_complex_values():
@@ -240,8 +273,8 @@ def _counterexample_by_products(k_max: int, poles: PoleSequence) -> list:
     coeffs = [qc(1)]
     for k in range(2, k_max + 1):
         coeffs.append(qc(16 ** k))
-        coeffs.extend(16 ** k * _power_by_products(poles.z(k), block_end(k) - j)
-                      for j in range(block_order(k), block_end(k) + 1))
+        coeffs.extend(16 ** k * _power_by_products(poles.z(k), 2 * block_order(k) - j)
+                      for j in range(block_order(k), 2 * block_order(k) + 1))
     return coeffs
 
 
