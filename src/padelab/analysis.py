@@ -10,9 +10,9 @@ Three consumers of the approximation machinery:
   numerator at the pole, singular value ratio below 5, sum bounds,
   Weyl sandwich) and reports each check separately.
 * `divergence_scan` tabulates |f - r_n| at the block poles and at
-  caller-chosen probe points across a range of blocks, the experiment
-  showing that well-conditioned approximants still fail to converge
-  pointwise.
+  caller-chosen probe points across a range of blocks, exactly on
+  Gaussian integers, the experiment showing that well-conditioned
+  approximants still fail to converge pointwise.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,16 +28,17 @@ from ._jsonfmt import format_float, num
 from .errors import InvalidParameterError, NumericalError
 from .linalg import ORACLE_MAX_ROWS, exact_sigma_ratio_bounds, svd
 from .pade import PadeApproximant, classical_pade
-from .rational import (QC, abs2, abs_upper, horner, integer_horner, integer_poly,
-                       poly_derivative, qc, to_complex)
+from .rational import (QC, abs2, abs_upper, gaussian_integers, horner, integer_horner,
+                       integer_poly, poly_derivative, qc, to_complex)
 from .series import (
     PoleSequence,
     PowerSeries,
     GROWTH_EXPONENT,
+    _as_qc,
+    _coerce_scalar,
     block_order,
     build_counterexample_series,
     check_radius,
-    eval_series,
     truncation_length,
 )
 from .toeplitz import build_pair, check_sum_bounds
@@ -228,10 +229,38 @@ class CounterexampleReport:
         return ",".join(cells)
 
 
+def _round_to_zero(s: PowerSeries, indices) -> bool:
+    """Whether both parts of the family's exact c_j = 16^k z_k^e lie at or
+    below 2^-1075, so round to 0, at every j in `indices`.
+
+    Block k holds e = 2^(k+1) - 4 - j at 2^k - 2 <= j <= 2^(k+1) - 4; each
+    block walks 2^1075 16^k z_k^e up from e = 0 once, on Gaussian integers
+    over one growing denominator, and compares its parts with 1 exactly.
+    """
+    by_block = {}
+    for j in indices:
+        k = (j + 3).bit_length() - 1
+        by_block.setdefault(k, set()).add(2 ** (k + 1) - 4 - j)
+    for k, exponents in by_block.items():
+        [(zr, zi)], d = gaussian_integers((_as_qc(s.meta.poles.z(k)),))
+        pr, pi, den = 16 ** k << 1075, 0, 1
+        for e in range(max(exponents) + 1):
+            if e in exponents and max(abs(pr), abs(pi)) > den:
+                return False
+            pr, pi, den = pr * zr - pi * zi, pr * zi + pi * zr, den * d
+    return True
+
+
 def _coeff_bound_check(s: PowerSeries, last_index: int) -> tuple:
-    """(all 0 < |c_j| <= (j+3)^4 for 1 <= j <= last_index, |c_1| == 256)."""
-    bound_ok = all(0 < abs2(s.coeff(j)) <= (j + 3) ** (2 * GROWTH_EXPONENT)
-                   for j in range(1, last_index + 1))
+    """(all 0 < |c_j| <= (j+3)^4 for 1 <= j <= last_index, |c_1| == 256).
+
+    On a float series a stored 0 passes the lower bound where the exact
+    value rounds to 0 too (`_round_to_zero`), and only there.
+    """
+    coeffs = s.coeffs[1:last_index + 1]
+    zeros = [j for j, c in enumerate(coeffs, 1) if not c]
+    bound_ok = (all(abs2(c) <= (j + 3) ** (2 * GROWTH_EXPONENT) for j, c in enumerate(coeffs, 1))
+                and (not zeros or not s.exact and _round_to_zero(s, zeros)))
     return bound_ok, abs2(s.coeff(1)) == 4 ** (2 * GROWTH_EXPONENT)
 
 
@@ -374,21 +403,9 @@ class ScanRow:
 class ScanTable:
     scheme: str
     k_max: int
-    exact: bool
+    exact: bool         # always true: every scan is exact
     points: tuple
     rows: tuple
-
-
-def _float_probe(f, approx, min_abs: float, z) -> tuple:
-    """(|q(z)|, |f(z) - r(z)| or inf at a denominator hit) in doubles."""
-    zc = to_complex(z)
-    tol_hit = 1e-10 * (1.0 + abs(zc) / min_abs)
-    q_val = approx.denominator_at(zc)
-    abs_q = abs(q_val)
-    if abs_q <= tol_hit:
-        return abs_q, math.inf
-    r_val = approx.numerator_at(zc) / q_val
-    return abs_q, abs(f(zc) - r_val)
 
 
 def _exact_probe(f, p, q, z: QC) -> tuple:
@@ -443,79 +460,56 @@ def _tail_bound(point, j0: int) -> float | None:
     return t if t >= bound else math.nextafter(t, math.inf)
 
 
-def divergence_scan(k_max: int, exact: bool = True, points: tuple = (),
+def divergence_scan(k_max: int, points: tuple = (),
                     poles: PoleSequence | None = None) -> ScanTable:
     """Error of r_(n_k) at each block pole and at fixed probe points.
 
     `poles` defaults to the harmonic-repeated scheme, where every pole
     value recurs in infinitely many blocks, so the error at such a point
     is infinite along a subsequence: the approximants cannot converge
-    there even though every B_(n_k) is well conditioned.  `f` is the k_max
-    truncation of the series; every probe point must satisfy |z| <
-    radius_hint, which is checked before any row.  Each probe error
-    comes with `tail_bound`, a bound on the terms that truncation omits,
-    and `error_undetermined`, true when a finite error does not exceed
-    that bound (or no bound exists): such an error says nothing about
-    |f - r_n| for the whole f.  Exact mode
-    computes f - r_n = (f q - p)/q exactly on Gaussian integers (f once
-    per point, p and q prepared once per row), rounds each part once and
-    detects denominator zeros exactly; float mode treats |q(z)| below
-    1e-10 * (1 + |z|/min_k |z_k|), k = 2..k_max, as a hit.
+    there even though every B_(n_k) is well conditioned.  The poles must
+    be exact.  `f` is the k_max truncation of the series; every probe
+    point must satisfy |z| < radius_hint, which is checked before any
+    row, and a float or complex point is then taken as the dyadic
+    rational it stores.  Each probe error comes with `tail_bound`, a
+    bound on the terms that truncation omits, and `error_undetermined`,
+    true when a finite error does not exceed that bound (or no bound
+    exists): such an error says nothing about |f - r_n| for the whole f.
+    f - r_n = (f q - p)/q is computed exactly on Gaussian integers (f
+    once per point, p and q prepared once per row), each part rounded
+    once; a pole hit is an exact zero of q.
     """
     if k_max < 2:
         raise InvalidParameterError("scan needs k_max >= 2")
     if poles is None:
         poles = PoleSequence.harmonic_repeated(k_max)
-    if exact and not poles.exact:
-        raise InvalidParameterError("exact scan requires exact pole locations")
+    if not poles.exact:
+        raise InvalidParameterError("scan requires exact pole locations")
 
     s = build_counterexample_series(k_max, poles)
-    if exact:
-        try:
-            probe_points = tuple(qc(p) for p in points)
-        except TypeError as err:
-            raise InvalidParameterError(
-                "exact scan requires exact probe points (int, Fraction, "
-                "or rational literals like '1/4')") from err
-        for p in probe_points:
-            check_radius(s, p)
-    else:
-        probe_points = tuple(check_radius(s, p) for p in points)
-    min_abs = min(abs(z) for z in poles.as_complex()[: k_max - 1])
+    points = tuple(map(_coerce_scalar, points))     # a literal like '1/4' as a QC
+    for p in points:
+        check_radius(s, p)
+    probe_points = tuple(map(_as_qc, points))
     tails = [_tail_bound(p, truncation_length(k_max)) for p in probe_points]
-    f_values = {}
-    if exact:
-        f_poly = integer_poly(s.coeffs)
-
-    def f(z):
-        # f at each distinct point once: block poles and probe points recur
-        value = f_values.get(z)
-        if value is None:
-            value = integer_horner(f_poly, z) if exact else eval_series(s, z)
-            f_values[z] = value
-        return value
-
+    # f at each distinct point once: block poles and probe points recur
+    f = cache(partial(integer_horner, integer_poly(s.coeffs)))
     rows = []
     for k in range(2, k_max + 1):
         n = block_order(k)
-        approx = classical_pade(s, n, exact=exact)
-        if exact:
-            probe = partial(_exact_probe, f, integer_poly(approx.a_effective),
-                            integer_poly(approx.b_effective))
-        else:
-            probe = partial(_float_probe, f, approx, min_abs)
+        approx = classical_pade(s, n, exact=True)
+        probe = partial(_exact_probe, f, integer_poly(approx.a_effective),
+                        integer_poly(approx.b_effective))
         z = poles.z(k)
-        zc = to_complex(z)
         abs_q, err = probe(z)
         extras = []
         for p, tail in zip(probe_points, tails):
-            pc = to_complex(p)
             pa, pe = probe(p)
             undetermined = pe != math.inf and (tail is None or pe <= tail)
-            extras.append(PointError(point=pc, abs_q=pa, error=pe, tail_bound=tail,
+            extras.append(PointError(point=to_complex(p), abs_q=pa, error=pe, tail_bound=tail,
                                      error_undetermined=undetermined))
-        rows.append(ScanRow(k=k, n=n, z_k=zc, abs_q_at_zk=abs_q,
+        rows.append(ScanRow(k=k, n=n, z_k=to_complex(z), abs_q_at_zk=abs_q,
                             error_at_zk=err, extras=tuple(extras)))
-    return ScanTable(scheme=poles.generator_tag, k_max=k_max, exact=exact,
+    return ScanTable(scheme=poles.generator_tag, k_max=k_max, exact=True,
                      points=tuple(to_complex(p) for p in probe_points),
                      rows=tuple(rows))

@@ -6,9 +6,10 @@ summary to stdout.  Exit codes: 0 success, 2 validation or usage
 problem, 3 numerical failure.  The environment variable PADE_LAB_MAX_N
 (default 512) caps the linear system order any subcommand may build.
 Rational literals like 1/4 are accepted anywhere a number is expected,
-so exact-mode runs work from the shell.  The solver modules (and numpy)
-are imported by the subcommands that solve, so `generate` runs without
-them.
+so exact-mode runs work from the shell; `scan` takes any other number,
+such as 0.5j, at the exact value of its double.  The solver modules (and
+numpy) are imported by the subcommands that solve, so `generate` runs
+without them.
 """
 
 from __future__ import annotations
@@ -122,18 +123,18 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     max_n = _max_n_from_env()
-    alphas = _parse_number_list(args.alphas) if args.alphas else ()
+    alphas = () if args.alphas is None else _parse_number_list(args.alphas)
     if args.family == "counterexample":
         if args.k_max is None or args.k_max < 2:
             raise UsageError("generate needs --k-max >= 2")
         _check_cap(block_order(args.k_max), max_n)
-        poles = _parse_poles(args.poles or "harmonic", args.k_max)
+        poles = _parse_poles("harmonic" if args.poles is None else args.poles, args.k_max)
         s = build_counterexample_series(args.k_max, poles)
     else:
         if not alphas:
             raise UsageError("the gammel family requires --alphas "
                              "(comma-separated block amplitudes)")
-        if not args.poles:
+        if args.poles is None:
             raise UsageError("the gammel family requires --poles "
                              "(an explicit comma-separated list)")
         poles = _parse_poles(args.poles, len(alphas), start_index=1)
@@ -202,7 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.k_range, "--k-range")
     out = args.out if args.out is not None else Path(f"verify.{args.fmt}")
     _check_cap(block_order(hi), max_n)
-    poles = _parse_poles(args.poles or "harmonic", hi)
+    poles = _parse_poles(args.poles, hi)
     reports = [verify_counterexample(k, poles, exact=k <= args.exact_up_to)
                for k in range(lo, hi + 1)]
     if args.fmt == "csv":
@@ -214,8 +215,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     verdict = "all passed" if all(r.passed for r in reports) else "FAILED checks present"
     unseen = [str(r.k) for r in reports if r.p_ok is None]
     if unseen:
-        verdict += (f"; p(z_k) not certified for k = {', '.join(unseen)} "
-                    f"(below float rounding), rerun with --exact-up-to {unseen[-1]}")
+        fix = (f"rerun with --exact-up-to {unseen[-1]}" if poles.exact
+               else "certifying it needs rational poles")
+        verdict += f"; p(z_k) not certified for k = {', '.join(unseen)} (below float rounding), {fix}"
     print(f"wrote {out} ({len(reports)} blocks, {verdict})")
     return 0
 
@@ -224,16 +226,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     from .analysis import divergence_scan
 
     max_n = _max_n_from_env()
-    points = _parse_number_list(args.points) if args.points else ()
+    points = () if args.points is None else _parse_number_list(args.points)
     if args.k_max < 2:
         raise UsageError("scan needs --k-max >= 2")
     _check_cap(block_order(args.k_max), max_n)
-    table = divergence_scan(args.k_max, exact=not args.float_mode, points=points,
+    table = divergence_scan(args.k_max, points=points,
                             poles=_parse_poles(args.scheme, args.k_max))
     _write_json(args.out, _jsonfmt.record(table))
     hits = sum(1 for row in table.rows if row.error_at_zk == float("inf"))
-    hit = "exact pole hits" if table.exact else "float pole hits, |q| <= 1e-10 (1 + |z|/min|z_k|)"
-    print(f"wrote {args.out} ({len(table.rows)} rows, {hits} {hit})")
+    print(f"wrote {args.out} ({len(table.rows)} rows, {hits} exact pole hits)")
     return 0
 
 
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check every counterexample claim per block")
     ver.add_argument("--k-range", required=True, metavar="A..B")
-    ver.add_argument("--poles", default=None, metavar="SPEC")
+    ver.add_argument("--poles", default="harmonic", metavar="SPEC")
     ver.add_argument("--exact-up-to", type=int, default=0,
                      help="blocks k <= this verify in exact arithmetic")
     ver.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
@@ -292,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--scheme", choices=("harmonic-repeated", "harmonic"),
                       default="harmonic-repeated")
     scan.add_argument("--points", default=None, metavar="LIST",
-                      help="extra probe points, e.g. 1/4,9/10")
-    scan.add_argument("--float", action="store_true", dest="float_mode",
-                      help="float pipeline instead of exact rationals")
+                      help="extra probe points, e.g. 1/4,9/10 (a float such as 0.5j "
+                           "at the exact value of its double)")
     scan.add_argument("--out", type=Path, default=Path("scan.json"))
     return parser
 

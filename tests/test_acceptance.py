@@ -173,7 +173,7 @@ def test_criterion_5_robust_keeps_order_and_spurious_pole_persists():
 
 def test_criterion_6_divergence_along_repeated_poles():
     failures = []
-    table = divergence_scan(6, exact=True, points=(Fraction(1, 4),),
+    table = divergence_scan(6, points=(Fraction(1, 4),),
                             poles=PoleSequence.harmonic_repeated(6))
     by_value: dict = {}
     for row in table.rows:

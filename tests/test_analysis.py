@@ -1,5 +1,6 @@
 """Pole classification, per-block verification, and divergence scans."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from padelab import analysis
 from padelab._jsonfmt import record
 from padelab.analysis import (
     CounterexampleReport,
+    _coeff_bound_check,
     _tail_bound,
     divergence_scan,
     find_poles,
@@ -22,7 +24,7 @@ from padelab.errors import (
 )
 from padelab.linalg import svd
 from padelab.pade import PadeApproximant, classical_pade
-from padelab.rational import qc, to_complex
+from padelab.rational import is_exact_scalar, qc, to_complex
 from padelab.series import (
     PoleSequence,
     PowerSeries,
@@ -227,6 +229,22 @@ def test_verify_bracket_absent_without_oracle():
         assert record(rep)["sigma_ratio_bracket"] is None
 
 
+def test_verify_float_series_zero_passes_only_where_its_exact_value_rounds_to_0():
+    # block 9 of a float pole 1/11: 16^9 z_9^e lies below the smallest
+    # subnormal for e >= 322, so c_510..c_698 are stored as 0; c_699 is 5e-324j
+    poles = PoleSequence.explicit([Fraction(1, m) for m in range(4, 11)]
+                                  + [0.09090909090909091j])
+    s = build_counterexample_series(9, poles)
+    assert [j for j, c in enumerate(s.coeffs) if not c] == list(range(510, 699))
+    assert s.coeffs[699] == 5e-324j
+    assert _coeff_bound_check(s, 1020) == (True, True)
+    for j in (699, 1019, 5):        # a subnormal, a normal value, an earlier block
+        zeroed = dataclasses.replace(s, coeffs=s.coeffs[:j] + (0j,) + s.coeffs[j + 1:])
+        assert _coeff_bound_check(zeroed, 1020) == (False, True)
+    rep = verify_counterexample(9, poles)
+    assert rep.coeff_bound_ok and rep.q_ok and rep.passed
+
+
 def test_verify_guards():
     with pytest.raises(InvalidParameterError):
         verify_counterexample(1, PoleSequence.harmonic(2))
@@ -274,14 +292,6 @@ def test_scan_repeated_scheme_prefix_and_probes():
         assert outer.abs_q > 0
 
 
-def test_scan_float_mode_hits_own_pole():
-    table = divergence_scan(3, exact=False)
-    assert not table.exact
-    for row in table.rows:
-        assert row.error_at_zk == math.inf
-        assert row.abs_q_at_zk <= 1e-10 * (1.0 + abs(row.z_k) / 0.2)
-
-
 def test_scan_explicit_poles_take_their_tag():
     poles = PoleSequence.explicit([Fraction(1, 4), Fraction(1, 5)])
     table = divergence_scan(3, poles=poles)
@@ -292,12 +302,20 @@ def test_scan_explicit_poles_take_their_tag():
 def test_scan_guards():
     with pytest.raises(InvalidParameterError):
         divergence_scan(1)
-    with pytest.raises(InvalidParameterError):
-        divergence_scan(3, points=(0.3,))
+    # a float probe point is scanned at the dyadic rational it stores, a
+    # rational literal at its value; float poles are refused
+    table = divergence_scan(3, points=(0.3,))
+    assert table.exact and table.points == (0.3 + 0j,)
+    assert all(0 < row.extras[0].error < math.inf for row in table.rows)
+    assert divergence_scan(3, points=("1/4",)) == divergence_scan(3, points=(Fraction(1, 4),))
+    with pytest.raises(InvalidParameterError, match="exact pole locations"):
+        divergence_scan(3, poles=PoleSequence.explicit([0.25, Fraction(1, 5)]))
     with pytest.raises(DomainError):
         divergence_scan(2, points=(Fraction(3, 2),))
 
 
+# `exact` says whether the outside point is a rational or a double; both
+# take the one route
 @pytest.mark.parametrize("exact, outside", [(True, Fraction(10 ** 400)), (True, Fraction(2)),
                                             (False, 2.0), (False, math.nan),
                                             (True, qc(Fraction(3, 5), Fraction(4, 5)))])
@@ -307,9 +325,10 @@ def test_scan_checks_every_probe_point_before_any_row(monkeypatch, exact, outsid
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was started")
 
+    assert is_exact_scalar(outside) is exact
     monkeypatch.setattr(analysis, "classical_pade", no_rows)
     with pytest.raises(DomainError):
-        divergence_scan(3, exact=exact, points=(Fraction(1, 4), outside))
+        divergence_scan(3, points=(Fraction(1, 4), outside))
 
 
 def _qc_probe(s, approx, z):
@@ -323,9 +342,11 @@ def _qc_probe(s, approx, z):
 def test_exact_scan_errors_equal_a_qc_reference():
     # the scan's Gaussian-integer probe rounds each part of (f q - p)/q once,
     # so it must give the very floats of the QC route: seeded scans over both
-    # schemes and explicit Gaussian poles, real and Gaussian probe points, and
-    # probes placed on block poles (exact hits)
+    # schemes and explicit Gaussian poles, real and Gaussian probe points,
+    # complex doubles (taken at the dyadic rationals they store), and probes
+    # placed on block poles (exact hits)
     rng = random.Random(19)
+    doubles = (0.5j, 0.3 - 0.2j, -0.7 + 0.1j, 0.1j)
 
     def rational(bound):
         den = rng.choice((3, 4, 5, 7, 9, 10, 16, 97))
@@ -352,14 +373,18 @@ def test_exact_scan_errors_equal_a_qc_reference():
             if z.abs2() < 1:
                 points.append(z)
         rng.shuffle(points)
+        points.append(doubles[trial % len(doubles)])
         table = divergence_scan(k_max, points=tuple(points), poles=poles)
         s = build_counterexample_series(k_max, poles)
+        exact_points = [qc(Fraction(p.real), Fraction(p.imag)) if isinstance(p, complex) else p
+                        for p in points]
         for row in table.rows:
             approx = classical_pade(s, row.n, exact=True)
             assert (row.abs_q_at_zk, row.error_at_zk) == _qc_probe(s, approx, poles.z(row.k))
-            for p, extra in zip(points, row.extras):
+            for p, extra in zip(exact_points, row.extras):
                 assert (extra.abs_q, extra.error) == _qc_probe(s, approx, p)
                 hits += extra.error == math.inf
+        assert table.points[-1] == points[-1]
     assert hits > 0
 
 

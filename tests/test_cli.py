@@ -386,36 +386,46 @@ def test_verify_summary_names_uncertified_numerators(capsys):
     assert capsys.readouterr().out == "wrote verify.json (3 blocks, all passed)\n"
 
 
+def test_verify_summary_names_no_rerun_that_float_poles_refuse(capsys):
+    # the exact route refuses a float pole, so the summary names no rerun
+    assert run("verify", "--k-range", "4..4", "--poles", "1/4,1/5,0.125j") == 0
+    out = capsys.readouterr().out
+    assert out == ("wrote verify.json (1 blocks, all passed; p(z_k) not certified for k = 4 "
+                   "(below float rounding), certifying it needs rational poles)\n")
+    assert run("verify", "--k-range", "4..4", "--poles", "1/4,1/5,0.125j",
+               "--exact-up-to", "4") == 2
+    assert "exact verification requires exact pole locations" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scan
 
 
 def test_scan_writes_table(capsys):
-    assert run("scan", "--k-max", "3", "--points", "1/4,9/10",
+    # the complex point 0.5j is scanned at the dyadic rational its double
+    # stores, on the one exact route
+    assert run("scan", "--k-max", "3", "--points", "1/4,9/10,0.5j",
                "--out", "t.json") == 0
-    assert "2 rows, 2 exact pole hits" in capsys.readouterr().out
+    assert capsys.readouterr().out == "wrote t.json (2 rows, 2 exact pole hits)\n"
     doc = json.loads(open("t.json").read())
     assert doc["scheme"] == "harmonic_repeated" and doc["exact"] is True
     assert [row["k"] for row in doc["rows"]] == [2, 3]
     assert all(row["error_at_zk"] == "inf" for row in doc["rows"])
-
-
-def test_scan_float_summary_names_its_hit_test(capsys):
-    # a float hit is |q(z_k)| below a tolerance, not an exact zero of q
-    assert run("scan", "--k-max", "3", "--float", "--points", "0.5j,0.3",
-               "--out", "t.json") == 0
-    out = capsys.readouterr().out
-    assert out == "wrote t.json (2 rows, 2 float pole hits, |q| <= 1e-10 (1 + |z|/min|z_k|))\n"
-    assert json.loads(Path("t.json").read_text())["exact"] is False
+    assert doc["points"][2] == [0.0, 0.5]
+    assert all(0 < row["extras"][2]["error"] < 1e3 for row in doc["rows"])
 
 
 def test_scan_probe_errors_say_when_the_tail_of_f_could_hide_them(tail_partial_sum):
     # against f itself, |f - r_n| is only known up to the tail the k_max = 7
     # truncation omits: T(1/4) ~ 2.7e-143, T(9/10) ~ 0.13, T(99/100) ~ 2.1e11
-    assert run("scan", "--k-max", "7", "--points", "1/4,9/10,99/100",
+    assert run("scan", "--k-max", "7", "--points", "1/4,9/10,99/100,1/3",
                "--out", "t.json") == 0
     rows = {row["k"]: row["extras"] for row in json.loads(Path("t.json").read_text())["rows"]}
-    quarter, outer, edge = rows[7]
+    # the errors at 1/3 for k = 5, 6, 7 lie far below the double rounding of
+    # f(1/3) and r_n(1/3), and are kept
+    for k, error in ((5, 2.3e-22), (6, 9.0e-52), (7, 3.1e-112)):
+        assert error * 0.99 < rows[k][3]["error"] < error * 1.01
+    quarter, outer, edge, _ = rows[7]
     assert outer["error"] < 1e-3 < 0.13 < outer["tail_bound"] < 0.14
     assert outer["error_undetermined"] is True
     assert quarter["error"] < quarter["tail_bound"] < 2.8e-143
@@ -428,13 +438,6 @@ def test_scan_probe_errors_say_when_the_tail_of_f_could_hide_them(tail_partial_s
     assert 8e-12 < k4_quarter["error"] < 8.3e-12
     assert k4_quarter["error_undetermined"] is False
     assert rows[2][0]["error"] == "inf" and rows[2][0]["error_undetermined"] is False
-
-
-def test_scan_float_mode():
-    assert run("scan", "--k-max", "2", "--float", "--out", "t.json") == 0
-    doc = json.loads(open("t.json").read())
-    assert doc["exact"] is False
-    assert doc["rows"][0]["error_at_zk"] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +768,11 @@ def test_help_and_bad_arguments_exit_codes(capsys):
      "--tol must lie in (0, 1)"),
     (("approximate", "--series", "s.json", "--n", "2", "--mode", "robust", "--tol", "nan"),
      "--tol must lie in (0, 1)"),
-    # a probe point outside radius_hint, on both routes, even where a part of
-    # q(p) would leave the double range; and an output that cannot be written
+    # a probe point outside radius_hint, after a complex one or not, even where
+    # a part of q(p) would leave the double range; and an output that cannot
+    # be written
     (("scan", "--k-max", "3", "--points", "1e400"), "|z| = inf outside radius_hint = 1.0"),
-    (("scan", "--k-max", "3", "--points", "1e400", "--float"),
+    (("scan", "--k-max", "3", "--points", "0.5j,1e400"),
      "|z| = inf outside radius_hint = 1.0"),
     (("scan", "--k-max", "3", "--points", "1e308"), "|z| = 1e+308 outside radius_hint = 1.0"),
     (("generate", "--k-max", "2", "--out", "missing/s.json"),
@@ -788,9 +792,9 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("scan", "--k-max", "2", "--points", "-1"), "|z| = 1.0 outside radius_hint = 1.0"),
     (("verify", "--k-range", "2..3", "--poles", "0.33333333333333337j,1/5"),
      "counterexample poles must satisfy 0 < |z_k| < 1/3"),
-    (("scan", "--k-max", "2", "--points", "nan", "--float"),
+    (("scan", "--k-max", "2", "--points", "nan"),
      "|z| = nan outside radius_hint = 1.0"),
-    (("scan", "--k-max", "2", "--points", "infj", "--float"),
+    (("scan", "--k-max", "2", "--points", "infj"),
      "|z| = inf outside radius_hint = 1.0"),
     (("verify", "--k-range", "2..3", "--poles", "nanj,1/5"),
      "pole z_2 = nanj outside the punctured unit disc"),
@@ -800,6 +804,16 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("scan", "--k-max", "3", "--scheme", "fibonacci"), "invalid choice: 'fibonacci'"),
     (("generate", "--family", "gammel", "--alphas", "1", "--poles", "harmonic"),
      "poles indexed from k = 1 take an explicit list, not a scheme name"),
+    # a list value given empty is not an omitted one
+    (("verify", "--k-range", "2..3", "--poles", ""), "empty number list ''"),
+    (("generate", "--k-max", "3", "--poles", ""), "empty number list ''"),
+    (("generate", "--k-max", "3", "--alphas", ""), "empty number list ''"),
+    (("generate", "--family", "gammel", "--alphas", "1", "--poles", ""),
+     "empty number list ''"),
+    (("scan", "--k-max", "2", "--points", ""), "empty number list ''"),
+    (("scan", "--k-max", "2", "--points", " "), "empty number list ' '"),
+    # the one scan route has no float option
+    (("scan", "--k-max", "2", "--float"), "unrecognized arguments: --float"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2
