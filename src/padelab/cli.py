@@ -124,6 +124,9 @@ def _write_json(path: Path, payload) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     max_n = _max_n_from_env()
     alphas = () if args.alphas is None else _parse_number_list(args.alphas)
+    unread = ("--alphas", args.alphas) if args.family == "counterexample" else ("--k-max", args.k_max)
+    if unread[1] is not None:
+        raise UsageError(f"the {args.family} family does not read {unread[0]}")
     if args.family == "counterexample":
         if args.k_max is None or args.k_max < 2:
             raise UsageError("generate needs --k-max >= 2")
@@ -217,7 +220,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unseen:
         fix = (f"rerun with --exact-up-to {unseen[-1]}" if poles.exact
                else "certifying it needs rational poles")
-        verdict += f"; p(z_k) not certified for k = {', '.join(unseen)} (below float rounding), {fix}"
+        verdict += (f"; p(z_k) not certified for k = {', '.join(unseen)} "
+                    f"(the float tolerance cannot tell it from 0), {fix}")
     print(f"wrote {out} ({len(reports)} blocks, {verdict})")
     return 0
 

@@ -28,6 +28,7 @@ from padelab.rational import is_exact_scalar, qc, to_complex
 from padelab.series import (
     PoleSequence,
     PowerSeries,
+    _as_qc,
     build_counterexample_series,
     eval_series,
 )
@@ -157,7 +158,8 @@ def test_verify_block3_float_route():
     assert not rep.exact
     assert rep.n == 6
     assert rep.q_ok and rep.q_match < 1e-8 * 5
-    assert rep.p_ok
+    # p(z_3) = 1.7e-5 lies within the 2.0e-4 float tolerance: not certified
+    assert rep.p_ok is None
     expected_p = 4096 * 0.2 ** 12
     assert abs(rep.p_at_zk - expected_p) < 1e-8
     assert rep.sigma_ratio < 5 and rep.sigma_ratio_pass
@@ -166,22 +168,41 @@ def test_verify_block3_float_route():
     assert rep.passed
 
 
-@pytest.mark.parametrize("k", [4, 5, 6])
-def test_verify_float_route_does_not_certify_p_below_rounding(k):
-    # 16^k z_k^(2 n_k) is 1.1e-17, 2.1e-45 and 1.7e-105 here, under the
-    # 5.5e-13 .. 1.8e-12 rounding bound of the float numerator at z_k
-    rep = verify_counterexample(k, PoleSequence.harmonic(k), exact=False)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_verify_float_route_does_not_certify_p_within_its_tolerance(k):
+    # 16^k z_k^(2 n_k) is 1.7e-5, 1.1e-17, 2.1e-45 and 1.7e-105 here, within the
+    # 2.0e-4 .. 1.3 tolerance 1e-8 max(1, max|a_j|), which cannot tell it from 0
+    poles = PoleSequence.harmonic(k)
+    rep = verify_counterexample(k, poles, exact=False)
+    a = classical_pade(build_counterexample_series(k, poles), rep.n).a
+    assert abs(rep.p_expected) <= 1e-8 * max(1.0, max(abs(x) for x in a))
     assert rep.p_ok is None and record(rep)["p_ok"] is None
     assert rep.q_ok and rep.passed
 
 
+# 4096 / 5^12, and 16^6 z^124 of the imaginary z = 0.11764705882352941j, which is
+# real: each the exact value rounded once
+@pytest.mark.parametrize("k, poles, value", [
+    (3, PoleSequence.harmonic(3), 1.6777216e-05),
+    (6, PoleSequence.explicit([Fraction(1, 4), Fraction(1, 5), Fraction(1, 6), Fraction(1, 7),
+                               0.11764705882352941j]), 9.479231013449832e-109),
+], ids=["harmonic-k3", "imaginary-pole-k6"])
+def test_verify_float_route_expects_the_exact_numerator_value_rounded_once(k, poles, value):
+    rep = verify_counterexample(k, poles, exact=False)
+    assert rep.p_expected == to_complex(16 ** k * _as_qc(poles.z(k)) ** (2 * rep.n))
+    assert rep.p_expected == complex(value, 0) and rep.passed
+
+
 def test_verify_consistency_of_pass_flag():
-    rep = verify_counterexample(2, PoleSequence.harmonic(4), exact=True)
-    d = record(rep)
-    recomputed = (d["coeff_bound_ok"] and d["c1_equality"] and d["q_ok"]
-                  and d["p_ok"] and d["sigma_ratio_pass"] and d["bounds_ok"]
-                  and d["sandwich_ok"] and d["oracle_agrees"] is not False)
-    assert d["passed"] == recomputed
+    # the exact route at k = 2, and the float route at k = 3, whose p_ok is None
+    for k, exact in ((2, True), (3, False)):
+        rep = verify_counterexample(k, PoleSequence.harmonic(4), exact=exact)
+        d = record(rep)
+        recomputed = (d["coeff_bound_ok"] and d["c1_equality"] and d["q_ok"]
+                      and d["p_ok"] is not False and d["sigma_ratio_pass"] and d["bounds_ok"]
+                      and d["sandwich_ok"] and d["oracle_agrees"] is not False)
+        assert d["passed"] == recomputed
+    assert d["p_ok"] is None
 
 
 def test_verify_csv_row_matches_header():

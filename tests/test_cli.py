@@ -380,8 +380,8 @@ def test_verify_csv_format():
 def test_verify_summary_names_uncertified_numerators(capsys):
     assert run("verify", "--k-range", "3..5") == 0
     out = capsys.readouterr().out
-    assert "k = 4, 5" in out and "--exact-up-to 5" in out
-    assert [b["p_ok"] for b in json.loads(Path("verify.json").read_text())] == [True, None, None]
+    assert "k = 3, 4, 5" in out and "--exact-up-to 5" in out
+    assert [b["p_ok"] for b in json.loads(Path("verify.json").read_text())] == [None, None, None]
     assert run("verify", "--k-range", "3..5", "--exact-up-to", "5") == 0
     assert capsys.readouterr().out == "wrote verify.json (3 blocks, all passed)\n"
 
@@ -391,7 +391,8 @@ def test_verify_summary_names_no_rerun_that_float_poles_refuse(capsys):
     assert run("verify", "--k-range", "4..4", "--poles", "1/4,1/5,0.125j") == 0
     out = capsys.readouterr().out
     assert out == ("wrote verify.json (1 blocks, all passed; p(z_k) not certified for k = 4 "
-                   "(below float rounding), certifying it needs rational poles)\n")
+                   "(the float tolerance cannot tell it from 0), certifying it needs rational "
+                   "poles)\n")
     assert run("verify", "--k-range", "4..4", "--poles", "1/4,1/5,0.125j",
                "--exact-up-to", "4") == 2
     assert "exact verification requires exact pole locations" in capsys.readouterr().err
@@ -553,13 +554,14 @@ def test_exact_outputs_are_pinned_byte_for_byte():
 
 @pytest.mark.parametrize("argv, digest", [
     (("--k-range", "2..6", "--exact-up-to", "4", "--out", "v.json"),
-     "2708827fde0ee275c62919792307002ac9d1a6a806f1ffd3efb8f35549578ac3"),
+     "b80f13ac36e39a06ed6bc44d51885f4681b08568546dce88f488591fd3ee4cb4"),
     (("--k-range", "2..6", "--exact-up-to", "4", "--format", "csv", "--out", "v.csv"),
      "adc3b94c87ffac8eec8b6001133e4f0632513a432395815d4114c22089de79c0"),
     # a float pole among exact ones: the whole series, and each block, is float,
-    # each coefficient the exact walk of the doubles given, rounded once
+    # each coefficient and expected value the exact value of the doubles
+    # given, rounded once
     (("--k-range", "2..4", "--poles", "1/4,0.2j,1/6", "--out", "v.json"),
-     "4688131432c3cf3140dd2af4bffded5b284b33606ba69db9c4740578ebcea8df"),
+     "5d8687bc0e37a62274faf835e101cdc1fd727ce99d27b515a168c942f6bde7e4"),
 ])
 def test_verify_outputs_are_pinned_byte_for_byte(argv, digest):
     assert run("verify", *argv) == 0
@@ -743,7 +745,7 @@ def test_help_and_bad_arguments_exit_codes(capsys):
 
 
 # every argument is parsed before any work starts: no series file exists
-# here, and the counterexample family still parses the --alphas it ignores
+# here, and --alphas parses before the counterexample family refuses it
 @pytest.mark.parametrize("argv, message", [
     (("approximate", "--series", "s.json", "--n", "-1"), "--n must be nonnegative"),
     (("approximate", "--series", "s.json", "--n-range", "3..1"), "empty --n-range '3..1'"),
@@ -814,6 +816,11 @@ def test_help_and_bad_arguments_exit_codes(capsys):
     (("scan", "--k-max", "2", "--points", " "), "empty number list ' '"),
     # the one scan route has no float option
     (("scan", "--k-max", "2", "--float"), "unrecognized arguments: --float"),
+    # an option the family does not read
+    (("generate", "--family", "gammel", "--alphas", "1,1", "--poles", "1/2,1/3", "--k-max", "9"),
+     "the gammel family does not read --k-max"),
+    (("generate", "--k-max", "3", "--alphas", "1,2"),
+     "the counterexample family does not read --alphas"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     assert run(*argv) == 2
