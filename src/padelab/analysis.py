@@ -280,7 +280,8 @@ def verify_counterexample(k: int, poles: PoleSequence,
     substitution).  Exact q_ok and p_ok are equalities; float ones hold to
     1e-8 relative, and p_ok is None where that tolerance, 1e-8 max(1, max|a_j|),
     cannot tell 16^k z_k^(2 n_k) from 0: only the exact route certifies it.
-    On an exact series with n <= ORACLE_MAX_ROWS, on either route, the
+    On every block with n <= ORACLE_MAX_ROWS, on either route and whatever
+    its poles (a float coefficient as the dyadic rational it stores), the
     exact Gram matrix gives a certified bracket of sigma_1/sigma_n; the
     oracle agrees when the float ratio lies in it, widened by 1e-8
     relative, and is None elsewhere.
@@ -323,7 +324,7 @@ def verify_counterexample(k: int, poles: PoleSequence,
     ratio_pass = ratio < 5.0
 
     oracle_ratio = oracle_bracket = oracle_agrees = None
-    if s.exact and n <= ORACLE_MAX_ROWS:
+    if n <= ORACLE_MAX_ROWS:
         oracle = exact_sigma_ratio_bounds(build_pair(s, n, exact=True).B,
                                           guess=(sigma1, sigman))
         oracle_ratio = float(oracle.ratio)

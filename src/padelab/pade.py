@@ -2,8 +2,9 @@
 
 Both construct r = p/q of type (n, n) from c_0..c_{2n}: a denominator b
 in the nullspace of the Toeplitz matrix B_n, then a = A_n b.  The exact
-route finds both for any exact series by the extended Euclidean
-algorithm, modulo one prime or many, without building B_n.  The robust
+route finds both for any series, a float coefficient read as the
+dyadic rational it stores, by the extended Euclidean algorithm,
+modulo one prime or many, without building B_n.  The robust
 variant additionally treats singular values at or below
 tol_rel * sigma_1 as a rank deficiency, shrinks the order by that
 count, and repeats until the system is numerically full rank; trailing
@@ -23,7 +24,7 @@ from .errors import InvalidParameterError, NumericalError
 from .linalg import svd
 from .rational import (QC_ZERO, from_gaussian, gaussian_integers, horner, is_exact_scalar,
                        qc, to_complex)
-from .series import PowerSeries
+from .series import PowerSeries, _as_qc
 from .toeplitz import build_pair
 
 
@@ -105,9 +106,8 @@ def _trim_degree(vec: Sequence, tol: float) -> int:
 
 def _degree_zero(s: PowerSeries, requested_n: int, mode: str, exact: bool,
                  diagnostics: Diagnostics) -> PadeApproximant:
-    c0 = s.coeff(0) if exact else to_complex(s.coeff(0))
-    one = qc(1) if exact else complex(1.0)
-    return PadeApproximant(a=(c0,), b=(one,), requested_n=requested_n,
+    scalar = _as_qc if exact else to_complex
+    return PadeApproximant(a=(scalar(s.coeff(0)),), b=(scalar(1),), requested_n=requested_n,
                            effective_degrees=(0, 0), mode=mode, exact=exact,
                            diagnostics=diagnostics)
 
@@ -115,22 +115,20 @@ def _degree_zero(s: PowerSeries, requested_n: int, mode: str, exact: bool,
 def classical_pade(s: PowerSeries, n: int, exact: bool = False) -> PadeApproximant:
     """Type-(n, n) Pade approximant from the full-order system.
 
-    With `exact=True` (rational series required) every quantity is
-    exact.  The denominator comes from the extended Euclidean algorithm
-    modulo 2^61 - 31 (:func:`_eea_pade`), or, for outputs beyond that
-    prime, modulo many word-size primes (:func:`_multiprime_pade`), and
-    is proved by exact substitution; a series both stages decline
-    raises :class:`NumericalError`.  A rank deficient system yields the
-    minimal-degree denominator, with the nullspace dimension recorded
-    in the diagnostics rather than an error, since all choices
-    represent the same rational function.  The float route takes the
-    designated SVD nullspace direction.  Both routes trim trailing
-    exact zeros only.
+    With `exact=True` every quantity is exact, a float coefficient
+    taken as the dyadic rational it stores.  The denominator comes from
+    the extended Euclidean algorithm modulo 2^61 - 31 (:func:`_eea_pade`),
+    or, for outputs beyond that prime, modulo many word-size primes
+    (:func:`_multiprime_pade`), and is proved by exact substitution; a
+    series both stages decline raises :class:`NumericalError`.  A rank
+    deficient system yields the minimal-degree denominator, with the
+    nullspace dimension recorded in the diagnostics rather than an
+    error, since all choices represent the same rational function.  The
+    float route takes the designated SVD nullspace direction.  Both
+    routes trim trailing exact zeros only.
     """
     if n < 0:
         raise InvalidParameterError("order n must be nonnegative")
-    if exact and not s.exact:
-        raise InvalidParameterError("exact approximant requires an exact series")
     s.require_terms(2 * n + 1)
     if n == 0:
         return _degree_zero(s, 0, "classical", exact, Diagnostics())
@@ -173,7 +171,7 @@ def _eea_pade(c: list, n: int) -> tuple | None:
     proof fails.
     """
     p = _MODULUS
-    c = [qc(x) for x in c]
+    c = [_as_qc(x) for x in c]
     try:
         re = [x.re.numerator * pow(x.re.denominator, -1, p) % p for x in c[1:]]
         im = [x.im.numerator * pow(x.im.denominator, -1, p) % p if x.im else 0 for x in c[1:]]
@@ -221,7 +219,7 @@ def _euclid(g: list, n: int) -> tuple[list, int]:
 def _multiprime_pade(c: list, n: int) -> tuple | None:
     """:func:`_eea_pade` for outputs beyond one prime, by Euclid mod many primes on dc c_j."""
     from .multimodular import pade_minors   # imported on first use: most runs never need it
-    c = [qc(x) for x in c]
+    c = [_as_qc(x) for x in c]
     solved = pade_minors(gaussian_integers(c)[0], n)
     if solved is None:
         return None
@@ -341,21 +339,17 @@ def robust_pade(s: PowerSeries, n: int, tol_rel: float = 1e-12) -> PadeApproxima
 def order_residual(s: PowerSeries, r: PadeApproximant) -> tuple:
     """Coefficients of z^0..z^(m+nu) of a(z) - f(z) b(z).
 
-    Exact (all zeros) on the exact route with an exact series; small on
-    the float route.  Needs c_0..c_{m+nu}.
+    Exact (all zeros) on the exact route, on the stored coefficients (a
+    float one as the dyadic rational it stores); small on the float
+    route.  Needs c_0..c_{m+nu}.
     """
     m, nu = r.effective_degrees
     top = m + nu
     s.require_terms(top + 1)
-    exact = r.exact and s.exact
-    if exact:
-        a = list(r.a_effective) + [qc(0)] * max(0, top + 1 - (m + 1))
-        b = list(r.b_effective)
-        c = [qc(s.coeff(j)) for j in range(top + 1)]
-    else:
-        a = [to_complex(x) for x in r.a_effective] + [0.0j] * max(0, top + 1 - (m + 1))
-        b = [to_complex(x) for x in r.b_effective]
-        c = [to_complex(s.coeff(j)) for j in range(top + 1)]
+    scalar = _as_qc if r.exact else to_complex
+    a = [scalar(x) for x in r.a_effective] + [scalar(0)] * nu
+    b = [scalar(x) for x in r.b_effective]
+    c = [scalar(s.coeff(j)) for j in range(top + 1)]
     out = []
     for i in range(top + 1):
         acc = a[i]

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedInputError
-from .rational import abs_upper, qc
-from .series import PowerSeries, block_order
+from .rational import QC_ZERO, abs_upper
+from .series import PowerSeries, _as_qc, block_order
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,14 @@ class ToeplitzPair:
 
 
 def build_pair(s: PowerSeries, n: int, exact: bool) -> ToeplitzPair:
-    """Assemble (A, B) at order n from c_0..c_{2n}."""
+    """Assemble (A, B) at order n from c_0..c_{2n}; exact entries take a float
+    coefficient as the dyadic rational it stores."""
     if n < 1:
         raise InvalidParameterError("build_pair needs n >= 1")
     s.require_terms(2 * n + 1)
-    if exact and not s.exact:
-        raise InvalidParameterError("exact pair requested for an inexact series")
     if exact:
-        c = [qc(s.coeff(j)) for j in range(2 * n + 1)]
-        zero = qc(0)
-        a_rows = tuple(tuple(c[i - j] if i >= j else zero for j in range(n + 1))
+        c = [_as_qc(s.coeff(j)) for j in range(2 * n + 1)]
+        a_rows = tuple(tuple(c[i - j] if i >= j else QC_ZERO for j in range(n + 1))
                        for i in range(n + 1))
         b_rows = tuple(tuple(c[n + i - j + 1] for j in range(n + 1))
                        for i in range(n))
@@ -87,8 +85,9 @@ class SumBoundsReport:
     Each |c_j| is exact for a real c_j and rounded up otherwise, so the
     sums are exact for real coefficients and upper bounds else; the
     comparisons are exact, and the float fields are rounded to nearest.
-    When the series is exact with real coefficients `s_exact` carries
-    the rational value of s_value.
+    When every coefficient is real `s_exact` carries the rational value
+    of s_value, a float coefficient taken as the dyadic rational it
+    stores.
     """
 
     k: int
@@ -115,7 +114,7 @@ def check_sum_bounds(s: PowerSeries, k: int) -> SumBoundsReport:
     head = sum(map(abs_upper, s.coeffs[1:n - 1]), Fraction(0))
     tail = sum(map(abs_upper, s.coeffs[n:2 * n]), Fraction(0))
     total = head + tail
-    exact = s.exact and all(c.is_real for c in s.coeffs[1:2 * n])
+    exact = all(_as_qc(c).is_real for c in s.coeffs[1:2 * n])
     return SumBoundsReport(k=k, n=n, spike=spike,
                            tail_sum=float(tail), tail_limit=spike / 2,
                            head_sum=float(head), head_limit=spike / 6,

@@ -241,13 +241,23 @@ def test_verify_oracle_bracket_on_complex_poles(k):
     assert record(rep)["sigma_ratio_bracket"] == [lo, hi]
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_verify_oracle_bracket_on_float_poles(k):
+    # a float pole among exact ones makes a float series; the oracle reads each
+    # stored double as the dyadic rational it is, and brackets the float ratio
+    rep = verify_counterexample(k, PoleSequence.explicit([Fraction(1, 4), 0.2j, Fraction(1, 6)]))
+    lo, hi = rep.sigma_ratio_bracket
+    assert lo <= rep.sigma_ratio_oracle <= hi
+    assert lo * (1 - 1e-8) <= rep.sigma_ratio <= hi * (1 + 1e-8)
+    assert rep.oracle_agrees and rep.passed
+
+
 def test_verify_bracket_absent_without_oracle():
-    # the oracle runs on exact series with n <= ORACLE_MAX_ROWS only: not on
-    # the exact block k = 5 (n = 30), nor on a series with a float pole
-    for rep in (verify_counterexample(5, PoleSequence.harmonic(5), exact=True),
-                verify_counterexample(2, PoleSequence.explicit([0.25]))):
-        assert rep.sigma_ratio_bracket is None and rep.oracle_agrees is None
-        assert record(rep)["sigma_ratio_bracket"] is None
+    # the oracle runs on blocks with n <= ORACLE_MAX_ROWS only: not on the
+    # exact block k = 5 (n = 30)
+    rep = verify_counterexample(5, PoleSequence.harmonic(5), exact=True)
+    assert rep.sigma_ratio_bracket is None and rep.oracle_agrees is None
+    assert record(rep)["sigma_ratio_bracket"] is None
 
 
 def test_verify_float_series_zero_passes_only_where_its_exact_value_rounds_to_0():

@@ -127,7 +127,7 @@ GENERATE_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GENERATE_SHA256)
+@pytest.mark.parametrize("argv, digest", GENERATE_SHA256, ids=["counterexample-k7", "gammel"])
 def test_generate_writes_pinned_bytes(argv, digest):
     assert run("generate", *argv, "--out", "s.json") == 0
     assert hashlib.sha256(Path("s.json").read_bytes()).hexdigest() == digest
@@ -199,6 +199,21 @@ def test_approximate_exact_flag_writes_rational_strings():
     assert doc["exact"] is True
     assert doc["b"] == [["1", "0"], ["-4", "0"], ["0", "0"]]
     assert doc["a"] == [["1", "0"], ["252", "0"], ["-1008", "0"]]
+
+
+@pytest.mark.parametrize("n", [2, 6, 14])
+def test_approximate_exact_reads_a_float_file_as_the_doubles_it_stores(n):
+    # poles 2^-2, 2^-3, 2^-4 given as doubles make a float file whose values
+    # are exactly the rationals of the exact file, so the exact route writes
+    # the same bytes for both
+    save_series(build_counterexample_series(4, PoleSequence.explicit([0.25, 0.125, 0.0625])),
+                "f.json")
+    assert run("generate", "--k-max", "4", "--poles", "1/4,1/8,1/16", "--out", "e.json") == 0
+    assert json.loads(Path("f.json").read_text())["exact"] is False
+    for name in ("f", "e"):
+        assert run("approximate", "--series", f"{name}.json", "--n", str(n), "--exact",
+                   "--analyze", "--out", f"{name}-a.json") == 0
+    assert Path("f-a.json").read_bytes() == Path("e-a.json").read_bytes()
 
 
 def _unlimited_str(x):
@@ -559,10 +574,11 @@ def test_exact_outputs_are_pinned_byte_for_byte():
      "adc3b94c87ffac8eec8b6001133e4f0632513a432395815d4114c22089de79c0"),
     # a float pole among exact ones: the whole series, and each block, is float,
     # each coefficient and expected value the exact value of the doubles
-    # given, rounded once
+    # given, rounded once; the sigma-ratio oracle brackets every block, each
+    # stored double read as the dyadic rational it is
     (("--k-range", "2..4", "--poles", "1/4,0.2j,1/6", "--out", "v.json"),
-     "5d8687bc0e37a62274faf835e101cdc1fd727ce99d27b515a168c942f6bde7e4"),
-])
+     "5f2b32c30992e7bdaa188a122c6ae93b4999e803d88dd277775bf4aee70eeb61"),
+], ids=["exact-json", "exact-csv", "float-pole-json"])
 def test_verify_outputs_are_pinned_byte_for_byte(argv, digest):
     assert run("verify", *argv) == 0
     assert hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest() == digest

@@ -463,6 +463,45 @@ def test_order_residual_exact_zero_block3():
     assert all(x == qc(0) for x in order_residual(s, r))
 
 
+@pytest.fixture(scope="module")
+def k7_float():
+    # the harmonic poles stored as doubles: z_6 = 1/8 alone is dyadic
+    return build_counterexample_series(7, PoleSequence.explicit([1.0 / (k + 2) for k in range(2, 8)]))
+
+
+@pytest.mark.parametrize("n, k, nullity, degrees", [
+    (0, None, None, (0, 0)),
+    (6, 3, 1, (6, 6)),
+    (14, 4, 1, (14, 14)),
+    (30, 5, 1, (30, 30)),
+    (62, 6, 1, (62, 1)),
+], ids=["n0", "n6", "n14", "n30", "n62"])
+def test_exact_route_solves_the_stored_doubles_of_a_float_series(k7_float, n, k, nullity, degrees):
+    # a float coefficient is the dyadic rational it stores: the exact route
+    # solves those values and proves the result by substitution
+    r = classical_pade(k7_float, n, exact=True)
+    assert r.exact and all(isinstance(x, QC) for x in r.a + r.b)
+    assert r.diagnostics.nullspace_dim == nullity
+    assert r.effective_degrees == degrees
+    assert all(x == qc(0) for x in order_residual(k7_float, r))
+    if k is not None:
+        b = [complex(x) for x in r.b_effective]
+        inside = [z for z in np.roots(b[::-1]) if abs(z) < 1]
+        assert len(inside) == 1 and abs(inside[0] - 1.0 / (k + 2)) <= 1e-12
+    if n == 62:                             # the pole sits at exactly 1/8
+        assert r.b_effective == (qc(1), qc(-8))
+
+
+def test_exact_route_on_a_gammel_series_with_a_float_pole():
+    s = build_gammel_series(GammelParams(alphas=(Fraction(1, 4), Fraction(1, 16)),
+                                         poles=PoleSequence.explicit([0.5j, Fraction(1, 3)],
+                                                                     start_index=1)), 6)
+    assert not s.exact
+    r = classical_pade(s, 3, exact=True)
+    assert r.b == (qc(1), qc(-3), qc(0), qc(0))
+    assert r.effective_degrees == (3, 1)
+
+
 def test_order_residual_float_small(k2_float):
     r = classical_pade(k2_float, 2)
     res = order_residual(k2_float, r)
@@ -536,8 +575,6 @@ def test_json_dict_infinite_ratio_serializes_as_string():
 def test_parameter_guards(k2_exact, k2_float):
     with pytest.raises(InvalidParameterError):
         classical_pade(k2_exact, -1)
-    with pytest.raises(InvalidParameterError):
-        classical_pade(k2_float, 2, exact=True)
     with pytest.raises(InvalidParameterError):
         robust_pade(k2_float, 2, tol_rel=0.0)
     with pytest.raises(InvalidParameterError):

@@ -46,9 +46,6 @@ def test_pair_guards(k2_series):
         build_pair(k2_series, 0, exact=True)
     with pytest.raises(OutOfRangeError):
         build_pair(k2_series, 3, exact=True)    # needs 7 coefficients, has 5
-    inexact = PowerSeries.from_coefficients([1.0, 2.0, 3.0])
-    with pytest.raises(InvalidParameterError):
-        build_pair(inexact, 1, exact=True)
 
 
 @given(coeff_lists)
@@ -170,10 +167,12 @@ def test_sum_bounds_k3(k3_series):
 
 
 def test_sum_bounds_float_path():
+    # real float poles: every stored value is real, so the sum of their
+    # dyadic values is exact
     s = build_counterexample_series(3, PoleSequence.explicit([0.25, 0.2]))
     rep = check_sum_bounds(s, 3)
-    assert not rep.exact
-    assert rep.s_exact is None
+    assert rep.exact
+    assert rep.s_exact == sum(abs(Fraction(c.real)) for c in s.coeffs[1:5] + s.coeffs[6:12])
     assert rep.head_sum == pytest.approx(592.0)
     assert rep.tail_sum == pytest.approx(1023.934464, rel=1e-12)
 
@@ -194,7 +193,7 @@ def _floor_abs(c) -> Fraction:
 def test_sum_bounds_cover_the_stored_moduli(points):
     # each written sum is at least the stored moduli's exact sum, rounded to
     # nearest like the field; equal to it on a real series, whose |c_j| are
-    # exact, and `s_exact` is set on an exact real series alone
+    # exact, and `s_exact` is set on a real series alone, float or exact
     s = build_counterexample_series(4, PoleSequence.explicit(points))
     real = not any(complex(p).imag for p in points)
     for k in (3, 4):
@@ -207,7 +206,7 @@ def test_sum_bounds_cover_the_stored_moduli(points):
         assert all(w >= f for w, f in zip(written, floors))
         if real:
             assert written == floors
-        assert rep.exact == (s.exact and real)
+        assert rep.exact == real
         assert rep.s_exact == (head + tail if rep.exact else None)
 
 
