@@ -2,9 +2,9 @@
 
 Both construct r = p/q of type (n, n) from c_0..c_{2n}: a denominator b
 in the nullspace of the Toeplitz matrix B_n, then a = A_n b.  The exact
-route finds both for any series, a float coefficient read as the
-dyadic rational it stores, by the extended Euclidean algorithm,
-modulo one prime or many, without building B_n.  The robust
+route reads c_0..c_2n once as Gaussian integers over one denominator (a
+float as the dyadic rational it stores) and finds both by the extended
+Euclidean algorithm, modulo one prime or many, without building B_n.  The robust
 variant additionally treats singular values at or below
 tol_rel * sigma_1 as a rank deficiency, shrinks the order by that
 count, and repeats until the system is numerically full rank; trailing
@@ -135,12 +135,12 @@ def classical_pade(s: PowerSeries, n: int, exact: bool = False) -> PadeApproxima
 
     if not exact:
         return _float_pade(s, n, 0.0)
-    c = [s.coeff(j) for j in range(2 * n + 1)]
-    solved = _eea_pade(c, n) or _multiprime_pade(c, n)
+    C, dc = gaussian_integers(map(_as_qc, s.coeffs[:2 * n + 1]))
+    solved = _eea_pade(C, dc, n) or _multiprime_pade(C, dc, n)
     if solved is None:
         raise NumericalError(
-            f"no exact order-{n} Pade denominator: the one-prime stage (mod 2^61 - 31) declined "
-            "(an output beyond that prime, a denominator it divides, or a failed proof), and so "
+            f"no exact order-{n} Pade denominator: the one-prime stage (dc c mod 2^61 - 31) "
+            "declined (an output beyond that prime, or a proof that rejects the image), and so "
             "did the multi-prime stage (more primes dropped than kept, or a failed proof)")
     a, b, nullspace_dim = solved
     diag = Diagnostics(b0_degenerate=not b[0], nullspace_dim=nullspace_dim)
@@ -155,31 +155,27 @@ _IOTA = 583529827753931384              # a square root of -1 mod _MODULUS
 _RECON_BOUND = math.isqrt(_MODULUS // 2)
 
 
-def _eea_pade(c: list, n: int) -> tuple | None:
-    """Proved (a, b, d) of type (n, n) from c_0..c_2n (Fractions or QC values), or None.
+def _eea_pade(C: list, dc: int, n: int) -> tuple | None:
+    """Proved (a, b, d) of type (n, n) from C_j = dc c_j, j = 0..2n, as (re, im) int pairs, or None.
 
     b spans the nullspace of B_n exactly when q g = r mod z^(2n+1) with
-    deg r <= n, where g = f - c_0 (c_0 does not enter B).  Modulo
+    deg r <= n, where g = C - C_0 (c_0 does not enter B, and the factor
+    dc leaves the normalized null vectors unchanged).  Modulo
     p = 2^61 - 31, :func:`_euclid` gives the minimal-degree null vector
     t_j of B mod p and its dimension d (Brent, Gustavson & Yun 1980),
     once per image of i (i -> +-iota, iota^2 = -1 mod p) for a complex
     series: half the sum of the two t_j is Re b mod p, their difference
     over 2 iota is Im b.  Each part is lifted by Wang's rational
-    reconstruction, and :func:`_proved` proves b and d.  None when p
-    divides a denominator of c_1..c_2n, the images differ in d or in
+    reconstruction, and :func:`_proved` proves b and d, so an image
+    that p distorts (p divides dc, or a minor) is rejected and left to
+    :func:`_multiprime_pade`.  None when the images differ in d or in
     their first nonzero index, an entry does not reconstruct or the
     proof fails.
     """
     p = _MODULUS
-    c = [_as_qc(x) for x in c]
-    try:
-        re = [x.re.numerator * pow(x.re.denominator, -1, p) % p for x in c[1:]]
-        im = [x.im.numerator * pow(x.im.denominator, -1, p) % p if x.im else 0 for x in c[1:]]
-    except ValueError:                      # p divides a denominator
-        return None
-    plus = minus = _euclid([0] + [(u + _IOTA * v) % p for u, v in zip(re, im)], n)
-    if any(im):                             # a complex series: the image i -> -iota too
-        minus = _euclid([0] + [(u - _IOTA * v) % p for u, v in zip(re, im)], n)
+    plus = minus = _euclid([0] + [(u + _IOTA * v) % p for u, v in C[1:]], n)
+    if any(v for _, v in C[1:]):            # a complex series: the image i -> -iota too
+        minus = _euclid([0] + [(u - _IOTA * v) % p for u, v in C[1:]], n)
     if minus[1] != plus[1] or minus[0].index(1) != plus[0].index(1):
         return None
     images, half = list(zip(plus[0], minus[0])), (p + 1) // 2    # Re b, then Im b, mod p
@@ -190,7 +186,8 @@ def _eea_pade(c: list, n: int) -> tuple | None:
         return None
     den = math.lcm(*(d for _, d in fracs))
     nums = [num * (den // d) for num, d in fracs]
-    return _proved(c, list(zip(nums[:n + 1], nums[n + 1:] or [0] * (n + 1))), den, n + 1 - plus[1])
+    return _proved(C, dc, list(zip(nums[:n + 1], nums[n + 1:] or [0] * (n + 1))), den,
+                   n + 1 - plus[1])
 
 
 def _euclid(g: list, n: int) -> tuple[list, int]:
@@ -216,46 +213,48 @@ def _euclid(g: list, n: int) -> tuple[list, int]:
     return [v * scale % p for v in t1] + [0] * (n + 1 - len(t1)), max(len(r1), len(t1)) - 1
 
 
-def _multiprime_pade(c: list, n: int) -> tuple | None:
-    """:func:`_eea_pade` for outputs beyond one prime, by Euclid mod many primes on dc c_j."""
+def _multiprime_pade(C: list, dc: int, n: int) -> tuple | None:
+    """:func:`_eea_pade` for outputs beyond one prime, by Euclid mod many primes on the same C."""
     from .multimodular import pade_minors   # imported on first use: most runs never need it
-    c = [_as_qc(x) for x in c]
-    solved = pade_minors(gaussian_integers(c)[0], n)
+    solved = pade_minors(C, n)
     if solved is None:
         return None
     y, d = solved
     fr, fi = next(v for v in y if any(v))
     if fi:                                  # b = y conj(f) / |f|^2, f the first nonzero y_j
         y, fr = [(vr * fr + vi * fi, vi * fr - vr * fi) for vr, vi in y], fr * fr + fi * fi
-    return _proved(c, y + [(0, 0)] * (n + 1 - len(y)), fr, d)
+    return _proved(C, dc, y + [(0, 0)] * (n + 1 - len(y)), fr, d)
 
 
-def _proved(c: list, y: list, den: int, d: int) -> tuple | None:
+def _proved(C: list, dc: int, y: list, den: int, d: int) -> tuple | None:
     """(A b, b, d) for b = y / den, y in (re, im) int pairs, if B_n has nullity d, else None.
 
-    With C_j = dc c_j: when deg y <= n + 1 - d and coefficients
-    n + 2 - d..2n of C y vanish, the shifts z^k y, k < d, are d
-    independent null vectors, so a nullity d read modulo a prime (which
-    can only raise it) holds over Q(i), and y is the minimal-degree one.
+    C holds C_j = dc c_j, j = 0..2n, as (re, im) int pairs.  When
+    deg y <= n + 1 - d and coefficients n + 2 - d..2n of C y vanish,
+    the shifts z^k y, k < d, are d independent null vectors, so a
+    nullity d read modulo a prime (which can only raise it) holds over
+    Q(i), and y is the minimal-degree one.
     """
     n, top = len(y) - 1, len(y) - d        # top = n + 1 - d
-    pairs, dc = gaussian_integers(c)
-    cr, ci = zip(*pairs)
-    yr, yi = zip(*y)
-    re, im = _convolve(cr, yr), _convolve(cr, yi)
-    if any(ci):                             # (C_r + i C_i)(y_r + i y_i)
-        re = [u - v for u, v in zip(re, _convolve(ci, yi))]
-        im = [u + v for u, v in zip(im, _convolve(ci, yr))]
-    if any(any(v) for v in y[top + 1:]) or any(re[top + 1:]) or any(im[top + 1:]):
+    a = _product(C, y)
+    if any(any(v) for v in y[top + 1:] + a[top + 1:]):
         return None                         # deg y, or dc B y and its shifts
-    return (tuple(from_gaussian(u, v, dc * den) for u, v in zip(re, im[:n + 1])),
+    return (tuple(from_gaussian(u, v, dc * den) for u, v in a[:n + 1]),
             tuple(from_gaussian(u, v, den) if u or v else QC_ZERO for u, v in y), d)
 
 
-def _convolve(u: tuple, v: tuple) -> list:
-    """Coefficients 0..len(u)-1 of the product of the int polynomials u and v."""
-    live = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(u[i - j] * x for j, x in live if j <= i) for i in range(len(u))] if live else [0] * len(u)
+def _product(C: list, y: list) -> list:
+    """Coefficients 0..len(C)-1 of C y, for polynomials of (re, im) int pairs."""
+    def convolve(u: tuple, v: tuple) -> list:
+        live = [(j, x) for j, x in enumerate(v) if x]
+        return [sum(u[i - j] * x for j, x in live if j <= i) for i in range(len(u))]
+
+    (cr, ci), (yr, yi) = zip(*C), zip(*y)
+    re, im = convolve(cr, yr), convolve(cr, yi)
+    if any(ci):                             # (C_r + i C_i)(y_r + i y_i)
+        re = [u - v for u, v in zip(re, convolve(ci, yi))]
+        im = [u + v for u, v in zip(im, convolve(ci, yr))]
+    return list(zip(re, im))
 
 
 def _trimmed(poly: list) -> list:
@@ -339,22 +338,18 @@ def robust_pade(s: PowerSeries, n: int, tol_rel: float = 1e-12) -> PadeApproxima
 def order_residual(s: PowerSeries, r: PadeApproximant) -> tuple:
     """Coefficients of z^0..z^(m+nu) of a(z) - f(z) b(z).
 
-    Exact (all zeros) on the exact route, on the stored coefficients (a
-    float one as the dyadic rational it stores); small on the float
-    route.  Needs c_0..c_{m+nu}.
+    Computed exactly on both routes from the stored values (a float one
+    as the dyadic rational it stores), as Gaussian integers by
+    :func:`_product`: all zeros for an exact approximant; for a float
+    approximant each part is rounded once to a double.  Needs
+    c_0..c_{m+nu}.
     """
     m, nu = r.effective_degrees
     top = m + nu
     s.require_terms(top + 1)
-    scalar = _as_qc if r.exact else to_complex
-    a = [scalar(x) for x in r.a_effective] + [scalar(0)] * nu
-    b = [scalar(x) for x in r.b_effective]
-    c = [scalar(s.coeff(j)) for j in range(top + 1)]
-    out = []
-    for i in range(top + 1):
-        acc = a[i]
-        for j in range(0, min(i, nu) + 1):
-            if b[j]:
-                acc = acc - c[i - j] * b[j]
-        out.append(acc)
-    return tuple(out)
+    (A, da), (B, db), (C, dc) = (gaussian_integers(map(_as_qc, v)) for v in
+                                 (r.a_effective, r.b_effective, s.coeffs[:top + 1]))
+    scale = db * dc                         # a - f b = (A db dc - da C B) / (da db dc)
+    out = tuple(from_gaussian(ar * scale - da * fr, ai * scale - da * fi, da * scale)
+                for (ar, ai), (fr, fi) in zip(A + [(0, 0)] * nu, _product(C, B)))
+    return out if r.exact else tuple(map(to_complex, out))

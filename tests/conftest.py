@@ -9,6 +9,7 @@ from padelab.errors import RankDeficiencyError
 from padelab.linalg import exact_nullspace, svd
 from padelab.pade import Diagnostics, PadeApproximant
 from padelab.rational import from_gaussian, gaussian_integers, qc
+from padelab.series import _as_qc
 from padelab.toeplitz import build_pair
 
 settings.register_profile(
@@ -77,6 +78,18 @@ def _matvec(mat, vec):
 @pytest.fixture(scope="session")
 def matvec():
     return _matvec
+
+
+def _operand(c):
+    """c_0..c_2n as the operand (C, dc) of the exact route's stages and proof:
+    C_j = dc c_j as (re, im) int pairs, dc the least common denominator, a
+    float read as the dyadic rational it stores (as `classical_pade` does)."""
+    return gaussian_integers(map(_as_qc, c))
+
+
+@pytest.fixture(scope="session")
+def operand():
+    return _operand
 
 
 def _weyl_check(M, D, slack=1e-10):

@@ -23,7 +23,8 @@ from padelab.linalg import (
     gram_char_poly,
     svd,
 )
-from padelab.pade import _MODULUS, _eea_pade, _rational_reconstruction, classical_pade
+from padelab.pade import (_MODULUS, _eea_pade, _multiprime_pade, _rational_reconstruction,
+                          classical_pade)
 from padelab.rational import QC, qc
 from padelab.series import block_order, build_counterexample_series, PoleSequence, PowerSeries
 from padelab.toeplitz import build_pair, check_sum_bounds
@@ -292,7 +293,7 @@ def _stage_result(r):
     return r.a, r.b, r.diagnostics.nullspace_dim
 
 
-def test_modular_route_matches_bareiss_on_random_full_rank(exact_reference):
+def test_modular_route_matches_bareiss_on_random_full_rank(exact_reference, operand):
     rng = _rng()
     proved = 0
     for trial in range(80):
@@ -300,14 +301,14 @@ def test_modular_route_matches_bareiss_on_random_full_rank(exact_reference):
         c = [Fraction(int(a), int(d)) for a, d in
              zip(rng.integers(-5, 6, size=2 * n + 1), rng.integers(1, 4, size=2 * n + 1))]
         _, reference = _series_and_reference(exact_reference, c)
-        eea = _eea_pade(c, n)
+        eea = _eea_pade(*operand(c), n)
         if eea is not None:                 # None: an output beyond one prime
             assert eea == _stage_result(reference)
             proved += 1
     assert proved >= 60
 
 
-def test_modular_rank_drop_falls_back_to_exact_vector(exact_reference):
+def test_modular_rank_drop_falls_back_to_exact_vector(exact_reference, operand):
     # the rows agree mod p, so the rank drops mod p but not over Q
     m = [[1, 2, 3], [1 + P, 2, 3]]
     assert exact_nullspace(m) == (qc(0), qc(1), qc(Fraction(-2, 3)))
@@ -316,27 +317,27 @@ def test_modular_rank_drop_falls_back_to_exact_vector(exact_reference):
     # vector (1, -1, 0) fails the proof of dimension 2 (C b has z^4 term p)
     c = [Fraction(v) for v in (1, 1, 1, 1, 1 + P)]
     series, reference = _series_and_reference(exact_reference, c)
-    assert _eea_pade(c, 2) is None
+    assert _eea_pade(*operand(c), 2) is None
     r = classical_pade(series, 2, exact=True)
     assert r == reference
     assert _stage_result(r) == ((qc(0), qc(1), qc(0)), (qc(0), qc(1), qc(-1)), 1)
     assert r.diagnostics.b0_degenerate
 
 
-def test_modular_failed_substitution_falls_back(exact_reference):
+def test_modular_failed_substitution_falls_back(exact_reference, operand):
     # the entry p vanishes mod p, so the modular vector (1, 0) fails B b = 0
     m = [[P, 1]]
     assert exact_nullspace(m) == (qc(1), qc(-P))
     # B_1 = [c_2, c_1] = [p, 1]: the same vector, from the Euclidean stage
     c = [Fraction(v) for v in (1, 1, P)]
     series, reference = _series_and_reference(exact_reference, c)
-    assert _eea_pade(c, 1) is None
+    assert _eea_pade(*operand(c), 1) is None
     r = classical_pade(series, 1, exact=True)
     assert r == reference
     assert _stage_result(r) == ((qc(1), qc(1 - P)), (qc(1), qc(-P)), 1)
 
 
-def test_modular_reconstruction_failure_still_exact(exact_reference):
+def test_modular_reconstruction_failure_still_exact(exact_reference, operand):
     # both entries lie beyond the sqrt(p/2) bound: the first does not
     # reconstruct at all, the second reconstructs to a wrong small
     # fraction that the substitution check rejects
@@ -349,23 +350,28 @@ def test_modular_reconstruction_failure_still_exact(exact_reference):
         # B_1 = [c_2, c_1] = [num, -den] has the same null vector
         c = [Fraction(1), Fraction(-den), Fraction(num)]
         series, reference = _series_and_reference(exact_reference, c)
-        assert _eea_pade(c, 1) is None
+        assert _eea_pade(*operand(c), 1) is None
         r = classical_pade(series, 1, exact=True)
         assert r == reference and r.diagnostics.nullspace_dim == 1
         assert r.b == (qc(1), qc(Fraction(num, den)))
 
 
-def test_modular_denominator_divisible_by_p_falls_back(exact_reference):
-    # c_1 = 1/p has no image mod p, so the Euclidean stage declines;
-    # c_0 does not enter B, so a denominator p there is no obstacle
+def test_modular_denominator_divisible_by_p_falls_back(exact_reference, operand):
+    # the one-prime stage reads C = dc c mod p, here dc = p and C = (p, 1, p):
+    # q = 1 - p z reduces to 1 mod p, and the proof rejects that image
     c = [Fraction(1), Fraction(1, P), Fraction(1)]
     series, reference = _series_and_reference(exact_reference, c)
-    assert _eea_pade(c, 1) is None
+    assert _eea_pade(*operand(c), 1) is None
     r = classical_pade(series, 1, exact=True)
     assert r == reference and r.diagnostics.nullspace_dim == 1
     assert r.b == (qc(1), qc(-P))
+    # c_0 = 1/p does not enter B, but it puts p in dc, so C_1..C_2n vanish
+    # mod p: the one-prime stage declines and the multi-prime stage proves it
     c = [Fraction(1, P), Fraction(1), Fraction(2)]
-    assert _eea_pade(c, 1) == _stage_result(_series_and_reference(exact_reference, c)[1])
+    series, reference = _series_and_reference(exact_reference, c)
+    assert _eea_pade(*operand(c), 1) is None
+    assert _multiprime_pade(*operand(c), 1) == _stage_result(reference)
+    assert classical_pade(series, 1, exact=True) == reference
 
 
 def test_rank_deficiency_error_unchanged_by_modular_attempt():

@@ -109,19 +109,20 @@ def _big_series(rnd, n):
     return c, PowerSeries.from_coefficients(c)
 
 
-def test_multimodular_rejects_a_vector_the_check_refutes(monkeypatch):
+def test_multimodular_rejects_a_vector_the_check_refutes(monkeypatch, operand):
     # with the bound faked to 1, one prime is taken and the CRT cannot
     # give the true minors; the exact proof must refuse them, and with
     # the one-prime stage declining too, classical_pade must raise
     c, series = _big_series(random.Random(3), 4)
-    assert _eea_pade(c, 4) is None
+    assert _eea_pade(*operand(c), 4) is None
     monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: 1)
-    assert _multiprime_pade(c, 4) is None
+    assert _multiprime_pade(*operand(c), 4) is None
     with pytest.raises(NumericalError):
         classical_pade(series, 4, exact=True)
 
 
-def test_multimodular_sieves_another_window_for_a_bound_beyond_one_window(monkeypatch, exact_reference):
+def test_multimodular_sieves_another_window_for_a_bound_beyond_one_window(monkeypatch, exact_reference,
+                                                                         operand):
     # a bound just past the product of the first window's primes: the
     # stage sieves the next window of primes below 2^31 - 2^16 and
     # still proves the true vector
@@ -132,8 +133,8 @@ def test_multimodular_sieves_another_window_for_a_bound_beyond_one_window(monkey
         past *= q
     monkeypatch.setattr(multimodular, "_hadamard_bound", lambda squares: past)
     seen = _spy_chunks(monkeypatch)
-    assert _multiprime_pade(c, 3) == (reference.a, reference.b, 1)
-    monkeypatch.setattr(pade, "_eea_pade", lambda c, n: None)
+    assert _multiprime_pade(*operand(c), 3) == (reference.a, reference.b, 1)
+    monkeypatch.setattr(pade, "_eea_pade", lambda C, dc, n: None)
     assert classical_pade(series, 3, exact=True) == reference
     below = [q for primes, _ in seen for q in primes if q < 2 ** 31 - 2 ** 16]
     assert below and all(_is_prime(q) for q in below[:50])
@@ -267,7 +268,7 @@ def test_gammel_n38_is_proved_by_the_multiprime_euclidean_stage(monkeypatch, mat
     assert max(x.re.denominator.bit_length() for x in r.b) > 3000
 
 
-def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch, exact_reference):
+def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch, exact_reference, operand):
     # c_2n, the leading coefficient of g, is a multiple of the first listed
     # prime, so g has a lower degree mod that prime alone
     p0 = int(_word_primes()[0])
@@ -277,7 +278,7 @@ def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch,
     c[2 * n] = Fraction(p0 * _big(rnd, 40, 60))
     series = PowerSeries.from_coefficients(c)
     expected = exact_reference(series, n)
-    assert _eea_pade(c, n) is None
+    assert _eea_pade(*operand(c), n) is None
     seen = _spy_chunks(monkeypatch)
     monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     assert classical_pade(series, n, exact=True) == expected
@@ -286,7 +287,7 @@ def test_euclidean_stage_drops_a_prime_with_another_degree_sequence(monkeypatch,
     assert all(alive for _, flags in seen for alive in flags[1:])
 
 
-def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch, exact_reference):
+def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch, exact_reference, operand):
     # random real series whose outputs the one-prime stage cannot lift:
     # 60-100-bit numerators over 1-20-bit denominators, dense or sparse,
     # or with c_1..c_(2n-1) on a recurrence of order n - 1 with 40-bit
@@ -296,7 +297,7 @@ def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch, exact
     real = pade._multiprime_pade
     results = []
     monkeypatch.setattr(pade, "_multiprime_pade",
-                        lambda c, n: results.append(real(c, n)) or results[-1])
+                        lambda *args: results.append(real(*args)) or results[-1])
     while seen["series"] < 300:
         n = rnd.randint(1, 8)
         c = [Fraction(rnd.getrandbits(rnd.randint(60, 100)) - 2 ** 59,
@@ -308,7 +309,7 @@ def test_euclidean_stage_matches_elimination_beyond_one_prime(monkeypatch, exact
                  for _ in range(n - 1)]
             for j in range(n, 2 * n):
                 c[j] = sum(w * c[j - 1 - k] for k, w in enumerate(d))
-        if _eea_pade(c, n) is not None:
+        if _eea_pade(*operand(c), n) is not None:
             continue
         series = PowerSeries.from_coefficients(c)
         route = classical_pade(series, n, exact=True)
@@ -344,13 +345,14 @@ def _big_gaussian(rnd, lo_bits=60, hi_bits=90):
               Fraction(_big(rnd, lo_bits, hi_bits), rnd.getrandbits(16) | 1))
 
 
-def test_complex_output_beyond_one_prime_is_proved_by_the_multiprime_stage(monkeypatch, exact_reference):
+def test_complex_output_beyond_one_prime_is_proved_by_the_multiprime_stage(monkeypatch, exact_reference,
+                                                                           operand):
     rnd = random.Random(8)
     n = 7
     c = [_big_gaussian(rnd) for _ in range(2 * n + 1)]
     series = PowerSeries.from_coefficients(c)
     expected = exact_reference(series, n)
-    assert _eea_pade(c, n) is None and _multiprime_pade(c, n) is not None
+    assert _eea_pade(*operand(c), n) is None and _multiprime_pade(*operand(c), n) is not None
     seen = _spy_chunks(monkeypatch)
     monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     r = classical_pade(series, n, exact=True)
@@ -361,7 +363,7 @@ def test_complex_output_beyond_one_prime_is_proved_by_the_multiprime_stage(monke
     assert all(q % 4 == 1 for q in primes)
 
 
-def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch, exact_reference):
+def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch, exact_reference, operand):
     # c_2n = -iota + i mod the first prime p0 = 1 mod 4: its image under
     # i -> iota vanishes, so only that column has a lower degree mod p0
     p0 = int(_gaussian_primes()[0])
@@ -372,7 +374,7 @@ def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch, ex
     c[2 * n] = qc(p0 * _big(rnd, 40, 60) - iota, p0 * _big(rnd, 40, 60) + 1)
     series = PowerSeries.from_coefficients(c)
     expected = exact_reference(series, n)
-    assert _eea_pade(c, n) is None
+    assert _eea_pade(*operand(c), n) is None
     seen = _spy_chunks(monkeypatch)
     monkeypatch.setattr(linalg, "exact_nullspace", _no_elimination)
     assert classical_pade(series, n, exact=True) == expected
@@ -385,7 +387,7 @@ def test_euclidean_stage_drops_a_prime_whose_two_images_disagree(monkeypatch, ex
 
 
 def test_rank_deficient_output_beyond_one_prime_is_solved_at_the_full_rank_order(monkeypatch,
-                                                                                 exact_reference):
+                                                                                 exact_reference, operand):
     # a type-(2, 2) rational function of z scaled by a 50-bit Gaussian
     # rational: B_9 has nullity 8, and B_2 is full rank
     rnd = random.Random(10)
@@ -400,7 +402,7 @@ def test_rank_deficient_output_beyond_one_prime_is_solved_at_the_full_rank_order
     series = PowerSeries.from_coefficients(c)
     expected = exact_reference(series, n)
     assert expected.diagnostics.nullspace_dim == n - m + 1
-    assert _eea_pade(c, n) is None
+    assert _eea_pade(*operand(c), n) is None
     orders = []
     real = multimodular._chunk_euclid
 
@@ -436,7 +438,7 @@ def _shifted_corner_coefficients(rnd, n, a, gaussian):
     return c + [entry(40) for _ in range(a)]
 
 
-def test_multiprime_stage_solves_the_shifted_block_corner(monkeypatch, exact_reference):
+def test_multiprime_stage_solves_the_shifted_block_corner(monkeypatch, exact_reference, operand):
     # b = z^a q, a > 0: B_n and the square systems below it are rank
     # deficient, but the (2n - M', M') system, M' = deg b, is not
     rnd = random.Random(3)
@@ -448,9 +450,9 @@ def test_multiprime_stage_solves_the_shifted_block_corner(monkeypatch, exact_ref
         c = _shifted_corner_coefficients(rnd, n, a, gaussian)
         reference = exact_reference(PowerSeries.from_coefficients(c), n)
         d = reference.diagnostics.nullspace_dim
-        assert _multiprime_pade(c, n) == (reference.a, reference.b, d)
+        assert _multiprime_pade(*operand(c), n) == (reference.a, reference.b, d)
         seen["gaussian" if gaussian else "real"] += 1
         seen["b0 = 0, d >= 2"] += not reference.b[0] and d >= 2
-        seen["beyond one prime"] += _eea_pade(c, n) is None
+        seen["beyond one prime"] += _eea_pade(*operand(c), n) is None
     assert seen["real"] == seen["gaussian"] == 50 and seen["b0 = 0, d >= 2"] == 100
     assert seen["beyond one prime"] >= 30

@@ -1,5 +1,6 @@
 """Classical and robust Pade construction, trimming, and order residuals."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import random
@@ -21,11 +22,12 @@ from padelab.pade import (
     order_residual,
     robust_pade,
 )
-from padelab.rational import QC, horner, qc
+from padelab.rational import QC, horner, qc, to_complex
 from padelab.series import (
     GammelParams,
     PoleSequence,
     PowerSeries,
+    _as_qc,
     build_counterexample_series,
     build_gammel_series,
 )
@@ -183,7 +185,7 @@ def _random_real_coefficients(rnd, n, kind):
     return head + [Fraction(0)] * (2 * (n - m))
 
 
-def test_euclidean_route_matches_elimination_on_random_real_series(exact_reference):
+def test_euclidean_route_matches_elimination_on_random_real_series(exact_reference, operand):
     rnd = random.Random(20261018)
     seen = {"proved": 0, "declined": 0, "rank deficient": 0, "proved with b0 = 0": 0}
     for trial in range(320):
@@ -197,7 +199,7 @@ def test_euclidean_route_matches_elimination_on_random_real_series(exact_referen
         assert route.diagnostics.b0_degenerate == reference.diagnostics.b0_degenerate
         assert route == reference
         c = [series.coeff(j).re for j in range(2 * n + 1)]
-        proved = pade._eea_pade(c, n) is not None
+        proved = pade._eea_pade(*operand(c), n) is not None
         seen["proved" if proved else "declined"] += 1
         seen["rank deficient"] += route.diagnostics.nullspace_dim > 1
         seen["proved with b0 = 0"] += proved and route.diagnostics.b0_degenerate
@@ -269,8 +271,8 @@ def test_euclidean_route_matches_elimination_on_random_complex_series(monkeypatc
     stages = []
     for name in ("_eea_pade", "_multiprime_pade"):
         real = getattr(pade, name)
-        monkeypatch.setattr(pade, name, lambda c, n, real=real, name=name:
-                            stages.append((name, real(c, n))) or stages[-1][1])
+        monkeypatch.setattr(pade, name, lambda *args, real=real, name=name:
+                            stages.append((name, real(*args))) or stages[-1][1])
     seen = {"one prime": 0, "many primes": 0, "declined": 0, "rank deficient": 0,
             "rank deficient beyond one prime": 0, "b0 = 0": 0, "real parts only": 0}
     for trial in range(336):
@@ -325,7 +327,7 @@ def test_complex_and_rank_deficient_benchmark_series_build_no_b(monkeypatch):
     assert references[2].effective_degrees[1] == 3
 
 
-def test_rank_deficient_series_solved_at_a_shifted_block_corner(exact_reference):
+def test_rank_deficient_series_solved_at_a_shifted_block_corner(exact_reference, operand):
     # c = z^5 (x + y z): the minimal null vector of B_3 is z^2, of
     # nullity 2, yet B_2 = 0 has nullity 3, so the multi-prime stage
     # solves the (2n - M', M') = (4, 2) system of the last two rows
@@ -336,24 +338,25 @@ def test_rank_deficient_series_solved_at_a_shifted_block_corner(exact_reference)
     reference = exact_reference(series, 3)
     assert reference.b == (qc(0), qc(0), qc(1), qc(0))
     assert reference.diagnostics.nullspace_dim == 2
-    assert pade._multiprime_pade(c, 3) == (reference.a, reference.b, 2)
-    assert pade._eea_pade(c, 3) == (reference.a, reference.b, 2)
+    assert pade._multiprime_pade(*operand(c), 3) == (reference.a, reference.b, 2)
+    assert pade._eea_pade(*operand(c), 3) == (reference.a, reference.b, 2)
     assert classical_pade(series, 3, exact=True) == reference
 
 
 def test_both_stages_declining_raises_numerical_error(monkeypatch, k2_exact):
-    monkeypatch.setattr(pade, "_eea_pade", lambda c, n: None)
-    monkeypatch.setattr(pade, "_multiprime_pade", lambda c, n: None)
+    monkeypatch.setattr(pade, "_eea_pade", lambda C, dc, n: None)
+    monkeypatch.setattr(pade, "_multiprime_pade", lambda C, dc, n: None)
     with pytest.raises(NumericalError, match="one-prime stage .* multi-prime stage"):
         classical_pade(k2_exact, 2, exact=True)
 
 
-def test_proof_rejects_a_null_vector_above_the_minimal_degree():
+def test_proof_rejects_a_null_vector_above_the_minimal_degree(operand):
     # f = 0: B_2 = 0 has nullity 3, and z is a null vector, but the
     # minimal-degree one is 1; only deg y <= n + 1 - d tells them apart
     zero = [qc(0)] * 5
-    assert pade._proved(zero, [(0, 0), (1, 0), (0, 0)], 1, 3) is None
-    assert pade._proved(zero, [(1, 0), (0, 0), (0, 0)], 1, 3) == ((qc(0),) * 3, (qc(1), qc(0), qc(0)), 3)
+    assert pade._proved(*operand(zero), [(0, 0), (1, 0), (0, 0)], 1, 3) is None
+    assert pade._proved(*operand(zero), [(1, 0), (0, 0), (0, 0)], 1, 3) == ((qc(0),) * 3,
+                                                                         (qc(1), qc(0), qc(0)), 3)
     r = classical_pade(PowerSeries.from_coefficients(zero), 2, exact=True)
     assert r.b == (qc(1), qc(0), qc(0)) and r.diagnostics.nullspace_dim == 3
 
@@ -517,6 +520,72 @@ def test_order_residual_flags_corruption(k2_float):
                           mode=r.mode, exact=False, diagnostics=r.diagnostics)
     res = order_residual(k2_float, bad)
     assert max(abs(x) for x in res) > 1.0
+
+
+def _residual_reference(s, r):
+    """a - f b term by term on the stored values as QC values (a float one
+    as the dyadic rational it stores), normalized after every product."""
+    m, nu = r.effective_degrees
+    a = [_as_qc(x) for x in r.a_effective] + [qc(0)] * nu
+    b = [_as_qc(x) for x in r.b_effective]
+    c = [_as_qc(s.coeff(j)) for j in range(m + nu + 1)]
+    out = []
+    for i in range(m + nu + 1):
+        acc = a[i]
+        for j in range(0, min(i, nu) + 1):
+            if b[j]:
+                acc = acc - c[i - j] * b[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _rounded(values):
+    return tuple(to_complex(x) for x in values)
+
+
+def test_order_residual_equals_the_term_by_term_sum_on_random_series():
+    # exact approximants (residual 0), the same with one denominator entry
+    # moved (a nonzero exact residual) and float approximants (the exact
+    # residual of their stored doubles, each part rounded once)
+    rnd = random.Random(20261022)
+    seen = {"real": 0, "gaussian": 0, "nonzero": 0}
+    for trial in range(84):
+        n = rnd.randint(1, 8)
+        if trial % 2:
+            c = _random_complex_coefficients(rnd, n, ("small", "mixed", "padded", "signs", "b0",
+                                                      "wide", "scaled")[trial % 7])
+        else:
+            c = _random_real_coefficients(rnd, n, ("small", "signs", "wide", "padded")[trial % 4])
+        series = PowerSeries.from_coefficients(c)
+        seen["real" if all(x.is_real for x in series.coeffs) else "gaussian"] += 1
+        exact = classical_pade(series, n, exact=True)
+        assert not any(order_residual(series, exact))
+        b = list(exact.b)
+        j = rnd.randint(0, exact.effective_degrees[1])
+        b[j] += qc(Fraction(rnd.randint(1, 9), rnd.randint(1, 9)), rnd.randint(-1, 1))
+        moved = replace(exact, b=tuple(b))
+        res = order_residual(series, moved)
+        assert res == _residual_reference(series, moved)
+        seen["nonzero"] += any(res)
+        flt = classical_pade(series, n)
+        assert order_residual(series, flt) == _rounded(_residual_reference(series, flt))
+    assert seen["real"] >= 30 and seen["gaussian"] >= 30 and seen["nonzero"] >= 80
+
+
+@pytest.mark.parametrize("n", [6, 14, 30])
+def test_order_residual_of_the_exact_route_on_a_float_series(k7_float, n):
+    r = classical_pade(k7_float, n, exact=True)
+    res = order_residual(k7_float, r)
+    assert res == _residual_reference(k7_float, r) and not any(res)
+
+
+@pytest.mark.parametrize("case", ["k2-classical-n2", "k7-robust-n14"])
+def test_order_residual_of_a_float_approximant_is_its_exact_residual_rounded_once(case, k2_float,
+                                                                                  k7_float):
+    s, r = ((k2_float, classical_pade(k2_float, 2)) if case.startswith("k2")
+            else (k7_float, robust_pade(k7_float, 14)))
+    assert not r.exact
+    assert order_residual(s, r) == _rounded(_residual_reference(s, r))
 
 
 @settings(max_examples=25, deadline=None)
